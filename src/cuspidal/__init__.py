@@ -33,7 +33,6 @@ from .cubical import (
     betti_table,
     build_rectangle,
     check_vanishing,
-    level_betti,
     min_w_over_diagonal,
     oracle_eu,
 )

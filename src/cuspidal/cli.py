@@ -385,8 +385,7 @@ def cmd_oracle(args) -> tuple[dict, list[str], int]:
         expected_minw = c.delta - j - 1 + h(j + 1)
         totals = [sum(row[q] for row in oracle.table.rows)
                   for q in range(c.nu + 1)]
-        vanish = all(t == 0 for t in totals[c.nu:]) and all(
-            all(b == 0 for b in row[c.nu:]) for row in oracle.table.rows)
+        vanish = cubical.check_vanishing(oracle.table, c.nu)
         agree = (not in_window or (oracle.eu_h0 == expected0
                                    and oracle.eu_hstar == expecteds)) \
             and minw == expected_minw and vanish

@@ -15,20 +15,37 @@ normalized Euler characteristics
 
 are the oracle values the closed-form H/F formulas are checked against.
 
-Rank computation is exact: integer sparse column elimination with gcd
-normalization (cross-multiplication instead of fractions), processed in
-filtration order so that one pass yields the rank of every sublevel boundary
-matrix at once.  Pivot rows of the (q+1)-boundary clear the corresponding
-q-columns, which is valid level-by-level because row order equals filtration
-order.  Rank of the edge boundary is taken from a union-find instead.
+numpy builds the cell filtration.  Vertex weights are the per-axis tables
+H_i broadcast against each other plus the |x| term.  A cube's weight is
+np.maximum over shifted slices of its faces' weights, one slice pair per
+axis of the cube (the "V-construction" of Wagner-Chen-Vucini, 2012).  Each
+dimension is put in filtration order by argsort: any order of equal weights
+gives the same ranks at every level, and the order over all cells (weight,
+then dimension) lists faces before cofaces, so every prefix is a
+subcomplex.  The face rows of all q-cubes come from slicing the inverse
+permutation of dimension q-1.  All weights are small integers, so int64
+arrays hold them exactly.
+
+Rank computation is exact Python-int arithmetic: sparse column elimination
+with gcd normalization (cross-multiplication instead of fractions),
+processed in filtration order so that one pass yields the rank of every
+sublevel boundary matrix at once.  The edge boundary's rank comes from a
+union-find.  For q >= 2, pivot rows of the (q+1)-boundary clear the
+corresponding q-columns (Chen-Kerber, 2011), which is valid level-by-level
+because row order equals filtration order.  A column whose lowest row is
+not a pivot yet becomes a pivot as it is; only the others are reduced.
+
+The top boundary is eliminated too, although btilde_nu(S_n) = 0 holds for
+every subcomplex of R^nu: a zero last column is a self-test of the
+elimination, which `check_vanishing` reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_right
-from itertools import product
 from math import gcd
+
+import numpy as np
 
 from .invariants import CuspCollection
 from .semigroup import counting_fn
@@ -52,8 +69,9 @@ class WeightedRectangle:
     """A weighted lattice rectangle: dims m_i and one weight per lattice point.
 
     Vertex weights are stored flat in row-major order (last coordinate
-    fastest).  `kind` records which weight function was evaluated ("w_a" with
-    its index, or "W").
+    fastest), so the weight of x is weights[sum(x_i * strides()[i])].
+    `kind` records which weight function was evaluated ("w_a" with its
+    index, or "W").
     """
 
     dims: tuple[int, ...]
@@ -74,10 +92,6 @@ class WeightedRectangle:
         for i in range(self.nu - 2, -1, -1):
             out[i] = out[i + 1] * (self.dims[i + 1] + 1)
         return tuple(out)
-
-    def weight_at(self, x: tuple[int, ...]) -> int:
-        s = self.strides()
-        return self.weights[sum(xi * si for xi, si in zip(x, s))]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,6 +138,10 @@ def default_dims(c: CuspCollection, box_margin: int = 0) -> tuple[int, ...]:
     return tuple(2 * d + 1 + box_margin for d in c.deltas)
 
 
+# below this index the w_a weights leave the exact int64 range
+_MIN_INDEX = -(1 << 62)
+
+
 def build_rectangle(
     c: CuspCollection,
     j: int,
@@ -146,92 +164,111 @@ def build_rectangle(
         points *= m + 1
     if points > cap:
         raise RectangleTooLarge(points, cap)
-    hs = [counting_fn(s) for s in c.cusps]
-    h_tables = [[h(x) for x in range(m + 1)] for h, m in zip(hs, dims)]
-    delta = c.delta
-    weights = []
+    if kind not in ("w_a", "W"):
+        raise ValueError(f"unknown weight kind {kind!r}")
+    shape = tuple(m + 1 for m in dims)
+    weights = np.zeros(shape, dtype=np.int64)
+    size = np.zeros(shape, dtype=np.int64)  # |x|
+    for i, (s, m) in enumerate(zip(c.cusps, dims)):
+        axis = [1] * len(dims)
+        axis[i] = m + 1
+        h = counting_fn(s)
+        weights += np.array([h(x) for x in range(m + 1)], dtype=np.int64).reshape(axis)
+        size += np.arange(m + 1, dtype=np.int64).reshape(axis)
     if kind == "w_a":
-        for x in product(*(range(m + 1) for m in dims)):
-            base = sum(t[v] for t, v in zip(h_tables, x))
-            weights.append(base + min(0, 1 + j - sum(x)))
-        return WeightedRectangle(tuple(dims), tuple(weights), "w_a", j)
-    if kind == "W":
-        for x in product(*(range(m + 1) for m in dims)):
-            base = sum(t[v] for t, v in zip(h_tables, x))
-            weights.append(delta - sum(x) + base)
-        return WeightedRectangle(tuple(dims), tuple(weights), "W", None)
-    raise ValueError(f"unknown weight kind {kind!r}")
+        if j < _MIN_INDEX:
+            raise ValueError(f"index {j} below {_MIN_INDEX}")
+        # min(0, 1 + j - |x|) vanishes on the whole box once j >= sum(dims)
+        weights += np.minimum(0, 1 + min(j, sum(dims)) - size)
+        return WeightedRectangle(tuple(dims), tuple(weights.ravel().tolist()), "w_a", j)
+    weights += c.delta - size
+    return WeightedRectangle(tuple(dims), tuple(weights.ravel().tolist()), "W", None)
 
 
-def _enumerate_cells(rect: WeightedRectangle):
-    """All cubes as (weight, dim, point_index, axis_mask), weights = vertex max."""
-    nu = rect.nu
-    dims = rect.dims
-    strides = rect.strides()
-    vw = rect.weights
-    cells = []
-    for mask in range(1 << nu):
-        axes = [i for i in range(nu) if mask >> i & 1]
-        dim = len(axes)
-        corner_offsets = []
-        for sub in range(1 << dim):
-            corner_offsets.append(
-                sum(strides[axes[t]] for t in range(dim) if sub >> t & 1))
-        ranges = [
-            range(dims[i] + (0 if mask >> i & 1 else 1)) for i in range(nu)
-        ]
-        for x in product(*ranges):
-            p = sum(xi * si for xi, si in zip(x, strides))
-            w = max(vw[p + off] for off in corner_offsets)
-            cells.append((w, dim, p, mask))
-    return cells
+def _face_signs(q: int) -> list[int]:
+    """Incidence signs of a q-cube's faces, in the column order of its face rows.
 
-
-def _boundary(p: int, mask: int, strides: tuple[int, ...]):
-    """Signed codimension-1 faces of the cube (p, mask)."""
+    For the t-th axis of the cube (in increasing axis order) the upper face
+    x + e_i has sign (-1)^t and the lower face x has sign -(-1)^t.
+    """
     out = []
-    sign = 1
-    for i in range(len(strides)):
-        if mask >> i & 1:
-            sub = mask & ~(1 << i)
-            out.append((p + strides[i], sub, sign))
-            out.append((p, sub, -sign))
-            sign = -sign
+    for t in range(q):
+        s = -1 if t & 1 else 1
+        out += (s, -s)
     return out
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def _cell_filtration(rect: WeightedRectangle):
+    """Cell weights and face rows of every dimension, in filtration order.
 
-    def __init__(self):
-        self.parent: dict[int, int] = {}
+    Returns (weights, faces): weights[q] is the nondecreasing int64 array of
+    the weights of all q-cubes, and faces[q] (q >= 1) the (n_q, 2q) array
+    whose row k holds the positions, within dimension q-1, of the faces of
+    the k-th q-cube, ordered as `_face_signs(q)`.  faces[0] is None.
+    """
+    nu = rect.nu
+    lower_upper = (slice(None, -1), slice(1, None))
 
-    def add(self, v: int):
-        self.parent.setdefault(v, v)
+    def shifted(a, axis, k):
+        # the entries of `a` at x (k = 0) or at x + e_axis (k = 1)
+        return a[(slice(None),) * axis + (lower_upper[k],)]
 
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+    # cube weights per axis mask: np.maximum over the two faces along the
+    # highest axis, whose weights are already the max over their vertices;
+    # corner[mask] is the flat index of each cube's lowest vertex
+    shape = [m + 1 for m in rect.dims]
+    cube = {0: np.array(rect.weights, dtype=np.int64).reshape(shape)}
+    corner = {0: np.arange(cube[0].size, dtype=np.int64).reshape(shape)}
+    for mask in range(1, 1 << nu):
+        i = mask.bit_length() - 1
+        w = cube[mask ^ 1 << i]
+        cube[mask] = np.maximum(shifted(w, i, 0), shifted(w, i, 1))
+        corner[mask] = shifted(corner[mask ^ 1 << i], i, 0)
+    min_w = int(cube[0].min())
 
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.parent[ru] = rv
-        return True
+    weights, faces = [], []
+    below: dict[int, np.ndarray] = {}
+    for q in range(nu + 1):
+        masks = [m for m in range(1 << nu) if m.bit_count() == q]
+        flat = np.concatenate([cube[m].ravel() for m in masks])
+        # ties in weight go by lowest vertex: any order gives the same ranks,
+        # this one leaves the fewest columns to reduce.  The key stays below
+        # 3 * points**2, far inside int64 for any box that fits in memory.
+        key = (flat - min_w) * cube[0].size
+        key += np.concatenate([corner[m].ravel() for m in masks])
+        order = np.argsort(key)
+        weights.append(flat[order])
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        grids, start = {}, 0
+        for m in masks:
+            grids[m] = position[start:start + cube[m].size].reshape(cube[m].shape)
+            start += cube[m].size
+        if q:
+            blocks = []
+            for m in masks:
+                rows = []
+                for i in range(nu):
+                    if m >> i & 1:
+                        g = below[m ^ 1 << i]
+                        rows += (shifted(g, i, 1).ravel(), shifted(g, i, 0).ravel())
+                blocks.append(np.stack(rows, axis=1))
+            faces.append(np.concatenate(blocks)[order])
+        else:
+            faces.append(None)
+        below = grids
+    return weights, faces
 
 
-def _reduce_column(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
+def _reduce_column(col: dict[int, int], pivots: dict, faces: np.ndarray,
+                   signs: list[int]) -> bool:
     """Eliminate `col` against the pivot columns; register it if independent.
 
     Exact integer arithmetic: to kill the leading row r shared with pivot P,
     replace col by (P_r/g)*col - (col_r/g)*P with g = gcd.  Returns True when
-    the column carries a new pivot (rank grows by one).
+    the column carries a new pivot (rank grows by one).  A pivot that was
+    taken as it stood is stored as its column index and turned into a dict
+    here the first time a reduction needs it.
     """
     while col:
         r = max(col)
@@ -245,6 +282,8 @@ def _reduce_column(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> bo
                     col[k] //= g
             pivots[r] = col
             return True
+        if piv.__class__ is int:
+            piv = pivots[r] = dict(zip(faces[piv].tolist(), signs))
         a = piv[r]
         b = col[r]
         g = gcd(a, b)
@@ -263,89 +302,62 @@ def _reduce_column(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> bo
 
 
 def _rank_profile(rect: WeightedRectangle):
-    """One filtration pass; per dimension, sorted weight lists of cells and pivots.
+    """One filtration pass; per dimension, sorted weights of cells and pivots.
 
     Returns (cell_weights, pivot_weights, min_w, max_w) where cell_weights[q]
-    lists the weights of all q-cells in increasing order and pivot_weights[q]
+    holds the weights of all q-cells in increasing order and pivot_weights[q]
     the weights of the columns of the q-boundary that carry a pivot, i.e.
     rank of the q-boundary restricted to S_n is the number of entries <= n.
     """
     nu = rect.nu
-    strides = rect.strides()
-    cells = _enumerate_cells(rect)
-    cells.sort()
-    min_w = cells[0][0]
-    max_w = cells[-1][0]
-
-    by_dim: list[list[tuple[int, int, int]]] = [[] for _ in range(nu + 1)]
-    for w, dim, p, mask in cells:
-        by_dim[dim].append((w, p, mask))
-
-    cell_weights = [[w for w, _, _ in group] for group in by_dim]
-
-    # filtration position of each cell within its dimension (rows of the
-    # boundary one dimension up); dict key packs point and axis mask
-    pos: list[dict[int, int]] = [dict() for _ in range(nu + 1)]
-    for dim, group in enumerate(by_dim):
-        table = pos[dim]
-        for i, (_, p, mask) in enumerate(group):
-            table[p << nu | mask] = i
-
-    pivot_weights: list[list[int]] = [[] for _ in range(nu + 2)]
+    cell_weights, faces = _cell_filtration(rect)
+    pivot_cols: list[list[int]] = [[] for _ in range(nu + 2)]
 
     # rank of the edge boundary via union-find: tree edges are the pivots
-    uf = _UnionFind()
-    for _, p, _ in by_dim[0]:
-        uf.add(p)
-    for w, p, mask in by_dim[1]:
-        i = mask.bit_length() - 1
-        if uf.union(p, p + strides[i]):
-            pivot_weights[1].append(w)
+    parent = list(range(len(cell_weights[0])))
+    tree = pivot_cols[1]
+    for idx, (u, v) in enumerate(faces[1].tolist()):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            tree.append(idx)
 
     # higher boundaries by exact sparse elimination, top dimension first so
     # that pivot rows clear the matching columns one dimension down
-    cleared: set[int] = set()
+    cleared = ()
     for q in range(nu, 1, -1):
-        rows = pos[q - 1]
-        pivots: dict[int, dict[int, int]] = {}
-        next_cleared: set[int] = set()
-        for idx, (w, p, mask) in enumerate(by_dim[q]):
-            if idx in cleared:
-                continue
-            col = {}
-            for fp, fmask, sign in _boundary(p, mask, strides):
-                col[rows[fp << nu | fmask]] = sign
-            if _reduce_column(col, pivots):
-                pivot_weights[q].append(w)
-        for r in pivots:
-            next_cleared.add(r)
-        cleared = next_cleared
-    return cell_weights, [sorted(ws) for ws in pivot_weights], min_w, max_w
+        f = faces[q]
+        keep = np.ones(len(f), dtype=bool)
+        keep[list(cleared)] = False
+        todo = np.flatnonzero(keep)
+        signs = _face_signs(q)
+        pivots: dict = {}
+        found = pivot_cols[q]
+        for idx, r in zip(todo.tolist(), f[todo].max(axis=1).tolist()):
+            if r not in pivots:
+                pivots[r] = idx
+                found.append(idx)
+            elif _reduce_column(dict(zip(f[idx].tolist(), signs)), pivots, f, signs):
+                found.append(idx)
+        cleared = pivots
+    pivot_weights = [ws[cols] for ws, cols in zip(cell_weights, pivot_cols)]
+    pivot_weights.append(np.empty(0, dtype=np.int64))
+    return cell_weights, pivot_weights, int(cell_weights[0][0]), int(cell_weights[0][-1])
 
 
 def betti_table(rect: WeightedRectangle) -> BettiTable:
     """Reduced Betti numbers of S_n for every level n up to stabilization."""
     cell_weights, pivot_weights, min_w, max_w = _rank_profile(rect)
-    nu = rect.nu
-    rows = []
-    for n in range(min_w, max_w + 1):
-        counts = [bisect_right(ws, n) for ws in cell_weights]
-        ranks = [bisect_right(ws, n) for ws in pivot_weights]
-        row = []
-        for q in range(nu + 1):
-            b = counts[q] - ranks[q] - ranks[q + 1]
-            if q == 0:
-                b -= 1
-            row.append(b)
-        rows.append(tuple(row))
-    return BettiTable(min_w, tuple(rows))
-
-
-def level_betti(rect: WeightedRectangle, n: int) -> tuple[int, ...]:
-    """Reduced Betti vector (btilde_0 .. btilde_nu) of the level set S_n."""
-    if n < rect.min_weight:
-        raise ValueError(f"level {n} below the minimum weight {rect.min_weight}")
-    return betti_table(rect).row(n)
+    levels = np.arange(min_w, max_w + 1)
+    counts = [np.searchsorted(ws, levels, side="right") for ws in cell_weights]
+    ranks = [np.searchsorted(ws, levels, side="right") for ws in pivot_weights]
+    table = np.stack([counts[q] - ranks[q] - ranks[q + 1] for q in range(rect.nu + 1)],
+                     axis=1)
+    table[:, 0] -= 1
+    return BettiTable(min_w, tuple(map(tuple, table.tolist())))
 
 
 def oracle_eu(
@@ -409,7 +421,6 @@ def min_w_over_diagonal(
     return c.delta - target + best
 
 
-def check_vanishing(rect: WeightedRectangle) -> bool:
-    """Whether btilde_q(S_n) = 0 for all q >= nu at every level."""
-    table = betti_table(rect)
-    return all(all(b == 0 for b in row[rect.nu:]) for row in table.rows)
+def check_vanishing(table: BettiTable, nu: int) -> bool:
+    """Whether btilde_q(S_n) = 0 for all q >= nu at every level of the table."""
+    return all(all(b == 0 for b in row[nu:]) for row in table.rows)

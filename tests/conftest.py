@@ -2,18 +2,24 @@
 
 The oracles here deliberately avoid the production code paths: semigroups
 are generated by repeated-addition closure instead of the sieve, counting
-values by direct enumeration, and min-plus convolutions by scanning every
-split.  Golden rows are transcriptions of the published tables for the
+values by direct enumeration, min-plus convolutions by scanning every
+split, and cubical Betti tables from per-cube tuples with dict-keyed
+elimination.  Golden rows are transcriptions of the published tables for the
 curves they describe.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import settings
 
 from cuspidal import (
+    BettiTable,
     CuspCollection,
     MultSeq,
     is_admissible,
@@ -96,6 +102,134 @@ def cyclotomic_quotient(numerators, denominators):
     return poly_divide(num, den)
 
 
+# The cubical oracle's reference route: every cube as a tuple, faces from the
+# lattice strides, dict-keyed filtration positions and one dict per boundary
+# column.  Slow but written independently of the numpy filtration.
+
+def enumerate_cells(rect):
+    """All cubes as (weight, dim, point_index, axis_mask), weights = vertex max."""
+    nu = rect.nu
+    dims = rect.dims
+    strides = rect.strides()
+    vw = rect.weights
+    cells = []
+    for mask in range(1 << nu):
+        axes = [i for i in range(nu) if mask >> i & 1]
+        dim = len(axes)
+        corner_offsets = []
+        for sub in range(1 << dim):
+            corner_offsets.append(
+                sum(strides[axes[t]] for t in range(dim) if sub >> t & 1))
+        ranges = [
+            range(dims[i] + (0 if mask >> i & 1 else 1)) for i in range(nu)
+        ]
+        for x in product(*ranges):
+            p = sum(xi * si for xi, si in zip(x, strides))
+            w = max(vw[p + off] for off in corner_offsets)
+            cells.append((w, dim, p, mask))
+    return cells
+
+
+def cube_boundary(p, mask, strides):
+    """Signed codimension-1 faces of the cube (p, mask)."""
+    out = []
+    sign = 1
+    for i in range(len(strides)):
+        if mask >> i & 1:
+            sub = mask & ~(1 << i)
+            out.append((p + strides[i], sub, sign))
+            out.append((p, sub, -sign))
+            sign = -sign
+    return out
+
+
+def _reference_reduce(col, pivots):
+    """Exact gcd-normalized elimination of `col`; True if it adds a pivot."""
+    while col:
+        r = max(col)
+        piv = pivots.get(r)
+        if piv is None:
+            g = 0
+            for v in col.values():
+                g = gcd(g, v)
+            if g > 1:
+                for k in col:
+                    col[k] //= g
+            pivots[r] = col
+            return True
+        a = piv[r]
+        b = col[r]
+        g = gcd(a, b)
+        ma = a // g
+        mb = b // g
+        if ma != 1:
+            for k in col:
+                col[k] *= ma
+        for k, v in piv.items():
+            nv = col.get(k, 0) - mb * v
+            if nv:
+                col[k] = nv
+            else:
+                col.pop(k, None)
+    return False
+
+
+def reference_betti_table(rect):
+    """Reduced Betti numbers of every sublevel complex, by the reference route."""
+    nu = rect.nu
+    strides = rect.strides()
+    cells = enumerate_cells(rect)
+    cells.sort()
+    min_w = cells[0][0]
+    max_w = cells[-1][0]
+
+    by_dim = [[] for _ in range(nu + 1)]
+    for w, dim, p, mask in cells:
+        by_dim[dim].append((w, p, mask))
+    cell_weights = [[w for w, _, _ in group] for group in by_dim]
+    pos = [dict() for _ in range(nu + 1)]
+    for dim, group in enumerate(by_dim):
+        for i, (_, p, mask) in enumerate(group):
+            pos[dim][p << nu | mask] = i
+
+    pivot_weights = [[] for _ in range(nu + 2)]
+    parent = {p: p for _, p, _ in by_dim[0]}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for w, p, mask in by_dim[1]:
+        i = mask.bit_length() - 1
+        ru, rv = find(p), find(p + strides[i])
+        if ru != rv:
+            parent[ru] = rv
+            pivot_weights[1].append(w)
+
+    cleared = set()
+    for q in range(nu, 1, -1):
+        rows = pos[q - 1]
+        pivots = {}
+        for idx, (w, p, mask) in enumerate(by_dim[q]):
+            if idx in cleared:
+                continue
+            col = {}
+            for fp, fmask, sign in cube_boundary(p, mask, strides):
+                col[rows[fp << nu | fmask]] = sign
+            if _reference_reduce(col, pivots):
+                pivot_weights[q].append(w)
+        cleared = set(pivots)
+
+    out = []
+    for n in range(min_w, max_w + 1):
+        counts = [bisect_right(ws, n) for ws in cell_weights]
+        ranks = [bisect_right(ws, n) for ws in pivot_weights]
+        out.append(tuple(counts[q] - ranks[q] - ranks[q + 1] - (q == 0)
+                         for q in range(nu + 1)))
+    return BettiTable(min_w, tuple(out))
+
+
 def random_admissible(rng: random.Random, max_len=5, max_entry=9) -> MultSeq:
     while True:
         r = rng.randint(1, max_len)
@@ -147,6 +281,12 @@ C_SERIES_ROWS = {
     "C(9,2)": (9, 2, [0, 4, 0, 4, 0, 4, 0], 12),
     "C(9,3)": (9, 3, [0, 4, 0, 4, 0, 4, 0], 12),
 }
+
+
+# deterministic and bounded, so the property tests run the same way each time
+settings.register_profile("tier1", derandomize=True, max_examples=150,
+                          deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

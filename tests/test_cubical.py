@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import collection
+from conftest import collection, random_admissible, reference_betti_table
 from cuspidal import (
+    CuspCollection,
     RectangleTooLarge,
     betti_table,
     build_rectangle,
@@ -11,15 +14,18 @@ from cuspidal import (
     counting_fn,
     f_sequence,
     h_function,
-    level_betti,
     min_w_over_diagonal,
     oracle_eu,
-    semigroup_from_generators,
+    semigroup_from_multseq,
 )
-from cuspidal.cubical import _boundary, _enumerate_cells, default_dims
+from cuspidal.cubical import _cell_filtration, _face_signs, default_dims
 
 QUARTIC = collection("[2]", "[2]", "[2]")
 SINGLE = collection("[2]")
+
+
+def weight(rect, x):
+    return rect.weights[sum(xi * si for xi, si in zip(x, rect.strides()))]
 
 
 class TestBuildRectangle:
@@ -32,24 +38,32 @@ class TestBuildRectangle:
         # w_0(x) = H(x) + min(0, 1 - x) on the axis of a simple cusp:
         # H = (0,1,1,2) so the weights are 0, 1, 0, 0
         rect = build_rectangle(SINGLE, 0)
-        assert [rect.weight_at((x,)) for x in range(4)] == [0, 1, 0, 0]
+        assert [weight(rect, (x,)) for x in range(4)] == [0, 1, 0, 0]
 
     def test_minimum_nonpositive(self):
         for j in range(5):
             rect = build_rectangle(QUARTIC, j)
             assert rect.min_weight <= 0
-            assert rect.weight_at((0, 0, 0)) == 0
+            assert weight(rect, (0, 0, 0)) == 0
 
     def test_degree_free_weight(self):
         # W(x) = delta - |x| + sum H_i(x_i) is nonnegative, zero at the far corner
         rect = build_rectangle(QUARTIC, 0, kind="W")
         assert min(rect.weights) == 0
-        assert rect.weight_at(rect.dims) == 0
-        assert rect.weight_at((0, 0, 0)) == QUARTIC.delta
+        assert weight(rect, rect.dims) == 0
+        assert weight(rect, (0, 0, 0)) == QUARTIC.delta
 
     def test_cap(self):
         with pytest.raises(RectangleTooLarge):
             build_rectangle(QUARTIC, 0, cap=63)
+
+    def test_extreme_index(self):
+        # weights stay exact int64: a huge j is clamped where it no longer
+        # changes w_a, and a j whose weights would wrap is refused
+        assert build_rectangle(SINGLE, 10**30).weights == build_rectangle(SINGLE, 10).weights
+        assert build_rectangle(SINGLE, -(1 << 62)).min_weight == -(1 << 62)
+        with pytest.raises(ValueError):
+            build_rectangle(SINGLE, -(1 << 63))
 
     def test_explicit_dims(self):
         rect = build_rectangle(QUARTIC, 0, dims=(4, 5, 6))
@@ -60,76 +74,80 @@ class TestBuildRectangle:
 
 class TestBoundaryOperator:
     def test_boundary_of_boundary_vanishes(self):
-        rect = build_rectangle(collection("[2]", "[2]"), 1)
-        strides = rect.strides()
-        nu = rect.nu
-        for _, dim, p, mask in _enumerate_cells(rect):
-            if dim < 2:
-                continue
-            total = {}
-            for fp, fmask, sign in _boundary(p, mask, strides):
-                for gp, gmask, gsign in _boundary(fp, fmask, strides):
-                    key = (gp, gmask)
-                    total[key] = total.get(key, 0) + sign * gsign
-            assert all(v == 0 for v in total.values())
+        for rect in (build_rectangle(collection("[2]", "[2]"), 1),
+                     build_rectangle(QUARTIC, 2, dims=(2, 3, 4))):
+            _, faces = _cell_filtration(rect)
+            for q in range(2, rect.nu + 1):
+                for row in faces[q].tolist():
+                    assert len(set(row)) == 2 * q
+                    total = {}
+                    for f, sign in zip(row, _face_signs(q)):
+                        for g, gsign in zip(faces[q - 1][f].tolist(), _face_signs(q - 1)):
+                            total[g] = total.get(g, 0) + sign * gsign
+                    assert all(v == 0 for v in total.values())
 
 
 class TestLevelBetti:
     def test_full_rectangle_contractible(self):
         rect = build_rectangle(QUARTIC, 2)
-        top = max(w for w, _, _, _ in _enumerate_cells(rect))
-        assert level_betti(rect, top) == (0, 0, 0, 0)
-        assert level_betti(rect, top + 5) == (0, 0, 0, 0)
+        top = max(rect.weights)
+        table = betti_table(rect)
+        assert table.max_level == top
+        assert table.row(top) == (0, 0, 0, 0)
+        assert table.row(top + 5) == (0, 0, 0, 0)
 
     def test_single_minimum_is_connected(self):
         # large j makes the weight H(x), whose unique minimum is at the origin
         rect = build_rectangle(SINGLE, 10)
         assert rect.min_weight == 0
-        assert level_betti(rect, 0) == (0, 0)
+        assert betti_table(rect).row(0) == (0, 0)
 
     def test_below_min_rejected(self):
         rect = build_rectangle(SINGLE, 0)
         with pytest.raises(ValueError):
-            level_betti(rect, rect.min_weight - 1)
+            betti_table(rect).row(rect.min_weight - 1)
 
     def test_matches_hand_computation(self):
         # single [2] cusp, j = 0: weights 0,1,0,0 along the axis; at level 0
         # the complex is {0} and the segment [2,3]: two components
         rect = build_rectangle(SINGLE, 0)
-        assert level_betti(rect, 0) == (1, 0)
-        assert level_betti(rect, 1) == (0, 0)
+        table = betti_table(rect)
+        assert table.row(0) == (1, 0)
+        assert table.row(1) == (0, 0)
 
     def test_table_consistent_with_rows(self):
         rect = build_rectangle(QUARTIC, 2)
         table = betti_table(rect)
-        for n in range(table.min_level, table.max_level + 1):
-            assert table.row(n) == level_betti(rect, n)
+        reference = reference_betti_table(rect)
+        assert table.min_level == reference.min_level == rect.min_weight
+        for n in range(table.min_level, table.max_level + 2):
+            assert table.row(n) == reference.row(n)
 
     def test_euler_poincare_per_level(self):
         # alternating sum of (non-reduced) Betti numbers equals the
         # alternating cube count at every level
         rect = build_rectangle(collection("[3]", "[2_2]"), 3)
-        cells = _enumerate_cells(rect)
+        cell_weights, _ = _cell_filtration(rect)
         table = betti_table(rect)
         for n in range(table.min_level, table.max_level + 1):
-            counts = [0] * (rect.nu + 1)
-            for w, dim, _, _ in cells:
-                if w <= n:
-                    counts[dim] += 1
+            counts = [sum(1 for w in ws.tolist() if w <= n) for ws in cell_weights]
             row = table.row(n)
             chi_cells = sum((-1) ** q * c for q, c in enumerate(counts))
             chi_betti = 1 + sum((-1) ** q * b for q, b in enumerate(row))
             assert chi_cells == chi_betti
 
     def test_monotone_filtration(self):
+        # cells come in weight order and no face outweighs its cube, so every
+        # sublevel set is a subcomplex
         rect = build_rectangle(QUARTIC, 1)
-        cells = _enumerate_cells(rect)
-        levels = sorted({w for w, _, _, _ in cells})
-        prev = set()
-        for n in levels:
-            cur = {(p, mask) for w, _, p, mask in cells if w <= n}
-            assert prev <= cur
-            prev = cur
+        cell_weights, faces = _cell_filtration(rect)
+        assert [len(ws) for ws in cell_weights] == [64, 144, 108, 27]
+        for q, ws in enumerate(cell_weights):
+            ws = ws.tolist()
+            assert ws == sorted(ws)
+            if q:
+                for w, row in zip(ws, faces[q].tolist()):
+                    assert all(cell_weights[q - 1][f] <= w for f in row)
 
 
 class TestOracle:
@@ -204,7 +222,8 @@ class TestMinWOverDiagonal:
 class TestVanishing:
     def test_two_cusps(self):
         for j in (0, 2, 5):
-            assert check_vanishing(build_rectangle(collection("[2_2]", "[2]"), j))
+            rect = build_rectangle(collection("[2_2]", "[2]"), j)
+            assert check_vanishing(betti_table(rect), rect.nu)
 
     def test_single_cusp(self):
         for j in (0, 1, 3):
@@ -217,9 +236,23 @@ class TestVanishing:
             rect = build_rectangle(QUARTIC, j)
             table = betti_table(rect)
             assert all(row[3] == 0 for row in table.rows)
-            assert check_vanishing(rect)
+            assert check_vanishing(table, rect.nu)
 
 
 def test_oracle_respects_cap():
     with pytest.raises(RectangleTooLarge):
         oracle_eu(QUARTIC, 0, cap=10)
+
+
+@given(rng=st.randoms(use_true_random=False), nu=st.integers(1, 3),
+       data=st.data(), kind=st.sampled_from(["w_a", "W"]))
+def test_betti_table_matches_reference(rng, nu, data, kind):
+    c = CuspCollection(tuple(semigroup_from_multseq(random_admissible(rng, 3, 5))
+                             for _ in range(nu)))
+    top = (8, 5, 3)[nu - 1]
+    dims = tuple(data.draw(st.lists(st.integers(0, top), min_size=nu, max_size=nu)))
+    j = data.draw(st.integers(-3, 2 * c.delta + 4))
+    rect = build_rectangle(c, j, dims=dims, kind=kind)
+    table = betti_table(rect)
+    assert table == reference_betti_table(rect)
+    assert all(row[-1] == 0 for row in table.rows)
