@@ -56,7 +56,6 @@ from .invariants import (
 )
 from .semigroup import (
     SMOOTH,
-    AperySet,
     InadmissibleSequenceError,
     MultSeq,
     NewtonPairs,
@@ -66,7 +65,6 @@ from .semigroup import (
     apery_set,
     blowup,
     counting_fn,
-    delta,
     is_admissible,
     multseq_from_semigroup,
     parse_cusp,

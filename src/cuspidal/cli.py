@@ -163,7 +163,7 @@ def cmd_invariants(args) -> tuple[dict, list[str], int]:
         "delta": c.delta,
         "degree": d,
         "candidate_degree": cand_d,
-        "is_candidate": d is not None and 2 * c.delta == (d - 1) * (d - 2),
+        "is_candidate": d is not None and invariants.is_candidate(c, d),
         "p_g": invariants.geometric_genus(d) if d is not None else None,
         "alexander": list(alex.coeffs.window(2 * c.delta)),
         "q": list(q.window(max(2 * c.delta - 2, 0))),
@@ -215,10 +215,8 @@ def cmd_check(args) -> tuple[dict, list[str], int]:
             "no degree: 2*delta has no candidate solution; pass --d "
             "(with --force to compute for a non-candidate degree)")
     cand = criteria.Candidate(c, d)
-    if not cand.is_candidate and not args.force:
-        raise InputError(
-            f"not a candidate: 2*delta = {2 * c.delta} != (d-1)(d-2) = "
-            f"{(d - 1) * (d - 2)}; pass --force to compute anyway")
+    if not args.force:
+        invariants.require_candidate(c, d, "; pass --force to compute anyway")
     names = args.only.split(",") if args.only else list(criteria.ALL_CRITERIA)
     reports = [criteria.run_criterion(name.strip(), cand, force=args.force)
                for name in names]
@@ -274,7 +272,7 @@ def cmd_cohomology(args) -> tuple[dict, list[str], int]:
         "cusps": literals,
         "delta": c.delta,
         "degree": d,
-        "is_candidate": 2 * c.delta == (d - 1) * (d - 2),
+        "is_candidate": invariants.is_candidate(c, d),
         "congruence": "rows sum over j = a (mod d); under the reflected "
                       "labeling j = -a (mod d) the same row belongs to "
                       "index a' = (-a) mod d",
@@ -371,7 +369,6 @@ def cmd_oracle(args) -> tuple[dict, list[str], int]:
             raise InputError("oracle needs --j or --sweep")
         js = [args.j]
     h = invariants.h_function(c)
-    f = invariants.f_sequence(c, window=max(window, max(js)))
     runs = []
     all_agree = True
     for j in js:
@@ -381,7 +378,7 @@ def cmd_oracle(args) -> tuple[dict, list[str], int]:
                                            dims=dims)
         in_window = 0 <= j <= window
         expected0 = h(j + 1) + c.delta - 1 - j if in_window else None
-        expecteds = f[j] + c.delta - 1 - j if in_window else None
+        expecteds = c.f(j) + c.delta - 1 - j if in_window else None
         expected_minw = c.delta - j - 1 + h(j + 1)
         totals = [sum(row[q] for row in oracle.table.rows)
                   for q in range(c.nu + 1)]

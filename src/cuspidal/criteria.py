@@ -18,15 +18,16 @@ eu_h0 - eu_hstar on the three series.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .invariants import (
     CuspCollection,
-    NotCandidateError,
-    eu_canonical,
-    f_sequence,
+    canonical_sums,
     h_function,
+    is_candidate,
+    require_candidate,
 )
 from .semigroup import MultSeq, NewtonPairs, is_admissible, semigroup_from_multseq
 
@@ -44,7 +45,7 @@ class Candidate:
 
     @property
     def is_candidate(self) -> bool:
-        return 2 * self.collection.delta == (self.d - 1) * (self.d - 2)
+        return is_candidate(self.collection, self.d)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,64 +76,53 @@ def candidate_degree(c: CuspCollection) -> int | None:
 
 
 def _require_candidate(cand: Candidate, force: bool):
-    if not cand.is_candidate and not force:
-        raise NotCandidateError(
-            f"2*delta = {2 * cand.collection.delta} != (d-1)(d-2) = "
-            f"{(cand.d - 1) * (cand.d - 2)} for d = {cand.d}; pass force to compute anyway")
+    if not force:
+        require_candidate(cand.collection, cand.d,
+                          f" for d = {cand.d}; pass force to compute anyway")
 
 
 def _triangular(j: int) -> int:
     return (j + 1) * (j + 2) // 2
 
 
+def _h_row(c: CuspCollection, d: int) -> list[int]:
+    h = h_function(c)
+    return [h(j * d + 1) for j in range(d - 2)]
+
+
+def _f_row(c: CuspCollection, d: int) -> list[int]:
+    return [c.f(j * d) for j in range(d - 2)]
+
+
+def _compare(name: str, cand: Candidate, force: bool,
+             row: Callable[[CuspCollection, int], list[int]],
+             holds: Callable[[int, int], bool]) -> CriterionReport:
+    """Compare row(c, d)[j] with (j+1)(j+2)/2 for each j = 0..d-3."""
+    _require_candidate(cand, force)
+    rows = tuple(CriterionRow(j, lhs, _triangular(j), holds(lhs, _triangular(j)))
+                 for j, lhs in enumerate(row(cand.collection, cand.d)))
+    return CriterionReport(name, rows, all(r.ok for r in rows))
+
+
 def check_bezout(cand: Candidate, force: bool = False) -> CriterionReport:
     """H(jd+1) >= (j+1)(j+2)/2 for each j = 0..d-3."""
-    _require_candidate(cand, force)
-    h = h_function(cand.collection)
-    d = cand.d
-    rows = tuple(
-        CriterionRow(j, h(j * d + 1), _triangular(j), h(j * d + 1) >= _triangular(j))
-        for j in range(d - 2)
-    )
-    return CriterionReport("bezout", rows, all(r.ok for r in rows))
+    return _compare("bezout", cand, force, _h_row, operator.ge)
 
 
 def check_bl(cand: Candidate, force: bool = False) -> CriterionReport:
     """H(jd+1) = (j+1)(j+2)/2 for each j = 0..d-3."""
-    _require_candidate(cand, force)
-    h = h_function(cand.collection)
-    d = cand.d
-    rows = tuple(
-        CriterionRow(j, h(j * d + 1), _triangular(j), h(j * d + 1) == _triangular(j))
-        for j in range(d - 2)
-    )
-    return CriterionReport("bl", rows, all(r.ok for r in rows))
+    return _compare("bl", cand, force, _h_row, operator.eq)
 
 
 def check_conj_original(cand: Candidate, force: bool = False) -> CriterionReport:
     """F(jd) <= (j+1)(j+2)/2 for each j = 0..d-3."""
-    _require_candidate(cand, force)
-    f = f_sequence(cand.collection, window=max(2 * cand.collection.delta - 2,
-                                               cand.d * (cand.d - 3)))
-    d = cand.d
-    rows = tuple(
-        CriterionRow(j, f[j * d], _triangular(j), f[j * d] <= _triangular(j))
-        for j in range(d - 2)
-    )
-    return CriterionReport("conj_original", rows, all(r.ok for r in rows))
+    return _compare("conj_original", cand, force, _f_row, operator.le)
 
 
 def check_conj_index(cand: Candidate, force: bool = False) -> CriterionReport:
     """Single verdict: canonical eu_hstar <= eu_h0, with the difference."""
     _require_candidate(cand, force)
-    if cand.is_candidate:
-        e0, es = eu_canonical(cand.collection, cand.d)
-    else:
-        h = h_function(cand.collection)
-        f = f_sequence(cand.collection, window=max(2 * cand.collection.delta - 2,
-                                                   cand.d * (cand.d - 3)))
-        e0 = sum(h(j * cand.d + 1) for j in range(cand.d - 2))
-        es = sum(f[j * cand.d] for j in range(cand.d - 2))
+    e0, es = canonical_sums(cand.collection, cand.d)
     row = CriterionRow(0, es, e0, es <= e0)
     return CriterionReport("conj_index", (row,), row.ok, difference=e0 - es)
 

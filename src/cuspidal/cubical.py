@@ -48,7 +48,6 @@ from math import gcd
 import numpy as np
 
 from .invariants import CuspCollection
-from .semigroup import counting_fn
 
 
 class RectangleTooLarge(RuntimeError):
@@ -169,10 +168,9 @@ def build_rectangle(
     shape = tuple(m + 1 for m in dims)
     weights = np.zeros(shape, dtype=np.int64)
     size = np.zeros(shape, dtype=np.int64)  # |x|
-    for i, (s, m) in enumerate(zip(c.cusps, dims)):
+    for i, (h, m) in enumerate(zip(c.counting_fns, dims)):
         axis = [1] * len(dims)
         axis[i] = m + 1
-        h = counting_fn(s)
         weights += np.array([h(x) for x in range(m + 1)], dtype=np.int64).reshape(axis)
         size += np.arange(m + 1, dtype=np.int64).reshape(axis)
     if kind == "w_a":
@@ -393,13 +391,18 @@ def min_w_over_diagonal(
     """Minimum of the degree-free weight W over the diagonal slice |x| = j+1.
 
     Equals delta - j - 1 + H(j+1); in particular 0 once j exceeds
-    2*delta - 2.  An empty slice (j + 1 beyond the box total) yields 0.
+    2*delta - 2.  A slice beyond the box total (j + 1 > sum of the dims) is
+    empty and yields 0; j + 1 < 0 is refused with ValueError.
     """
+    if j + 1 < 0:
+        raise ValueError(f"diagonal slice |x| = {j + 1} is negative: need j >= -1")
     if dims is None:
         dims = default_dims(c, box_margin)
-    hs = [counting_fn(s) for s in c.cusps]
+    if len(dims) != c.nu:
+        raise ValueError(f"need {c.nu} box sizes, got {len(dims)}")
+    hs = c.counting_fns
     target = j + 1
-    if target > sum(dims) or target < 0:
+    if target > sum(dims):
         return 0
     best = None
 

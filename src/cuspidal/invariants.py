@@ -7,20 +7,24 @@ gap count delta, this module computes:
   and the product Delta of all of them (degree 2*delta, Delta(1) = 1);
 * the quotient Q with Delta(t) = 1 + delta(t-1) + (t-1)^2 Q(t) and its
   coefficient sequence q_0..q_{2delta-2};
-* the sequence F(j), the double partial sum of the convolution of the second
-  differences of the shifted counting sequences h_j = H_i(j+1), which equals
-  the reversed q sequence;
+* the sequence F, the reversed q sequence on [0, 2*delta-2] continued by
+  F(j) = j + 1 - delta (the coefficients of Delta(t)/(1-t)^2);
 * H, the min-plus convolution of the cusp counting functions;
 * the sparse polynomial R supported on multiples of a degree d, whose
   coefficients compare q at multiples of d against triangular numbers; and
 * the normalized Euler characteristics eu_h0 / eu_hstar of the lattice
   cohomology of the (-d)-surgery on the connected sum of the cusp knots, per
   Spin^c index a, as explicit finite sums over H and F.
+
+A CuspCollection computes its counting functions, H and q once, on first
+use, and keeps them; H, q, F, R and the Euler characteristics below are read
+from those values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 
 from .semigroup import (
     MultSeq,
@@ -29,7 +33,7 @@ from .semigroup import (
     counting_fn,
     multseq_from_semigroup,
 )
-from .seqcalc import CountingFn, IntSeq, convolve, diff, min_convolve_all, partial_sums
+from .seqcalc import CountingFn, IntSeq, convolve, min_convolve_all, partial_sums
 
 
 class NotCandidateError(ValueError):
@@ -49,20 +53,14 @@ class IntPoly:
     def coefficient(self, j: int) -> int:
         return self.coeffs[j]
 
-    def __call__(self, t: int) -> int:
-        return sum(c * t**j for j, c in enumerate(self.coeffs.values))
-
-    def support(self) -> tuple[tuple[int, int], ...]:
-        """(exponent, coefficient) pairs of the nonzero terms."""
-        return tuple((j, c) for j, c in enumerate(self.coeffs.values) if c != 0)
-
 
 @dataclasses.dataclass(frozen=True)
 class CuspCollection:
     """An immutable collection of cusp semigroups, each a plane branch.
 
     Validates every cusp on construction by extracting its multiplicity
-    sequence; smooth points are rejected.
+    sequence; smooth points are rejected.  The counting functions, H and q
+    are computed on first use and kept on the instance; F is read from q.
     """
 
     cusps: tuple[Semigroup, ...]
@@ -92,6 +90,39 @@ class CuspCollection:
     def delta(self) -> int:
         return sum(self.deltas)
 
+    @cached_property
+    def counting_fns(self) -> tuple[CountingFn, ...]:
+        """The counting function of each cusp."""
+        return tuple(counting_fn(s) for s in self.cusps)
+
+    @cached_property
+    def h(self) -> CountingFn:
+        """H, the min-plus convolution of the cusp counting functions."""
+        return min_convolve_all(self.counting_fns)
+
+    @cached_property
+    def q(self) -> IntSeq:
+        """Coefficients of Q where Delta(t) = 1 + delta(t-1) + (t-1)^2 Q(t).
+
+        Degree 2*delta - 2, with q_0 = delta and top coefficient 1.  The
+        division is exact; a nonzero remainder signals an internal
+        inconsistency.
+        """
+        d = self.delta
+        co = list(alexander_product(self).coeffs.window(2 * d))
+        co[0] -= 1 - d
+        co[1] -= d
+        return IntSeq(tuple(_divide_by_t_minus_1(_divide_by_t_minus_1(co))))
+
+    def f(self, j: int) -> int:
+        """F(j) = q_{2delta-2-j} on [0, 2*delta-2], j + 1 - delta above, 0 below.
+
+        F(j) is the t^j coefficient of Delta(t)/(1-t)^2, which is
+        j + 1 - delta + q_j, and the symmetry of Delta makes that q_{2delta-2-j}.
+        """
+        top = 2 * self.delta - 2
+        return self.q[top - j] if j <= top else j + 1 - self.delta
+
 
 @dataclasses.dataclass(frozen=True)
 class EuReport:
@@ -106,6 +137,19 @@ class EuReport:
     eu_h0: int
     eu_hstar: int
     terms: tuple[tuple[int, int, int], ...]
+
+
+def is_candidate(c: CuspCollection, d: int) -> bool:
+    """Whether 2*delta = (d-1)(d-2), i.e. c is a candidate of degree d."""
+    return 2 * c.delta == (d - 1) * (d - 2)
+
+
+def require_candidate(c: CuspCollection, d: int, remedy: str) -> None:
+    """Raise NotCandidateError, its message ending in `remedy`, unless is_candidate."""
+    if not is_candidate(c, d):
+        raise NotCandidateError(
+            f"not a candidate: 2*delta = {2 * c.delta} != (d-1)(d-2) = "
+            f"{(d - 1) * (d - 2)}{remedy}")
 
 
 def geometric_genus(d: int) -> int:
@@ -146,39 +190,22 @@ def _divide_by_t_minus_1(co: list[int]) -> list[int]:
 
 
 def q_coefficients(c: CuspCollection) -> IntSeq:
-    """Coefficients of Q where Delta(t) = 1 + delta(t-1) + (t-1)^2 Q(t).
-
-    Degree 2*delta - 2, with q_0 = delta and top coefficient 1.  The division
-    is exact; a nonzero remainder signals an internal inconsistency.
-    """
-    d = c.delta
-    co = list(alexander_product(c).coeffs.window(2 * d))
-    co[0] -= 1 - d
-    co[1] -= d
-    q = _divide_by_t_minus_1(_divide_by_t_minus_1(co))
-    return IntSeq(tuple(q))
+    """Coefficients of Q where Delta(t) = 1 + delta(t-1) + (t-1)^2 Q(t); see CuspCollection.q."""
+    return c.q
 
 
 def f_sequence(c: CuspCollection, window: int | None = None) -> IntSeq:
-    """The sequence F: double partial sums of the product of second differences.
+    """The sequence F on [0, window], the window defaulting to [0, 2*delta - 2].
 
-    Computed purely by sequence calculus: for each cusp, take the counting
-    values h_j = H_i(j+1), difference twice (this recovers the Alexander
-    coefficients), convolve across cusps, then apply partial sums twice.
-    The default window is [0, 2*delta - 2].
+    F is the reversed q sequence, continued linearly (see CuspCollection.f).
     """
     n = 2 * c.delta - 2 if window is None else window
-    conv = IntSeq((1,))
-    for s in c.cusps:
-        hi = counting_fn(s)
-        h = IntSeq(tuple(hi(j + 1) for j in range(2 * s.delta + 3)))
-        conv = convolve(conv, diff(diff(h)))
-    return partial_sums(partial_sums(conv, n), n)
+    return IntSeq(tuple(c.f(j) for j in range(n + 1)))
 
 
 def h_function(c: CuspCollection) -> CountingFn:
     """Min-plus convolution of the cusp counting functions."""
-    return min_convolve_all(counting_fn(s) for s in c.cusps)
+    return c.h
 
 
 def r_poly(c: CuspCollection, d: int) -> IntPoly:
@@ -204,20 +231,16 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
     d-th coefficient of the series Delta(t)/(1-t)^2; subtracting the series
     (1-t^{d*d})/(1-t^d)^3 must then leave a polynomial supported on multiples
     of d up to d(d-3).  Only valid when 2*delta = (d-1)(d-2), where the tail
-    cancels.
+    cancels.  Reads the Alexander product, not q, so that it stays
+    independent of r_poly.
     """
     if d < 3:
         raise ValueError(f"invalid degree {d}: need d >= 3")
-    if 2 * c.delta != (d - 1) * (d - 2):
-        raise NotCandidateError(
-            f"series route needs 2*delta = (d-1)(d-2); got delta={c.delta}, d={d}")
+    require_candidate(c, d, "; the series tail cancels only for candidates")
     top = d * (d - 3)
     n = top + d
-    dd = alexander_product(c).coeffs
-    # g = Delta(t) / (1-t)^2 truncated at degree n
-    g = [0] * (n + 1)
-    for k in range(n + 1):
-        g[k] = sum(dd[i] * (k - i + 1) for i in range(0, k + 1))
+    # g = Delta(t) / (1-t)^2 truncated at degree n; dividing by 1-t is a partial sum
+    g = partial_sums(partial_sums(alexander_product(c).coeffs, n), n)
     co = [0] * (top + 1)
     for k in range(0, n + 1, d):
         i = k // d
@@ -238,20 +261,12 @@ def eu_h0(c: CuspCollection, d: int, a: int) -> int:
 
     Sum of H(j+1) + delta-1-j over 0 <= j <= 2*delta-2 with j = a (mod d).
     """
-    if not 0 <= a < d:
-        raise ValueError(f"Spin^c index {a} not in [0, {d})")
-    h = h_function(c)
-    dl = c.delta
-    return sum(h(j + 1) + dl - 1 - j for j in range(a, 2 * dl - 1, d))
+    return spinc_report(c, d, a).eu_h0
 
 
 def eu_hstar(c: CuspCollection, d: int, a: int) -> int:
     """eu of the full lattice cohomology; same sum as eu_h0 with F in place of H."""
-    if not 0 <= a < d:
-        raise ValueError(f"Spin^c index {a} not in [0, {d})")
-    f = f_sequence(c)
-    dl = c.delta
-    return sum(f[j] + dl - 1 - j for j in range(a, 2 * dl - 1, d))
+    return spinc_report(c, d, a).eu_hstar
 
 
 def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:
@@ -259,10 +274,9 @@ def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:
     if not 0 <= a < d:
         raise ValueError(f"Spin^c index {a} not in [0, {d})")
     h = h_function(c)
-    f = f_sequence(c)
     dl = c.delta
     terms = tuple(
-        (j, h(j + 1) + dl - 1 - j, f[j] + dl - 1 - j)
+        (j, h(j + 1) + dl - 1 - j, c.f(j) + dl - 1 - j)
         for j in range(a, 2 * dl - 1, d)
     )
     return EuReport(
@@ -274,18 +288,18 @@ def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:
     )
 
 
+def canonical_sums(c: CuspCollection, d: int) -> tuple[int, int]:
+    """(sum_j H(jd+1), sum_j F(jd)) over j = 0..d-3, for any degree d."""
+    h = h_function(c)
+    return (sum(h(j * d + 1) for j in range(d - 2)),
+            sum(c.f(j * d) for j in range(d - 2)))
+
+
 def eu_canonical(c: CuspCollection, d: int) -> tuple[int, int]:
     """Canonical-Spin^c Euler characteristics when 2*delta = (d-1)(d-2).
 
-    Returns (sum_j H(jd+1), sum_j F(jd)) over j = 0..d-3; these agree with
-    eu_h0/eu_hstar at a = 0 and satisfy R(1) = eu_hstar - eu_h0.
+    Returns canonical_sums(c, d); these agree with eu_h0/eu_hstar at a = 0
+    and satisfy R(1) = eu_hstar - eu_h0.
     """
-    if 2 * c.delta != (d - 1) * (d - 2):
-        raise NotCandidateError(
-            f"2*delta = {2*c.delta} != (d-1)(d-2) = {(d-1)*(d-2)}; "
-            "use the per-Spin^c operations for general d")
-    h = h_function(c)
-    f = f_sequence(c)
-    e0 = sum(h(j * d + 1) for j in range(d - 2))
-    es = sum(f[j * d] for j in range(d - 2))
-    return e0, es
+    require_candidate(c, d, "; use the per-Spin^c operations for general d")
+    return canonical_sums(c, d)

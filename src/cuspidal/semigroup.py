@@ -186,20 +186,6 @@ class Semigroup:
 SMOOTH = Semigroup(())
 
 
-@dataclasses.dataclass(frozen=True)
-class AperySet:
-    """Smallest semigroup element in each residue class modulo `modulus`."""
-
-    modulus: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.elements) != self.modulus:
-            raise SemigroupError("Apery set must have one element per residue class")
-        if self.elements[0] != 0:
-            raise SemigroupError("Apery set must contain 0")
-
-
 def semigroup_from_generators(gens) -> Semigroup:
     """Semigroup generated by `gens`; requires gcd of the generators to be 1."""
     gens = sorted(set(int(g) for g in gens))
@@ -226,13 +212,8 @@ def semigroup_from_generators(gens) -> Semigroup:
     return Semigroup(tuple(k for k in range(bound) if not reachable[k]))
 
 
-def delta(s: Semigroup) -> int:
-    """Number of gaps."""
-    return s.delta
-
-
-def apery_set(s: Semigroup, m: int) -> AperySet:
-    """Apery set of `s` with respect to an element m of `s`."""
+def apery_set(s: Semigroup, m: int) -> tuple[int, ...]:
+    """Apery set of `s` for an element m of `s`: the least element per residue mod m, sorted."""
     if m < 1 or m not in s:
         raise SemigroupError(f"modulus {m} not in semigroup")
     out = []
@@ -241,7 +222,7 @@ def apery_set(s: Semigroup, m: int) -> AperySet:
         while k not in s:
             k += m
         out.append(k)
-    return AperySet(m, tuple(sorted(out)))
+    return tuple(sorted(out))
 
 
 def _from_apery_layers(b: tuple[int, ...], m: int, context: str) -> Semigroup:
@@ -270,7 +251,7 @@ def unblowup(s: Semigroup, m: int) -> Semigroup:
     if s.gaps and m < s.multiplicity:
         raise SemigroupError(
             f"invalid multiplicity: {m} < multiplicity {s.multiplicity}")
-    a = apery_set(s, m).elements
+    a = apery_set(s, m)
     b = tuple(aj + j * m for j, aj in enumerate(a))
     return _from_apery_layers(b, m, "un-blowup is not a semigroup")
 
@@ -280,7 +261,7 @@ def blowup(s: Semigroup) -> Semigroup:
     if not s.gaps:
         raise SemigroupError("already smooth")
     m = s.multiplicity
-    b = apery_set(s, m).elements
+    b = apery_set(s, m)
     a = tuple(bj - j * m for j, bj in enumerate(b))
     if any(x >= y for x, y in zip(a, a[1:])):
         raise NotPlaneBranchError(

@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the production code paths: semigroups
 are generated by repeated-addition closure instead of the sieve, counting
 values by direct enumeration, min-plus convolutions by scanning every
-split, and cubical Betti tables from per-cube tuples with dict-keyed
-elimination.  Golden rows are transcriptions of the published tables for the
+split, F by sequence calculus instead of reversing q, and cubical Betti
+tables from per-cube tuples with dict-keyed elimination.  Golden rows are transcriptions of the published tables for the
 curves they describe.
 """
 
@@ -21,9 +21,14 @@ from hypothesis import settings
 from cuspidal import (
     BettiTable,
     CuspCollection,
+    IntSeq,
     MultSeq,
+    convolve,
+    counting_fn,
+    diff,
     is_admissible,
     parse_cusp,
+    partial_sums,
     resolve_semigroup,
 )
 
@@ -100,6 +105,22 @@ def cyclotomic_quotient(numerators, denominators):
     for a in denominators:
         den = poly_mul(den, [-1] + [0] * (a - 1) + [1])
     return poly_divide(num, den)
+
+
+def reference_f_sequence(c, window=None):
+    """F on [0, window] (default 2*delta - 2) by sequence calculus.
+
+    For each cusp take the counting values h_j = H_i(j+1) and difference
+    them twice, which gives its Alexander coefficients; convolve across the
+    cusps and take partial sums twice.
+    """
+    n = 2 * c.delta - 2 if window is None else window
+    conv = IntSeq((1,))
+    for s in c.cusps:
+        hi = counting_fn(s)
+        h = IntSeq(tuple(hi(j + 1) for j in range(2 * s.delta + 3)))
+        conv = convolve(conv, diff(diff(h)))
+    return partial_sums(partial_sums(conv, n), n)
 
 
 # The cubical oracle's reference route: every cube as a tuple, faces from the

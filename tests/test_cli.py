@@ -243,6 +243,12 @@ class TestOracle:
                                "--cap", "10")
         assert code == 3 and "cap" in err
 
+    def test_negative_j(self, quartic_file, capsys):
+        code, doc, _ = run_machine(capsys, "oracle", quartic_file, "--j", "-1")
+        assert code == 0 and doc["all_agree"]
+        code, out, err = run_cli(capsys, "oracle", quartic_file, "--j", "-2")
+        assert code == 2 and not out and "error" in err
+
     def test_box_margin(self, quartic_file, capsys):
         code, doc, _ = run_machine(capsys, "oracle", quartic_file, "--j", "2",
                                    "--box-margin", "1")

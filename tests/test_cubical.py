@@ -218,6 +218,18 @@ class TestMinWOverDiagonal:
         for j in range(2 * d + 3):
             assert min_w_over_diagonal(QUARTIC, j) == d - j - 1 + h(j + 1)
 
+    def test_negative_index(self):
+        # |x| = j + 1 = 0 is the origin alone; below that the slice is not defined
+        assert min_w_over_diagonal(QUARTIC, -1) == QUARTIC.delta
+        with pytest.raises(ValueError):
+            min_w_over_diagonal(QUARTIC, -2)
+
+    def test_box_size_count(self):
+        # one box size per cusp, as for build_rectangle
+        for dims in ((3, 3), (3, 3, 3, 3)):
+            with pytest.raises(ValueError):
+                min_w_over_diagonal(QUARTIC, 2, dims=dims)
+
 
 class TestVanishing:
     def test_two_cusps(self):
