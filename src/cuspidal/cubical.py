@@ -115,12 +115,6 @@ class BettiTable:
             return (0,) * len(self.rows[0])
         return self.rows[n - self.min_level]
 
-    def to_tsv(self) -> str:
-        lines = []
-        for i, row in enumerate(self.rows):
-            lines.append("\t".join(str(v) for v in (self.min_level + i, *row)))
-        return "\n".join(lines)
-
 
 @dataclasses.dataclass(frozen=True)
 class EuOracle:

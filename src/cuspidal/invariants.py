@@ -16,9 +16,9 @@ gap count delta, this module computes:
   cohomology of the (-d)-surgery on the connected sum of the cusp knots, per
   Spin^c index a, as explicit finite sums over H and F.
 
-A CuspCollection computes its counting functions, H and q once, on first
-use, and keeps them; H, q, F, R and the Euler characteristics below are read
-from those values.
+A CuspCollection computes its counting functions, H, the Alexander product
+and q once, on first use, and keeps them; H, q, F, R and the Euler
+characteristics below are read from those values.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ class CuspCollection:
     """An immutable collection of cusp semigroups, each a plane branch.
 
     Validates every cusp on construction by extracting its multiplicity
-    sequence; smooth points are rejected.  The counting functions, H and q
-    are computed on first use and kept on the instance; F is read from q.
+    sequence; smooth points are rejected.  The counting functions, H, the
+    Alexander product and q are computed on first use and kept on the
+    instance; F is read from q.
     """
 
     cusps: tuple[Semigroup, ...]
@@ -101,6 +102,14 @@ class CuspCollection:
         return min_convolve_all(self.counting_fns)
 
     @cached_property
+    def alexander_product(self) -> IntPoly:
+        """Product of the cusp Alexander polynomials; degree 2*delta, value 1 at t=1."""
+        out = IntSeq((1,))
+        for s in self.cusps:
+            out = convolve(out, alexander(s).coeffs)
+        return IntPoly(out)
+
+    @cached_property
     def q(self) -> IntSeq:
         """Coefficients of Q where Delta(t) = 1 + delta(t-1) + (t-1)^2 Q(t).
 
@@ -109,7 +118,7 @@ class CuspCollection:
         inconsistency.
         """
         d = self.delta
-        co = list(alexander_product(self).coeffs.window(2 * d))
+        co = list(self.alexander_product.coeffs.window(2 * d))
         co[0] -= 1 - d
         co[1] -= d
         return IntSeq(tuple(_divide_by_t_minus_1(_divide_by_t_minus_1(co))))
@@ -170,11 +179,8 @@ def alexander(s: Semigroup) -> IntPoly:
 
 
 def alexander_product(c: CuspCollection) -> IntPoly:
-    """Product of the cusp Alexander polynomials; degree 2*delta, value 1 at t=1."""
-    out = IntSeq((1,))
-    for s in c.cusps:
-        out = convolve(out, alexander(s).coeffs)
-    return IntPoly(out)
+    """Product of the cusp Alexander polynomials; see CuspCollection.alexander_product."""
+    return c.alexander_product
 
 
 def _divide_by_t_minus_1(co: list[int]) -> list[int]:

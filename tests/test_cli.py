@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cuspidal import cli
+from cuspidal import cli, cubical, invariants
 
 
 @pytest.fixture
@@ -101,6 +101,19 @@ class TestInvariants:
         frow = next(line for line in out.splitlines() if line.startswith("F(k)"))
         assert [int(v) for v in frow.split("|")[1].split()] == doc["table"]["F(k)"]
 
+    def test_alexander_product_computed_once(self, quartic_file, capsys, monkeypatch):
+        calls = []
+        convolve = invariants.convolve
+
+        def counting_convolve(a, b):
+            calls.append(1)
+            return convolve(a, b)
+
+        monkeypatch.setattr(invariants, "convolve", counting_convolve)
+        code, _, _ = run_machine(capsys, "invariants", quartic_file)
+        assert code == 0
+        assert len(calls) == 3  # one per cusp, for the alexander row and q together
+
     def test_determinism(self, octic_file, capsys):
         _, out1, _ = run_cli(capsys, "invariants", octic_file, "--format", "machine")
         _, out2, _ = run_cli(capsys, "invariants", octic_file, "--format", "machine")
@@ -171,6 +184,18 @@ class TestCohomology:
         assert len(doc["rows"]) == 1
         # the single class sums every j
         assert doc["rows"][0]["eu_h0"] == sum(t[1] for t in doc["rows"][0]["terms"])
+
+    def test_degree_from_file(self, octic_file, capsys):
+        code, doc, _ = run_machine(capsys, "cohomology", octic_file)
+        assert code == 0
+        assert doc["degree"] == 8
+        assert [r["a"] for r in doc["rows"]] == list(range(8))
+
+    def test_no_degree(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("[2] [2]\n")  # 2*delta = 4 is no (d-1)(d-2)
+        code, out, err = run_cli(capsys, "cohomology", str(path))
+        assert code == 2 and not out and "pass --d" in err
 
     def test_bad_index(self, quartic_file, capsys):
         code, _, err = run_cli(capsys, "cohomology", quartic_file, "--d", "4",
@@ -248,6 +273,22 @@ class TestOracle:
         assert code == 0 and doc["all_agree"]
         code, out, err = run_cli(capsys, "oracle", quartic_file, "--j", "-2")
         assert code == 2 and not out and "error" in err
+
+    def test_negative_j_refused_before_cap(self, quartic_file, capsys):
+        code, out, err = run_cli(capsys, "oracle", quartic_file, "--j", "-2",
+                                 "--cap", "10")
+        assert code == 2 and not out and "error" in err
+
+    def test_cap_fires_before_min_w_scan(self, quartic_file, capsys, monkeypatch):
+        # the diagonal scan grows with the box, so a box over the cap must
+        # fail before it runs
+        calls = []
+        monkeypatch.setattr(cubical, "min_w_over_diagonal",
+                            lambda *a, **k: calls.append(1))
+        code, _, err = run_cli(capsys, "oracle", quartic_file, "--j", "3",
+                               "--box", "3000,3000,3000")
+        assert code == 3 and "cap" in err
+        assert not calls
 
     def test_box_margin(self, quartic_file, capsys):
         code, doc, _ = run_machine(capsys, "oracle", quartic_file, "--j", "2",
