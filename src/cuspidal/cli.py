@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -295,6 +296,8 @@ def cmd_oracle(args) -> tuple[dict, int]:
 
 
 def cmd_stability(args) -> tuple[dict, int]:
+    if args.max_parts is not None and args.max_parts < 1:  # no regrouping would be compared
+        raise InputError(f"--max-parts must be at least 1, got {args.max_parts}")
     literals, c, d = _load(args)
     ms = criteria.multiplicity_multiset(c)
     groups = criteria.regroupings(ms, max_parts=args.max_parts)
@@ -457,7 +460,7 @@ def text_stability(doc: dict, args) -> list[str]:
     rows = doc["regroupings"]
     lines = [
         "cusps: " + _join(doc["cusps"]),
-        "multiplicity multiset: {{" + _join(doc["multiset"], ",") + "}}",
+        "multiplicity multiset: {" + _join(doc["multiset"], ",") + "}",
         f"admissible regroupings: {len(rows)}"
         + ("  (truncated)" if doc["truncated"] else ""),
     ]
@@ -561,10 +564,16 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, cubical.RectangleTooLarge) else 2
     doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **fields}
-    if args.format == "machine":
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print("\n".join(render(doc, args)))
+    try:
+        if args.format == "machine":
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            print("\n".join(render(doc, args)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; send the rest, and the flush at
+        # exit, to devnull so that the exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

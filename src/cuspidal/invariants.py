@@ -87,7 +87,7 @@ class CuspCollection:
     def deltas(self) -> tuple[int, ...]:
         return tuple(s.delta for s in self.cusps)
 
-    @property
+    @cached_property
     def delta(self) -> int:
         return sum(self.deltas)
 

@@ -8,8 +8,14 @@ un-blowup step (append a multiplicity m by shifting the j-th smallest Apery
 representative up by j*m), and recovered by running the shift backwards.
 
 A semigroup is stored by its finite gap set; membership above the conductor
-is implicit.  All values are immutable and all operations are pure, so
-everything here is safe to share across threads.
+is implicit.  The constructor validates the gap set through the Apery set of
+the multiplicity m (Rosales and Garcia-Sanchez, *Numerical Semigroups*,
+2009, ch. 1-2): the gap set must be closed under -m, and the Apery elements
+must satisfy the Kunz inequalities w_i + w_j >= w_{(i+j) mod m}.  That is
+O(c + m^2) for conductor c instead of a scan of every pair of elements below
+c.  Membership and the minimal generators are read from the same Apery set.
+All values are immutable and all operations are pure, so everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import groupby
 from math import gcd
+from operator import ge
 
 from .seqcalc import CountingFn
 
@@ -107,37 +114,23 @@ class Semigroup:
 
     The constructor checks that the complement of the gap set really is
     closed under addition, so a Semigroup value is a semigroup by
-    construction.
+    construction.  It keeps the Apery set of the multiplicity m, indexed by
+    residue mod m, from which membership and the minimal generators are read.
     """
 
     gaps: tuple[int, ...] = ()
+    _apery: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gaps = tuple(int(g) for g in self.gaps)
+        gaps = tuple(map(int, self.gaps))
         object.__setattr__(self, "gaps", gaps)
-        if any(g < 1 for g in gaps):
-            raise SemigroupError("gaps must be positive")
-        if any(a >= b for a, b in zip(gaps, gaps[1:])):
-            raise SemigroupError("gaps must be strictly increasing")
-        gapset = set(gaps)
-        cond = self.conductor
-        elements = [s for s in range(1, cond) if s not in gapset]
-        for i, s in enumerate(elements):
-            for t in elements[i:]:
-                u = s + t
-                if u >= cond:
-                    break
-                if u in gapset:
-                    raise SemigroupError(
-                        f"not a semigroup: {s} + {t} = {u} is a gap")
+        object.__setattr__(self, "_apery", _checked_apery(gaps))
 
     def __contains__(self, k: int) -> bool:
         if k < 0:
             return False
-        if k >= self.conductor:
-            return True
-        i = bisect_left(self.gaps, k)
-        return not (i < len(self.gaps) and self.gaps[i] == k)
+        w = self._apery
+        return k >= w[k % len(w)]
 
     @property
     def delta(self) -> int:
@@ -150,10 +143,7 @@ class Semigroup:
     @property
     def multiplicity(self) -> int:
         """Smallest positive element (1 for the full semigroup)."""
-        m = 1
-        while m not in self:
-            m += 1
-        return m
+        return len(self._apery)
 
     def count_below(self, k: int) -> int:
         """Number of semigroup elements strictly below k."""
@@ -162,24 +152,67 @@ class Semigroup:
         return k - bisect_left(self.gaps, k)
 
     def min_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating set."""
-        if not self.gaps:
-            return (1,)
-        bound = self.conductor + self.multiplicity
-        elements = [s for s in range(1, bound) if s in self]
-        sums = set()
-        for i, s in enumerate(elements):
-            for t in elements[i:]:
-                if s + t >= bound:
-                    break
-                sums.add(s + t)
-        return tuple(s for s in elements if s not in sums)
+        """The unique minimal generating set.
+
+        Besides m, a generator is a nonzero Apery element w that is not
+        w' + s for a smaller generator w' and an element s; the Apery
+        elements are tested in increasing order.
+        """
+        w = self._apery
+        m = len(w)
+        gens = [m]
+        for x in sorted(w[1:]):
+            if all(x - g < w[(x - g) % m] for g in gens[1:]):
+                gens.append(x)
+        return tuple(gens)
 
     def literal(self) -> str:
         return "<" + ",".join(str(g) for g in self.min_generators()) + ">"
 
     def __str__(self) -> str:
         return self.literal()
+
+
+def _apery_by_residue(gaps: tuple[int, ...], m: int) -> tuple[int, ...]:
+    # w_r is m plus the largest gap of residue r, or r if there is none: for a
+    # gap set closed under -m the gaps of residue r are r, r + m, ..., w_r - m
+    top = dict(zip(map(m.__rmod__, gaps), gaps))
+    return tuple(top[r] + m if r in top else r for r in range(m))
+
+
+def _checked_apery(gaps: tuple[int, ...]) -> tuple[int, ...]:
+    """Apery set w of the multiplicity m, by residue, of the complement of `gaps`.
+
+    Raises SemigroupError unless the complement is closed under addition,
+    in O(c + m^2) for conductor c: the gap set must be closed under -m,
+    then the Kunz inequalities w_i + w_j >= w_{(i+j) mod m} must hold.  A
+    failure names the pair s <= t, least in (s, t) order, with s + t a gap:
+    if some s + t is a gap then so is m + t' or w_i + w_j for a pair that
+    comes no later.
+    """
+    if not gaps:
+        return (0,)
+    if min(gaps) < 1:
+        raise SemigroupError("gaps must be positive")
+    if any(map(ge, gaps, gaps[1:])):
+        raise SemigroupError("gaps must be strictly increasing")
+    # the gaps start 1, 2, ..., m - 1
+    m = 1
+    while m <= len(gaps) and gaps[m - 1] == m:
+        m += 1
+    w = _apery_by_residue(gaps, m)
+    # residue class r holds at most (w_r - r) / m gaps, all of them iff the
+    # gap set is closed under -m
+    if sum((x - r) // m for r, x in enumerate(w)) != len(gaps):
+        gapset = set(gaps)
+        u = next(u for u in gaps[m - 1:] if u - m not in gapset)
+        raise SemigroupError(f"not a semigroup: {m} + {u - m} = {u} is a gap")
+    ws = sorted(w[1:])
+    for i, s in enumerate(ws):
+        for t in ws[i:]:
+            if s + t < w[(s + t) % m]:
+                raise SemigroupError(f"not a semigroup: {s} + {t} = {s + t} is a gap")
+    return w
 
 
 #: The full semigroup of all nonnegative integers (a smooth point).
@@ -216,13 +249,7 @@ def apery_set(s: Semigroup, m: int) -> tuple[int, ...]:
     """Apery set of `s` for an element m of `s`: the least element per residue mod m, sorted."""
     if m < 1 or m not in s:
         raise SemigroupError(f"modulus {m} not in semigroup")
-    out = []
-    for r in range(m):
-        k = r
-        while k not in s:
-            k += m
-        out.append(k)
-    return tuple(sorted(out))
+    return tuple(sorted(_apery_by_residue(s.gaps, m)))
 
 
 def _from_apery_layers(b: tuple[int, ...], m: int, context: str) -> Semigroup:

@@ -3,9 +3,12 @@
 Provides the four primitives everything else is built from: the difference
 operator, partial sums, ordinary convolution, and the min-plus ("minimum")
 convolution of counting functions.  All arithmetic is exact integer
-arithmetic; the min-plus inner loop runs on 64-bit numpy integers, which is
-exact at the coefficient sizes that occur here (values are bounded by the
-total gap count of the cusp collection).
+arithmetic.  Convolution runs on Python integers and loops over the nonzero
+coefficients of both factors only.  The min-plus window runs on 64-bit numpy
+integers, which is exact here: with result cutoff cut and window width
+b + 1, every entry f(j1) + g(j2) is at most cut + b.  The window is reduced
+in blocks of _MIN_CONVOLVE_ROWS result values, so its memory is
+O(cut + _MIN_CONVOLVE_ROWS * b), not O(cut * b).
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from functools import reduce
 from typing import Iterable
 
 import numpy as np
+
+
+#: Result values per block of the min-plus sliding window.
+_MIN_CONVOLVE_ROWS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,9 +38,10 @@ class IntSeq:
 
     def __post_init__(self):
         vals = tuple(int(v) for v in self.values)
-        while vals and vals[-1] == 0:
-            vals = vals[:-1]
-        object.__setattr__(self, "values", vals)
+        n = len(vals)
+        while n and vals[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "values", vals[:n])
 
     def __getitem__(self, j: int) -> int:
         if 0 <= j < len(self.values):
@@ -75,15 +83,19 @@ def partial_sums(a: IntSeq, window: int | None = None) -> IntSeq:
 
 
 def convolve(a: IntSeq, b: IntSeq) -> IntSeq:
-    """Exact convolution (a * b)_j = sum_k a_k b_{j-k}."""
+    """Exact convolution (a * b)_j = sum_k a_k b_{j-k}.
+
+    Loops over the nonzero coefficients of both factors only: an Alexander
+    polynomial has a few nonzeros spread over a long support.
+    """
     if not a.values or not b.values:
         return IntSeq()
     out = [0] * (len(a.values) + len(b.values) - 1)
+    bnz = [(j, y) for j, y in enumerate(b.values) if y]
     for i, x in enumerate(a.values):
-        if x == 0:
-            continue
-        for j, y in enumerate(b.values):
-            out[i + j] += x * y
+        if x:
+            for j, y in bnz:
+                out[i + j] += x * y
     return IntSeq(tuple(out))
 
 
@@ -129,25 +141,36 @@ class CountingFn:
         return [self(k) for k in range(lo, hi + 1)]
 
 
+def _values(f: CountingFn, n: int) -> np.ndarray:
+    # f on [0, n] as int64: the head, then the linear tail
+    head = np.array(f.head[:n + 1], dtype=np.int64)
+    tail = np.arange(f.cutoff + 1, n + 1, dtype=np.int64) - f.offset
+    return np.concatenate((head, tail))
+
+
 def min_convolve(f: CountingFn, g: CountingFn) -> CountingFn:
     """Min-plus convolution: result(j) = min over j1+j2=j of f(j1) + g(j2).
 
     The offsets add and the new cutoff is twice the combined offset.  Since
     both arguments vanish on k <= 0, are nondecreasing and have unit steps,
     the minimum over all integer splits is attained with the second argument
-    in [0, cutoff(g)], which keeps the scan window small.
+    in [0, cutoff(g)], which keeps the scan window small.  The window is
+    reduced _MIN_CONVOLVE_ROWS result values at a time.
     """
     if g.cutoff > f.cutoff:
         f, g = g, f
     offset = f.offset + g.offset
     cut = 2 * offset
     b = g.cutoff
-    # fv[i] = f(i - b) on i in [0, cut + b]
-    fv = np.fromiter((f(i - b) for i in range(cut + b + 1)), dtype=np.int64)
-    gv = np.fromiter((g(b - i) for i in range(b + 1)), dtype=np.int64)
+    # fv[i] = f(i - b) on i in [0, cut + b], gv[i] = g(b - i) on i in [0, b]
+    fv = np.concatenate((np.zeros(b, dtype=np.int64), _values(f, cut)))
+    gv = _values(g, b)[::-1]
     windows = np.lib.stride_tricks.sliding_window_view(fv, b + 1)
-    head = (windows + gv).min(axis=1)
-    return CountingFn(tuple(int(v) for v in head), offset)
+    head = np.empty(cut + 1, dtype=np.int64)
+    for j in range(0, cut + 1, _MIN_CONVOLVE_ROWS):
+        block = windows[j:j + _MIN_CONVOLVE_ROWS]
+        np.min(block + gv, axis=1, out=head[j:j + len(block)])
+    return CountingFn(tuple(head.tolist()), offset)
 
 
 def min_convolve_all(fns: Iterable[CountingFn]) -> CountingFn:

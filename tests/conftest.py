@@ -4,7 +4,10 @@ The oracles here deliberately avoid the production code paths: semigroups
 are generated by repeated-addition closure instead of the sieve, counting
 values by direct enumeration, min-plus convolutions by scanning every
 split, F by sequence calculus instead of reversing q, and cubical Betti
-tables from per-cube tuples with dict-keyed elimination.  Golden rows are transcriptions of the published tables for the
+tables from per-cube tuples with dict-keyed elimination.  The semigroup
+closure check, the minimal generators and the min-plus window are also kept
+in their quadratic forms, which the Apery-set and blocked production kernels
+replaced.  Golden rows are transcriptions of the published tables for the
 curves they describe.
 """
 
@@ -20,6 +23,7 @@ from hypothesis import settings
 
 from cuspidal import (
     BettiTable,
+    CountingFn,
     CuspCollection,
     IntSeq,
     MultSeq,
@@ -72,6 +76,55 @@ def brute_min_convolve(fns, j):
         return fns[0](j)
     head, rest = fns[0], fns[1:]
     return min(head(i) + brute_min_convolve(rest, j - i) for i in range(0, j + 1))
+
+
+def reference_closure_violation(gaps):
+    """The first (s, t, s + t) with elements 1 <= s <= t and s + t a gap, or None.
+
+    Scans every pair of elements below the conductor in (s, t) order.
+    """
+    gapset = set(gaps)
+    cond = gaps[-1] + 1 if gaps else 0
+    elements = [s for s in range(1, cond) if s not in gapset]
+    for i, s in enumerate(elements):
+        for t in elements[i:]:
+            u = s + t
+            if u >= cond:
+                break
+            if u in gapset:
+                return s, t, u
+    return None
+
+
+def reference_min_generators(s):
+    """Elements below conductor + multiplicity that are no sum of two nonzero elements.
+
+    Reads only the gap set of `s`.
+    """
+    if not s.gaps:
+        return (1,)
+    gapset = set(s.gaps)
+    multiplicity = next(x for x in range(1, s.gaps[-1] + 2) if x not in gapset)
+    bound = s.gaps[-1] + 1 + multiplicity
+    elements = [x for x in range(1, bound) if x not in gapset]
+    sums = set()
+    for i, x in enumerate(elements):
+        for y in elements[i:]:
+            if x + y >= bound:
+                break
+            sums.add(x + y)
+    return tuple(x for x in elements if x not in sums)
+
+
+def reference_min_convolve(f, g):
+    """min_convolve(f, g) by one full scan of the window per result value."""
+    if g.cutoff > f.cutoff:
+        f, g = g, f
+    offset = f.offset + g.offset
+    b = g.cutoff
+    head = tuple(min(f(j - i) + g(i) for i in range(b + 1))
+                 for j in range(2 * offset + 1))
+    return CountingFn(head, offset)
 
 
 def poly_mul(a, b):

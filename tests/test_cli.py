@@ -320,6 +320,15 @@ class TestStability:
         assert code == 0
         assert len(doc["regroupings"]) == 1
 
+    def test_max_parts_below_one_refused(self, tmp_path, capsys):
+        # with no part allowed nothing is compared, which must not read as PASS
+        path = tmp_path / "one.txt"
+        path.write_text("[2]\n")
+        code, out, err = run_cli(capsys, "stability", str(path), "--max-parts", "0")
+        assert code == 2
+        assert out == ""
+        assert "--max-parts must be at least 1, got 0" in err
+
     def test_sporadic_multiset_eu_variation(self, tmp_path, capsys):
         path = tmp_path / "sp4.txt"
         path.write_text("degree: 5\n[2_3] [2] [2] [2]\n")
@@ -339,3 +348,19 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "overall: PASS" in proc.stdout
+
+
+def test_reader_closing_pipe_early(tmp_path):
+    # 185 KB of machine output, more than a pipe buffer holds
+    path = tmp_path / "big.txt"
+    path.write_text("[40] [40]\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cuspidal.cli", "invariants", str(path), "--format", "machine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert b"Traceback" not in err, err.decode()
+    assert 0 <= code <= 3

@@ -1,6 +1,16 @@
-import pytest
+from math import gcd
 
-from conftest import brute_count, naive_gaps, random_admissible
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import (
+    brute_count,
+    naive_gaps,
+    random_admissible,
+    reference_closure_violation,
+    reference_min_generators,
+)
 from cuspidal import (
     SMOOTH,
     InadmissibleSequenceError,
@@ -59,6 +69,15 @@ class TestSemigroupFromGenerators:
         assert S(4, 6, 13, 17).min_generators() == (4, 6, 13)
         assert SMOOTH.min_generators() == (1,)
 
+    @given(rng=st.randoms(use_true_random=False),
+           gens=st.lists(st.integers(2, 30), min_size=1, max_size=5))
+    def test_min_generators_match_pairwise_sums(self, rng, gens):
+        s = semigroup_from_multseq(random_admissible(rng))
+        assert s.min_generators() == reference_min_generators(s)
+        if gcd(*gens) == 1:
+            s = S(*gens)
+            assert s.min_generators() == reference_min_generators(s)
+
 
 class TestSemigroupType:
     def test_membership(self):
@@ -69,6 +88,27 @@ class TestSemigroupType:
     def test_closure_validated(self):
         with pytest.raises(SemigroupError, match="not a semigroup"):
             Semigroup((1, 4))  # 2 + 2 = 4 would be a gap
+
+    @given(rng=st.randoms(use_true_random=False),
+           gens=st.lists(st.integers(2, 12), min_size=1, max_size=4),
+           toggles=st.lists(st.integers(1, 60), max_size=3))
+    def test_accepts_exactly_closed_gap_sets(self, rng, gens, toggles):
+        # gap sets of generated semigroups, some with a few entries toggled
+        # so that most of them are no longer closed
+        gaps = set(naive_gaps(gens + [rng.choice([13, 17, 19])]))
+        gaps.symmetric_difference_update(toggles)
+        gaps = tuple(sorted(gaps))
+        violation = reference_closure_violation(gaps)
+        if violation is None:
+            s = Semigroup(gaps)
+            assert s.gaps == gaps
+            # membership is read from the Apery set, not the gap set
+            assert [k for k in range(-3, s.conductor + 40) if k not in s] == [-3, -2, -1, *gaps]
+        else:
+            with pytest.raises(SemigroupError) as exc:
+                Semigroup(gaps)
+            s, t, u = violation
+            assert str(exc.value) == f"not a semigroup: {s} + {t} = {u} is a gap"
 
     def test_gap_order_validated(self):
         with pytest.raises(SemigroupError):

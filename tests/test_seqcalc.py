@@ -1,6 +1,14 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from conftest import brute_min_convolve, random_admissible
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import cuspidal
+from conftest import brute_min_convolve, poly_mul, random_admissible, reference_min_convolve
 from cuspidal import (
     CountingFn,
     IntSeq,
@@ -21,6 +29,8 @@ def test_intseq_canonical_form():
     assert IntSeq(()) == IntSeq((0, 0))
     a = IntSeq((1, -1, 1))
     assert a[-1] == 0 and a[0] == 1 and a[99] == 0
+    assert IntSeq((1, 0, -1) + (0,) * 20000).values == (1, 0, -1)
+    assert IntSeq((0,) * 20000) == IntSeq(())
 
 
 def test_diff_on_counting_window():
@@ -64,6 +74,17 @@ def test_convolve():
     assert convolve(a, IntSeq(())) == IntSeq(())
 
 
+# mostly sparse small coefficients, with some beyond 64 bits
+_COEFFS = st.lists(st.one_of(st.sampled_from((0, 0, 0, 1, -1)),
+                             st.integers(-2**70, 2**70)), max_size=40)
+
+
+@given(a=_COEFFS, b=_COEFFS)
+def test_convolve_matches_dense_product(a, b):
+    expected = IntSeq(tuple(poly_mul(a, b))) if a and b else IntSeq(())
+    assert convolve(IntSeq(tuple(a)), IntSeq(tuple(b))) == expected
+
+
 def test_counting_fn_validation():
     with pytest.raises(ValueError):
         CountingFn((1, 2), 0)  # must start at 0
@@ -103,6 +124,40 @@ def test_min_convolve_matches_brute_force(rng):
         got = min_convolve_all(fns)
         for j in range(0, got.cutoff + 5):
             assert got(j) == brute_min_convolve(fns, j), (fns, j)
+
+
+@given(rng=st.randoms(use_true_random=False))
+def test_min_convolve_matches_window_reference(rng):
+    # unequal cutoffs; most draws have more result values than one row block
+    f = counting_fn(semigroup_from_multseq(random_admissible(rng)))
+    g = counting_fn(semigroup_from_multseq(random_admissible(rng, 3, 5)))
+    assert min_convolve(f, g) == min_convolve(g, f) == reference_min_convolve(f, g)
+
+
+def test_min_convolve_large_cusps_sampled():
+    # cut = 7080 for [60] [60]: the window is reduced in many row blocks
+    f = counting_fn(semigroup_from_multseq(MultSeq((60,))))
+    g = counting_fn(semigroup_from_multseq(MultSeq((30, 15, 15))))
+    for a, b in ((f, f), (f, g), (g, f)):
+        h = min_convolve(a, b)
+        for j in [*range(0, h.cutoff, 61), *range(h.cutoff - 3, h.cutoff + 4)]:
+            assert h(j) == brute_min_convolve([a, b], j), j
+
+
+def test_min_convolve_memory_linear_in_cutoff():
+    # a (cut + 1) x (cutoff + 1) window for H of [60] [60] would take ~200 MiB
+    code = ("import resource\n"
+            "from cuspidal import CuspCollection, MultSeq, semigroup_from_multseq\n"
+            "s = semigroup_from_multseq(MultSeq((60,)))\n"
+            "CuspCollection((s, s)).h\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(cuspidal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 120  # ru_maxrss is in KiB
 
 
 def test_min_convolve_associative_commutative(rng):
