@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import criteria, cubical, invariants
-from .invariants import CuspCollection, NotCandidateError
+from .invariants import CuspCollection
 from .semigroup import SemigroupError, parse_cusp, resolve_semigroup
 
 SCHEMA_VERSION = 1
@@ -301,6 +301,8 @@ def cmd_stability(args) -> tuple[dict, int]:
     literals, c, d = _load(args)
     ms = criteria.multiplicity_multiset(c)
     groups = criteria.regroupings(ms, max_parts=args.max_parts)
+    if not groups.collections:  # each entry alone is admissible, so only --max-parts gets here
+        raise InputError(f"--max-parts {args.max_parts} leaves no admissible regrouping")
     window = 2 * c.delta
     base_vals = invariants.h_function(c).values(0, window)
     rows = []
@@ -559,8 +561,7 @@ def run(argv=None) -> int:
     compute, render = _COMMANDS[args.subcommand]
     try:
         fields, code = compute(args)
-    except (InputError, SemigroupError, NotCandidateError, ValueError,
-            cubical.RectangleTooLarge) as exc:
+    except (ValueError, cubical.RectangleTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, cubical.RectangleTooLarge) else 2
     doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **fields}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from collections import Counter
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .invariants import (
@@ -165,19 +166,23 @@ class Regroupings:
         ]
 
 
-def _multiset_partitions(items: tuple[int, ...]) -> set[tuple[tuple[int, ...], ...]]:
-    # distinct partitions of a small multiset; parts and partitions canonically
-    # sorted so duplicates coming from equal entries collapse
-    if not items:
-        return {()}
-    first, rest = items[0], items[1:]
-    out = set()
-    for sub in _multiset_partitions(rest):
-        out.add(tuple(sorted(sub + ((first,),), reverse=True)))
-        for i, part in enumerate(sub):
-            grown = tuple(sorted(part + (first,), reverse=True))
-            out.add(tuple(sorted(sub[:i] + (grown,) + sub[i + 1:], reverse=True)))
-    return out
+def _walk(done, part, pool, parts_left):
+    # the regroupings that start with the parts in done, then part extended by
+    # entries of the non-increasing pool.  Each part holds the largest entry
+    # left and is at most the part before it, so every regrouping is met
+    # once, in ascending order; an inadmissible part is never closed.
+    if parts_left < 1 or done and part > done[-1]:
+        return
+    if is_admissible(part):
+        if pool:
+            yield from _walk(done + (part,), pool[:1], pool[1:], parts_left - 1)
+        else:
+            yield done + (part,)
+    for v in sorted(set(pool)):
+        if v > part[-1]:
+            break
+        i = pool.index(v)
+        yield from _walk(done, part + (v,), pool[:i] + pool[i + 1:], parts_left)
 
 
 def regroupings(
@@ -187,26 +192,18 @@ def regroupings(
 ) -> Regroupings:
     """All ways to split the multiplicity multiset into admissible sequences.
 
-    Each part is arranged non-increasingly and must pass the un-blowup
-    admissibility check.  Enumeration is capped at `cap` partitions; the flag
-    reports whether the cap truncated the list.
+    Each part is non-increasing and passes the un-blowup admissibility check.
+    A depth-first walk yields the regroupings in ascending order, with at
+    most `max_parts` parts, and stops after `cap` of them; `truncated` says
+    that an admissible regrouping was left out.
     """
-    if isinstance(multiset, Counter):
-        items = tuple(sorted(multiset.elements(), reverse=True))
-    else:
-        items = tuple(sorted(multiset, reverse=True))
+    items = tuple(sorted(Counter(multiset).elements(), reverse=True))
     if not items:
         raise ValueError("empty multiplicity multiset")
-    partitions = sorted(_multiset_partitions(items))
-    truncated = len(partitions) > cap
-    partitions = partitions[:cap]
-    out = []
-    for parts in partitions:
-        if max_parts is not None and len(parts) > max_parts:
-            continue
-        if all(is_admissible(part) for part in parts):
-            out.append(tuple(MultSeq(part) for part in parts))
-    return Regroupings(tuple(out), truncated)
+    walk = _walk((), items[:1], items[1:], len(items) if max_parts is None else max_parts)
+    kept = list(islice(walk, cap + 1))
+    return Regroupings(tuple(tuple(MultSeq(part) for part in parts) for parts in kept[:cap]),
+                       len(kept) > cap)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,7 @@ def semigroup_from_multseq(ms: MultSeq) -> Semigroup:
     return _semigroup_from_entries(ms.entries)
 
 
+@lru_cache(maxsize=None)
 def multseq_from_semigroup(s: Semigroup) -> MultSeq:
     """Record multiplicities along the blowup chain down to the full semigroup."""
     entries = []

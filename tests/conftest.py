@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the production code paths: semigroups
 are generated by repeated-addition closure instead of the sieve, counting
 values by direct enumeration, min-plus convolutions by scanning every
-split, F by sequence calculus instead of reversing q, and cubical Betti
-tables from per-cube tuples with dict-keyed elimination.  The semigroup
+split, F by sequence calculus instead of reversing q, regroupings by
+sorting the full set of multiset partitions, and cubical Betti tables from
+per-cube tuples with dict-keyed elimination.  The semigroup
 closure check, the minimal generators and the min-plus window are also kept
 in their quadratic forms, which the Apery-set and blocked production kernels
 replaced.  Golden rows are transcriptions of the published tables for the
@@ -125,6 +126,33 @@ def reference_min_convolve(f, g):
     head = tuple(min(f(j - i) + g(i) for i in range(b + 1))
                  for j in range(2 * offset + 1))
     return CountingFn(head, offset)
+
+
+def _multiset_partitions(items):
+    # every distinct partition of a small multiset; parts and partitions
+    # canonically sorted so duplicates coming from equal entries collapse
+    if not items:
+        return {()}
+    first, rest = items[0], items[1:]
+    out = set()
+    for sub in _multiset_partitions(rest):
+        out.add(tuple(sorted(sub + ((first,),), reverse=True)))
+        for i, part in enumerate(sub):
+            grown = tuple(sorted(part + (first,), reverse=True))
+            out.add(tuple(sorted(sub[:i] + (grown,) + sub[i + 1:], reverse=True)))
+    return out
+
+
+def reference_regroupings(items, max_parts=None):
+    """Every admissible regrouping of `items`, as sorted tuples of entry tuples, in order.
+
+    Builds the whole set of multiset partitions, sorts it and filters it, so
+    it is exponential in len(items); keep the multisets small.
+    """
+    items = tuple(sorted(items, reverse=True))
+    return [parts for parts in sorted(_multiset_partitions(items))
+            if (max_parts is None or len(parts) <= max_parts)
+            and all(is_admissible(part) for part in parts)]
 
 
 def poly_mul(a, b):

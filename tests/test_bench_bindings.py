@@ -11,6 +11,8 @@ from pathlib import Path
 
 import cuspidal.criteria
 import cuspidal.invariants
+from conftest import collection
+from cuspidal import IntSeq, build_rectangle, counting_fn, semigroup_from_generators
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -30,3 +32,21 @@ def test_traced_bindings_resolve():
     # the tracer rebinds these copies too
     assert cuspidal.criteria.h_function is cuspidal.invariants.h_function
     assert set(cuspidal.criteria._CHECKS) == set(cuspidal.criteria.ALL_CRITERIA)
+
+
+def test_traced_counters_count():
+    # each extra counter runs on a real call of its target, so a changed
+    # argument or return type fails here rather than in a traced run
+    calls = {  # target: (arguments, expected count)
+        "min_convolve": ((counting_fn(semigroup_from_generators([2, 3])),
+                          counting_fn(semigroup_from_generators([3, 4]))), 9 * 3),
+        "convolve": ((IntSeq((1, -1, 1)), IntSeq((1, 1))), 3 * 2),
+        "regroupings": (([3, 2, 2, 2],), 5),
+        "betti_table": ((build_rectangle(collection("[2]", "[2]"), 0),), 7 * 7),
+    }
+    counters = [t for t in load_targets() if t[3] is not None and t[3][1] is not None]
+    assert sorted(attr for _, attr, _, _ in counters) == sorted(calls)
+    for modname, attr, _, (_, count_fn) in counters:
+        args, expected = calls[attr]
+        n = count_fn(args, getattr(importlib.import_module(modname), attr)(*args))
+        assert type(n) is int and n == expected, (attr, n)

@@ -329,6 +329,15 @@ class TestStability:
         assert out == ""
         assert "--max-parts must be at least 1, got 0" in err
 
+    def test_max_parts_leaving_no_regrouping_refused(self, tmp_path, capsys):
+        # [6,2] is inadmissible, so one part allows no regrouping to compare
+        path = tmp_path / "six_two.txt"
+        path.write_text("[6] [2]\n")
+        code, out, err = run_cli(capsys, "stability", str(path), "--max-parts", "1")
+        assert code == 2
+        assert out == ""
+        assert "--max-parts 1 leaves no admissible regrouping" in err
+
     def test_sporadic_multiset_eu_variation(self, tmp_path, capsys):
         path = tmp_path / "sp4.txt"
         path.write_text("degree: 5\n[2_3] [2] [2] [2]\n")

@@ -1,8 +1,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import C_SERIES_ROWS, collection, random_admissible
+from conftest import C_SERIES_ROWS, collection, random_admissible, reference_regroupings
 from cuspidal import (
     Candidate,
     CuspCollection,
@@ -14,13 +16,16 @@ from cuspidal import (
     check_bl,
     check_conj_index,
     check_conj_original,
+    counting_fn,
     eu_canonical,
     eu_h0,
     expected_eu_difference,
     f_sequence,
     h_function,
+    min_convolve_all,
     multiplicity_multiset,
     regroupings,
+    semigroup_from_generators,
     semigroup_from_multseq,
 )
 
@@ -29,6 +34,16 @@ OCTIC = ("[6]", "[2_4]", "[2_2]")
 
 def cand(literals, d):
     return Candidate(collection(*literals), d)
+
+
+def entries(groups):
+    return [tuple(ms.entries for ms in parts) for parts in groups.collections]
+
+
+def multiset_h(items):
+    """H of the multiset: the min-plus product of the H of <m, m+1> over its entries."""
+    return min_convolve_all(counting_fn(semigroup_from_generators([m, m + 1]))
+                            for m in items)
 
 
 class TestCandidateDegree:
@@ -153,6 +168,28 @@ class TestRegroupings:
         assert all(len(parts) <= 2 for parts in groups.collections)
         assert len(groups.collections) == 2
 
+    @given(items=st.lists(st.integers(2, 8), min_size=1, max_size=9),
+           max_parts=st.none() | st.integers(1, 4),
+           cap=st.integers(1, 12) | st.just(10_000))
+    def test_walk_matches_reference(self, items, max_parts, cap):
+        # below the cap every admissible regrouping, in the reference's order;
+        # above it the reference's first cap rows, and truncated set
+        expected = reference_regroupings(items, max_parts)
+        groups = regroupings(items, max_parts=max_parts, cap=cap)
+        assert entries(groups) == expected[:cap]
+        assert groups.truncated == (len(expected) > cap)
+
+    def test_ten_distinct_entries_all_kept(self):
+        # 115,975 partitions, of which 407 are admissible: the cap counts kept rows
+        groups = regroupings(range(2, 12))
+        assert len(groups.collections) == 407
+        assert not groups.truncated
+
+    def test_cap_keeps_first_rows(self):
+        groups = regroupings([2] * 30, cap=100)
+        assert entries(groups) == reference_regroupings([2] * 30)[:100]
+        assert groups.truncated
+
 
 class TestCatalog:
     def test_entries(self):
@@ -254,6 +291,24 @@ class TestStabilityProperties:
                 rhs = min_convolve(head, tail)
             w = 2 * s.delta
             assert lhs.values(0, w) == rhs.values(0, w), ms
+
+    @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 4))
+    def test_h_is_multiset_product(self, rng, n):
+        # the paper's theorem at the level of H: H of the collection is the
+        # min-plus product of the H of <m, m+1> over the multiplicity multiset
+        c = CuspCollection(tuple(semigroup_from_multseq(random_admissible(rng))
+                                 for _ in range(n)))
+        window = 2 * c.delta + 5
+        expected = multiset_h(multiplicity_multiset(c).elements()).values(0, window)
+        assert c.h.values(0, window) == expected
+
+    @settings(max_examples=40)
+    @given(items=st.lists(st.integers(2, 6), min_size=1, max_size=8))
+    def test_regroupings_h_is_multiset_product(self, items):
+        window = 2 * sum(v * (v - 1) // 2 for v in items) + 5
+        expected = multiset_h(items).values(0, window)
+        for coll in regroupings(items).cusp_collections():
+            assert coll.h.values(0, window) == expected
 
     def test_bl_verdict_stable_across_regroupings(self, rng):
         for _ in range(15):
