@@ -37,6 +37,7 @@ from .cubical import (
     oracle_eu,
 )
 from .invariants import (
+    CapExceeded,
     CuspCollection,
     EuReport,
     IntPoly,

@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import criteria, cubical, invariants
-from .invariants import CuspCollection
+from .invariants import CapExceeded, CuspCollection
 from .semigroup import SemigroupError, parse_cusp, resolve_semigroup
 
 SCHEMA_VERSION = 1
@@ -561,9 +561,9 @@ def run(argv=None) -> int:
     compute, render = _COMMANDS[args.subcommand]
     try:
         fields, code = compute(args)
-    except (ValueError, cubical.RectangleTooLarge) as exc:
+    except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, cubical.RectangleTooLarge) else 2
+        return 3 if isinstance(exc, CapExceeded) else 2
     doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **fields}
     try:
         if args.format == "machine":

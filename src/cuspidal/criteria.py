@@ -24,6 +24,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .invariants import (
+    CapExceeded,
     CuspCollection,
     canonical_sums,
     h_function,
@@ -166,6 +167,11 @@ class Regroupings:
         ]
 
 
+#: Multiset entries up to which `regroupings` walks.  The walk nests one
+#: generator per entry, and Python's recursion limit stops it near 700.
+_MAX_ENTRIES = 256
+
+
 def _walk(done, part, pool, parts_left):
     # the regroupings that start with the parts in done, then part extended by
     # entries of the non-increasing pool.  Each part holds the largest entry
@@ -195,11 +201,14 @@ def regroupings(
     Each part is non-increasing and passes the un-blowup admissibility check.
     A depth-first walk yields the regroupings in ascending order, with at
     most `max_parts` parts, and stops after `cap` of them; `truncated` says
-    that an admissible regrouping was left out.
+    that an admissible regrouping was left out.  A multiset of more than
+    _MAX_ENTRIES entries raises CapExceeded before the walk.
     """
     items = tuple(sorted(Counter(multiset).elements(), reverse=True))
     if not items:
         raise ValueError("empty multiplicity multiset")
+    if len(items) > _MAX_ENTRIES:
+        raise CapExceeded(f"multiset too large: {len(items)} entries exceed cap {_MAX_ENTRIES}")
     walk = _walk((), items[:1], items[1:], len(items) if max_parts is None else max_parts)
     kept = list(islice(walk, cap + 1))
     return Regroupings(tuple(tuple(MultSeq(part) for part in parts) for parts in kept[:cap]),

@@ -15,14 +15,15 @@ normalized Euler characteristics
 
 are the oracle values the closed-form H/F formulas are checked against.
 
-numpy builds the cell filtration.  Vertex weights are the per-axis tables
-H_i broadcast against each other plus the |x| term.  A cube's weight is
-np.maximum over shifted slices of its faces' weights, one slice pair per
-axis of the cube (the "V-construction" of Wagner-Chen-Vucini, 2012).  Each
-dimension is put in filtration order by argsort: any order of equal weights
-gives the same ranks at every level, and the order over all cells (weight,
-then dimension) lists faces before cofaces, so every prefix is a
-subcomplex.  The face rows of all q-cubes come from slicing the inverse
+numpy builds the cell filtration.  The functions that build arrays import
+it, so importing this module does not load it.  Vertex weights are the
+per-axis tables H_i broadcast against each other plus the |x| term.  A
+cube's weight is np.maximum over shifted slices of its faces' weights, one
+slice pair per axis of the cube (the "V-construction" of Wagner-Chen-Vucini,
+2012).  Each dimension is put in filtration order by argsort: any order of
+equal weights gives the same ranks at every level, and the order over all
+cells (weight, then dimension) lists faces before cofaces, so every prefix
+is a subcomplex.  The face rows of all q-cubes come from slicing the inverse
 permutation of dimension q-1.  All weights are small integers, so int64
 arrays hold them exactly.
 
@@ -44,13 +45,15 @@ from __future__ import annotations
 
 import dataclasses
 from math import gcd
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .invariants import CapExceeded, CuspCollection
 
-from .invariants import CuspCollection
+if TYPE_CHECKING:
+    import numpy as np
 
 
-class RectangleTooLarge(RuntimeError):
+class RectangleTooLarge(CapExceeded):
     """Predicted rectangle size exceeds the configured cap."""
 
     def __init__(self, points: int, cap: int):
@@ -152,6 +155,8 @@ def build_rectangle(
         dims = default_dims(c, box_margin)
     if len(dims) != c.nu:
         raise ValueError(f"need {c.nu} box sizes, got {len(dims)}")
+    if any(m < 0 for m in dims):
+        raise ValueError(f"box sizes must be nonnegative, got {tuple(dims)}")
     points = 1
     for m in dims:
         points *= m + 1
@@ -159,6 +164,8 @@ def build_rectangle(
         raise RectangleTooLarge(points, cap)
     if kind not in ("w_a", "W"):
         raise ValueError(f"unknown weight kind {kind!r}")
+    import numpy as np
+
     shape = tuple(m + 1 for m in dims)
     weights = np.zeros(shape, dtype=np.int64)
     size = np.zeros(shape, dtype=np.int64)  # |x|
@@ -198,6 +205,8 @@ def _cell_filtration(rect: WeightedRectangle):
     whose row k holds the positions, within dimension q-1, of the faces of
     the k-th q-cube, ordered as `_face_signs(q)`.  faces[0] is None.
     """
+    import numpy as np
+
     nu = rect.nu
     lower_upper = (slice(None, -1), slice(1, None))
 
@@ -301,6 +310,8 @@ def _rank_profile(rect: WeightedRectangle):
     the weights of the columns of the q-boundary that carry a pivot, i.e.
     rank of the q-boundary restricted to S_n is the number of entries <= n.
     """
+    import numpy as np
+
     nu = rect.nu
     cell_weights, faces = _cell_filtration(rect)
     pivot_cols: list[list[int]] = [[] for _ in range(nu + 2)]
@@ -342,6 +353,8 @@ def _rank_profile(rect: WeightedRectangle):
 
 def betti_table(rect: WeightedRectangle) -> BettiTable:
     """Reduced Betti numbers of S_n for every level n up to stabilization."""
+    import numpy as np
+
     cell_weights, pivot_weights, min_w, max_w = _rank_profile(rect)
     levels = np.arange(min_w, max_w + 1)
     counts = [np.searchsorted(ws, levels, side="right") for ws in cell_weights]
@@ -394,6 +407,8 @@ def min_w_over_diagonal(
         dims = default_dims(c, box_margin)
     if len(dims) != c.nu:
         raise ValueError(f"need {c.nu} box sizes, got {len(dims)}")
+    if any(m < 0 for m in dims):
+        raise ValueError(f"box sizes must be nonnegative, got {tuple(dims)}")
     hs = c.counting_fns
     target = j + 1
     if target > sum(dims):

@@ -36,6 +36,10 @@ from .semigroup import (
 from .seqcalc import CountingFn, IntSeq, convolve, min_convolve_all, partial_sums
 
 
+class CapExceeded(RuntimeError):
+    """The size of the requested work exceeds a cap; the CLI exits 3 on it."""
+
+
 class NotCandidateError(ValueError):
     """An operation that requires 2*delta = (d-1)(d-2) was refused."""
 

@@ -4,11 +4,23 @@ Provides the four primitives everything else is built from: the difference
 operator, partial sums, ordinary convolution, and the min-plus ("minimum")
 convolution of counting functions.  All arithmetic is exact integer
 arithmetic.  Convolution runs on Python integers and loops over the nonzero
-coefficients of both factors only.  The min-plus window runs on 64-bit numpy
-integers, which is exact here: with result cutoff cut and window width
-b + 1, every entry f(j1) + g(j2) is at most cut + b.  The window is reduced
-in blocks of _MIN_CONVOLVE_ROWS result values, so its memory is
-O(cut + _MIN_CONVOLVE_ROWS * b), not O(cut * b).
+coefficients of both factors only.
+
+Min-plus, result(j) = min over k of f(j - k) + g(k), needs only the split
+points k where g can attain the minimum.  Counting functions step by 0 or 1,
+so where g steps up (g(k) = g(k - 1) + 1) the split k - 1 does at least as
+well: f(j - k + 1) <= f(j - k) + 1.  That leaves k = 0 and the k in
+[1, cutoff(g)] where g is flat, offset(g) + 1 candidates in all (one per gap
+of a semigroup), against cutoff(g) + 1 splits.  There are two evaluators
+behind min_convolve:
+
+- up to _LIST_CELLS candidate cells (result values times candidate splits),
+  one shifted copy of f per candidate, folded elementwise on Python lists.  This is every fold of a small collection, and numpy is not loaded;
+- above it, a sliding window over every split on 64-bit numpy integers,
+  which is exact here: with result cutoff cut and window width b + 1, every
+  entry f(j1) + g(j2) is at most cut + b.  The window is reduced in blocks of
+  _MIN_CONVOLVE_ROWS result values, so its memory is O(cut +
+  _MIN_CONVOLVE_ROWS * b), not O(cut * b).  numpy is imported on first use.
 """
 
 from __future__ import annotations
@@ -17,10 +29,11 @@ import dataclasses
 from functools import reduce
 from typing import Iterable
 
-import numpy as np
+#: Candidate cells, (result values) x (candidate splits), up to which
+#: min_convolve runs on Python lists instead of numpy.
+_LIST_CELLS = 60_000
 
-
-#: Result values per block of the min-plus sliding window.
+#: Result values per block of the numpy min-plus sliding window.
 _MIN_CONVOLVE_ROWS = 64
 
 
@@ -141,36 +154,71 @@ class CountingFn:
         return [self(k) for k in range(lo, hi + 1)]
 
 
-def _values(f: CountingFn, n: int) -> np.ndarray:
-    # f on [0, n] as int64: the head, then the linear tail
-    head = np.array(f.head[:n + 1], dtype=np.int64)
-    tail = np.arange(f.cutoff + 1, n + 1, dtype=np.int64) - f.offset
-    return np.concatenate((head, tail))
+def _candidate_splits(g: CountingFn) -> list[int]:
+    """0 and every k in [1, cutoff(g)] where g is flat: g(k) = g(k - 1).
 
-
-def min_convolve(f: CountingFn, g: CountingFn) -> CountingFn:
-    """Min-plus convolution: result(j) = min over j1+j2=j of f(j1) + g(j2).
-
-    The offsets add and the new cutoff is twice the combined offset.  Since
-    both arguments vanish on k <= 0, are nondecreasing and have unit steps,
-    the minimum over all integer splits is attained with the second argument
-    in [0, cutoff(g)], which keeps the scan window small.  The window is
-    reduced _MIN_CONVOLVE_ROWS result values at a time.
+    These are the split points that can attain a min-plus minimum: where g
+    steps up, the split k - 1 does at least as well.  There are offset + 1 of
+    them, against cutoff + 1 splits in the whole window.
     """
-    if g.cutoff > f.cutoff:
-        f, g = g, f
+    head = g.head
+    return [0, *(k for k in range(1, len(head)) if head[k] == head[k - 1])]
+
+
+def _min_convolve_lists(f: CountingFn, g: CountingFn) -> CountingFn:
+    # one shifted copy of f per candidate split k, folded in elementwise: the
+    # values at j < k are dominated by a split at most j, so only the part
+    # from k on is compared.  A conditional comprehension runs about 3x
+    # faster here than map(min, ...).
+    offset = f.offset + g.offset
+    cut = 2 * offset
+    fv = [*f.head[:cut + 1], *range(f.cutoff + 1 - f.offset, cut + 1 - f.offset)]
+    head = fv[:]  # the split k = 0, where g(0) = 0
+    for k in _candidate_splits(g)[1:]:
+        c = g.head[k]
+        head[k:] = [x if x <= y + c else y + c for x, y in zip(head[k:], fv)]
+    return CountingFn(tuple(head), offset)
+
+
+def _min_convolve_numpy(f: CountingFn, g: CountingFn) -> CountingFn:
+    # the whole window of splits [0, cutoff(g)], reduced in row blocks
+    import numpy as np
+
+    def values(h: CountingFn, n: int) -> np.ndarray:
+        # h on [0, n] as int64: the head, then the linear tail
+        head = np.array(h.head[:n + 1], dtype=np.int64)
+        tail = np.arange(h.cutoff + 1, n + 1, dtype=np.int64) - h.offset
+        return np.concatenate((head, tail))
+
     offset = f.offset + g.offset
     cut = 2 * offset
     b = g.cutoff
     # fv[i] = f(i - b) on i in [0, cut + b], gv[i] = g(b - i) on i in [0, b]
-    fv = np.concatenate((np.zeros(b, dtype=np.int64), _values(f, cut)))
-    gv = _values(g, b)[::-1]
+    fv = np.concatenate((np.zeros(b, dtype=np.int64), values(f, cut)))
+    gv = values(g, b)[::-1]
     windows = np.lib.stride_tricks.sliding_window_view(fv, b + 1)
     head = np.empty(cut + 1, dtype=np.int64)
     for j in range(0, cut + 1, _MIN_CONVOLVE_ROWS):
         block = windows[j:j + _MIN_CONVOLVE_ROWS]
         np.min(block + gv, axis=1, out=head[j:j + len(block)])
     return CountingFn(tuple(head.tolist()), offset)
+
+
+def min_convolve(f: CountingFn, g: CountingFn) -> CountingFn:
+    """Min-plus convolution: result(j) = min over j1+j2=j of f(j1) + g(j2).
+
+    The offsets add and the new cutoff is twice the combined offset.  The
+    argument with the smaller cutoff becomes g.  Up to _LIST_CELLS candidate
+    cells the candidate splits of g are folded on Python lists; above it the
+    whole window is reduced with numpy, _MIN_CONVOLVE_ROWS result values at
+    a time.
+    """
+    if g.cutoff > f.cutoff:
+        f, g = g, f
+    # g is flat at exactly g.offset points of [1, cutoff(g)]
+    if (2 * (f.offset + g.offset) + 1) * (g.offset + 1) <= _LIST_CELLS:
+        return _min_convolve_lists(f, g)
+    return _min_convolve_numpy(f, g)
 
 
 def min_convolve_all(fns: Iterable[CountingFn]) -> CountingFn:

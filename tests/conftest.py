@@ -14,14 +14,19 @@ curves they describe.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_right
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import cuspidal
 from cuspidal import (
     BettiTable,
     CountingFn,
@@ -343,6 +348,15 @@ def random_admissible(rng: random.Random, max_len=5, max_entry=9) -> MultSeq:
 
 def collection(*literals: str) -> CuspCollection:
     return CuspCollection(tuple(resolve_semigroup(parse_cusp(t)) for t in literals))
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that imports the cuspidal under test."""
+    src = str(Path(cuspidal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from cuspidal import cli, cubical, invariants
+from conftest import fresh_python
+from cuspidal import cli, criteria, cubical, invariants
 
 
 @pytest.fixture
@@ -295,6 +296,14 @@ class TestOracle:
                                    "--box-margin", "1")
         assert code == 0 and doc["runs"][0]["agree"]
 
+    @pytest.mark.parametrize("box", ["-1,2,2", "-3,2,2", "-3,-3,2000000"])
+    def test_negative_box_sizes_refused(self, quartic_file, capsys, box):
+        # before the cap, which a product of negative sizes would slip past
+        code, out, err = run_cli(capsys, "oracle", quartic_file, "--j", "0",
+                                 f"--box={box}")
+        assert code == 2 and not out
+        assert "box sizes must be nonnegative" in err
+
     def test_tsv_rows_in_text(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
         path.write_text("[2]\n")
@@ -338,6 +347,16 @@ class TestStability:
         assert out == ""
         assert "--max-parts 1 leaves no admissible regrouping" in err
 
+    def test_long_multiset_refused_before_walk(self, tmp_path, capsys, monkeypatch):
+        # the walk nests one generator per entry and overflowed Python's
+        # stack on 1200 entries
+        monkeypatch.setattr(criteria, "_walk", None)
+        path = tmp_path / "long.txt"
+        path.write_text("[2_1200]\n")
+        code, out, err = run_cli(capsys, "stability", str(path))
+        assert code == 3 and not out
+        assert "1200 entries exceed cap 256" in err
+
     def test_sporadic_multiset_eu_variation(self, tmp_path, capsys):
         path = tmp_path / "sp4.txt"
         path.write_text("degree: 5\n[2_3] [2] [2] [2]\n")
@@ -373,3 +392,39 @@ def test_reader_closing_pipe_early(tmp_path):
     code = proc.wait(timeout=120)
     assert b"Traceback" not in err, err.decode()
     assert 0 <= code <= 3
+
+
+def test_light_commands_leave_numpy_unloaded(tmp_path):
+    # importing numpy is most of a cold start: only the oracle and min-plus
+    # windows above the list evaluator's size may load it
+    octic = tmp_path / "octic.txt"
+    octic.write_text("degree: 8\n[6] [2_4] [2_2]\n")
+    c401 = tmp_path / "c401.txt"
+    c401.write_text("degree: 40\n[38] [2_37] [2]\n")
+    quartic = tmp_path / "quartic.txt"
+    quartic.write_text("[2] [2] [2]\n")
+    quintic = tmp_path / "quintic.txt"
+    quintic.write_text("degree: 5\n[3] [2_2] [2]\n")
+    light = [
+        ["check", str(octic)],
+        ["invariants", str(quartic)],
+        ["cohomology", str(c401), "--d", "40", "--all-spinc"],
+        ["catalog", "--family", "C", "--d", "9", "--u", "2", "--check"],
+        ["stability", str(octic)],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "import cuspidal\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "from cuspidal import cli\n"
+            "codes = []\n"
+            f"for argv in {light!r} + [{['oracle', str(quintic), '--sweep']!r}]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.run(argv))\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps([codes, loaded]))\n")
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [1, 0, 0, 0, 0, 0]  # the octic fails conj_original
+    # after import cuspidal, after each light command, after the oracle
+    assert loaded == [False] * 6 + [True]

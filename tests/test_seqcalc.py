@@ -1,14 +1,14 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cuspidal
-from conftest import brute_min_convolve, poly_mul, random_admissible, reference_min_convolve
+from conftest import (
+    brute_min_convolve,
+    fresh_python,
+    poly_mul,
+    random_admissible,
+    reference_min_convolve,
+)
 from cuspidal import (
     CountingFn,
     IntSeq,
@@ -21,6 +21,7 @@ from cuspidal import (
     partial_sums,
     semigroup_from_generators,
     semigroup_from_multseq,
+    seqcalc,
 )
 
 
@@ -144,6 +145,86 @@ def test_min_convolve_large_cusps_sampled():
             assert h(j) == brute_min_convolve([a, b], j), j
 
 
+# The two evaluators behind min_convolve, called directly: each must agree
+# with the full-window reference and with the brute-force scan whichever
+# argument comes first and whichever side of _LIST_CELLS the pair falls.
+
+def _random_fn(rng):
+    # a semigroup counting function, or the fold of two: both are the kind
+    # of argument min_convolve gets from CuspCollection.h
+    f = counting_fn(semigroup_from_multseq(random_admissible(rng, 4, 7)))
+    if rng.random() < 0.5:
+        f = seqcalc._min_convolve_lists(
+            f, counting_fn(semigroup_from_multseq(random_admissible(rng, 3, 5))))
+    return f
+
+
+@given(rng=st.randoms(use_true_random=False))
+def test_both_evaluators_match_references(rng):
+    f, g = _random_fn(rng), _random_fn(rng)
+    expected = reference_min_convolve(f, g)
+    for evaluate in (seqcalc._min_convolve_lists, seqcalc._min_convolve_numpy):
+        assert evaluate(f, g) == evaluate(g, f) == expected
+    for j in rng.sample(range(expected.cutoff + 4), 8):
+        assert expected(j) == brute_min_convolve([f, g], j), j
+
+
+def _pair_near_list_cells(g, above):
+    # f = <2, 2n + 1> (offset n) with n the largest (above=False) or smallest
+    # (above=True) such that the candidate cells are at most the constant
+    n = (seqcalc._LIST_CELLS // (g.offset + 1) - 1) // 2 - g.offset + above
+    f = counting_fn(semigroup_from_generators([2, 2 * n + 1]))
+    cells = (2 * (f.offset + g.offset) + 1) * (g.offset + 1)
+    step = 2 * (g.offset + 1)  # cells added per unit of n
+    top = seqcalc._LIST_CELLS + step * above
+    assert top - step < cells <= top
+    return f
+
+
+@pytest.mark.parametrize("above", [False, True])
+@settings(max_examples=6)
+@given(rng=st.randoms(use_true_random=False))
+def test_both_evaluators_at_the_list_cells_constant(rng, above):
+    g = counting_fn(semigroup_from_multseq(random_admissible(rng, 3, 6)))
+    f = _pair_near_list_cells(g, above)
+    expected = reference_min_convolve(f, g)
+    assert seqcalc._min_convolve_lists(f, g) == expected
+    assert seqcalc._min_convolve_numpy(f, g) == expected
+    for j in rng.sample(range(expected.cutoff + 4), 4):
+        assert expected(j) == brute_min_convolve([f, g], j), j
+    # min_convolve puts the pair on lists up to the constant, on numpy above
+    used = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_min_convolve_lists", "_min_convolve_numpy"):
+            evaluate = getattr(seqcalc, name)
+            mp.setattr(seqcalc, name, lambda a, b, name=name, evaluate=evaluate:
+                       used.append(name) or evaluate(a, b))
+        assert min_convolve(g, f) == expected
+    assert used == ["_min_convolve_numpy" if above else "_min_convolve_lists"]
+
+
+def _unit_step_fn(steps):
+    # the counting function whose head climbs by the given 0/1 steps
+    head = [0]
+    for step in steps:
+        head.append(head[-1] + step)
+    return CountingFn(tuple(head), len(steps) - head[-1])
+
+
+_STEPS = st.lists(st.integers(0, 1), max_size=30)
+
+
+@given(f_steps=_STEPS, g_steps=_STEPS)
+def test_candidate_splits_attain_the_minimum(f_steps, g_steps):
+    # any nondecreasing unit-step function, not only a semigroup's
+    f, g = _unit_step_fn(f_steps), _unit_step_fn(g_steps)
+    splits = seqcalc._candidate_splits(g)
+    assert len(splits) == g.offset + 1
+    for j in range(f.cutoff + g.cutoff + 3):
+        assert (min(f(j - k) + g(k) for k in splits)
+                == brute_min_convolve([g, f], j)), j
+
+
 def test_min_convolve_memory_linear_in_cutoff():
     # a (cut + 1) x (cutoff + 1) window for H of [60] [60] would take ~200 MiB
     code = ("import resource\n"
@@ -151,11 +232,7 @@ def test_min_convolve_memory_linear_in_cutoff():
             "s = semigroup_from_multseq(MultSeq((60,)))\n"
             "CuspCollection((s, s)).h\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    src = str(Path(cuspidal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) / 1024 < 120  # ru_maxrss is in KiB
 
