@@ -43,10 +43,7 @@ from .invariants import (
     IntPoly,
     NotCandidateError,
     alexander,
-    alexander_product,
     eu_canonical,
-    eu_h0,
-    eu_hstar,
     f_sequence,
     geometric_genus,
     h_function,

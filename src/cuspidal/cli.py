@@ -23,19 +23,26 @@ import sys
 
 from . import criteria, cubical, invariants
 from .invariants import CapExceeded, CuspCollection
-from .semigroup import SemigroupError, parse_cusp, resolve_semigroup
+from .semigroup import Cusp, SemigroupError, parse_cusp, resolve_semigroup
 
 SCHEMA_VERSION = 1
 
 _DEGREE_LINE = re.compile(r"^degree\s*[:=]\s*(\d+)$", re.IGNORECASE)
 
 
+# the largest --window beyond 2*delta - 2 that `invariants` tabulates
+_MAX_WINDOW = 1_000_000
+
+# H window cells (2*delta + 1 per regrouping) that one `stability` run compares
+_STABILITY_CELLS = 50_000
+
+
 class InputError(ValueError):
     pass
 
 
-def load_candidate_file(path: str) -> tuple[list[str], int | None]:
-    """Return the cusp literals and the optional declared degree."""
+def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
+    """Return the cusp literals, each parsed once, and the optional declared degree."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -51,37 +58,41 @@ def load_candidate_file(path: str) -> tuple[list[str], int | None]:
         if not isinstance(cusps, list) or not all(isinstance(c, str) for c in cusps):
             raise InputError(f"{path}: field 'cusps' must be a list of literals")
         degree = doc.get("degree")
-        if degree is not None and not isinstance(degree, int):
-            raise InputError(f"{path}: field 'degree' must be an integer")
-        return list(cusps), degree
-    literals: list[str] = []
-    degree = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _DEGREE_LINE.match(line)
-        if m:
-            degree = int(m.group(1))
-            continue
-        for col, token in enumerate(line.split()):
-            try:
-                parse_cusp(token)
-            except SemigroupError as exc:
-                raise InputError(f"{path}:{lineno}: token {col + 1}: {exc}") from exc
-            literals.append(token)
-    if not literals:
+        # bool is an int subclass; the text grammar takes digits only
+        if degree is not None and (type(degree) is not int or degree < 0):
+            raise InputError(f"{path}: field 'degree' must be a nonnegative integer")
+        located = [(f"{path}: cusps[{i}]", lit) for i, lit in enumerate(cusps)]
+    else:
+        located = []
+        degree = None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            m = _DEGREE_LINE.match(line)
+            if m:
+                degree = int(m.group(1))
+                continue
+            located += [(f"{path}:{lineno}: token {col + 1}", token)
+                        for col, token in enumerate(line.split())]
+    if not located:
         raise InputError(f"{path}: no cusp literals found")
-    return literals, degree
-
-
-def build_collection(literals: list[str]) -> CuspCollection:
-    semis = []
-    for lit in literals:
+    parsed = []
+    for where, lit in located:
         try:
-            semis.append(resolve_semigroup(parse_cusp(lit)))
+            parsed.append(parse_cusp(lit))
         except SemigroupError as exc:
-            raise InputError(f"bad cusp {lit!r}: {exc}") from exc
+            raise InputError(f"{where}: {exc}") from exc
+    return [lit for _, lit in located], parsed, degree
+
+
+def build_collection(cusps: list[Cusp]) -> CuspCollection:
+    semis = []
+    for cusp in cusps:
+        try:
+            semis.append(resolve_semigroup(cusp))
+        except SemigroupError as exc:
+            raise InputError(f"bad cusp {cusp.literal()!r}: {exc}") from exc
     return CuspCollection(tuple(semis))
 
 
@@ -95,8 +106,8 @@ _HF_COLUMNS = ("k", "H(k+1)", "F(k)", "H(k+1)-F(k)")
 
 def _load(args) -> tuple[list[str], CuspCollection, int | None]:
     """Read args.file; the degree is --d, else the file's, else the candidate degree."""
-    literals, file_degree = load_candidate_file(args.file)
-    c = build_collection(literals)
+    literals, cusps, file_degree = load_candidate_file(args.file)
+    c = build_collection(cusps)
     d = args.d if args.d is not None else file_degree
     return literals, c, d if d is not None else criteria.candidate_degree(c)
 
@@ -120,8 +131,13 @@ def _stability_ok(doc: dict) -> bool:
 
 
 def cmd_invariants(args) -> tuple[dict, int]:
+    if args.window is not None and args.window < 0:
+        raise InputError(f"--window must be nonnegative, got {args.window}")
     literals, c, d = _load(args)
     window = args.window if args.window is not None else 2 * c.delta - 2
+    cap = max(2 * c.delta - 2, _MAX_WINDOW)
+    if window > cap:
+        raise CapExceeded(f"window too large: {window} exceeds cap {cap}")
     h = invariants.h_function(c)
     ks = list(range(window + 1))
     hrow = [h(k + 1) for k in ks]
@@ -138,12 +154,12 @@ def cmd_invariants(args) -> tuple[dict, int]:
         "candidate_degree": criteria.candidate_degree(c),
         "is_candidate": d is not None and invariants.is_candidate(c, d),
         "p_g": invariants.geometric_genus(d) if d is not None else None,
-        "alexander": list(invariants.alexander_product(c).coeffs.window(2 * c.delta)),
+        "alexander": list(c.alexander_product.coeffs.window(2 * c.delta)),
         "q": list(invariants.q_coefficients(c).window(max(2 * c.delta - 2, 0))),
         "table": dict(zip(_HF_COLUMNS, (ks, hrow, frow, [a - b for a, b in zip(hrow, frow)]))),
         "r": None if r is None else {
             "d": d,
-            "terms": [[j, (d - 3 - j) * d, r.coefficient((d - 3 - j) * d)]
+            "terms": [[j, (d - 3 - j) * d, r.coeffs[(d - 3 - j) * d]]
                       for j in range(d - 2)],
         },
     }
@@ -242,8 +258,8 @@ def cmd_catalog(args) -> tuple[dict, int]:
 
 
 def cmd_oracle(args) -> tuple[dict, int]:
-    literals, _ = load_candidate_file(args.file)
-    c = build_collection(literals)
+    literals, cusps, _ = load_candidate_file(args.file)
+    c = build_collection(cusps)
     try:
         dims = tuple(int(tok) for tok in args.box.split(",")) if args.box else None
     except ValueError:
@@ -300,16 +316,18 @@ def cmd_stability(args) -> tuple[dict, int]:
         raise InputError(f"--max-parts must be at least 1, got {args.max_parts}")
     literals, c, d = _load(args)
     ms = criteria.multiplicity_multiset(c)
-    groups = criteria.regroupings(ms, max_parts=args.max_parts)
+    # each row computes H on its window [0, 2*delta]; at least one row is compared
+    cap = max(1, min(10_000, _STABILITY_CELLS // (2 * c.delta + 1)))
+    groups = criteria.regroupings(ms, max_parts=args.max_parts, cap=cap)
     if not groups.collections:  # each entry alone is admissible, so only --max-parts gets here
         raise InputError(f"--max-parts {args.max_parts} leaves no admissible regrouping")
-    window = 2 * c.delta
-    base_vals = invariants.h_function(c).values(0, window)
     rows = []
     for parts, coll in zip(groups.collections, groups.cusp_collections()):
         row = {
             "parts": [p.literal() for p in parts],
-            "h_matches": invariants.h_function(coll).values(0, window) == base_vals,
+            # both counting functions have offset delta and cutoff 2*delta,
+            # so equal fields mean equal values everywhere
+            "h_matches": coll.h == c.h,
         }
         if d is not None:
             cand = criteria.Candidate(coll, d)

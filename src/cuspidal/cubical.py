@@ -1,10 +1,9 @@
 """Brute-force cubical lattice-cohomology oracle.
 
 Builds the weighted rectangle [0,m_1] x ... x [0,m_nu] for a cusp collection,
-assigns each lattice point x either
+assigns each lattice point x the surgery weight
 
-    w_a(x) = sum_i H_i(x_i) + min(0, 1 + a - |x|)      (surgery weight), or
-    W(x)   = delta - |x| + sum_i H_i(x_i)              (degree-free weight),
+    w_a(x) = sum_i H_i(x_i) + min(0, 1 + a - |x|),
 
 gives every cube the maximum weight of its vertices, and computes the reduced
 Betti numbers of every sublevel complex S_n exactly over the rationals.  The
@@ -13,11 +12,14 @@ normalized Euler characteristics
     eu_h0    = -min(w) + sum_n btilde_0(S_n)
     eu_hstar = -min(w) + sum_n sum_q (-1)^q btilde_q(S_n)
 
-are the oracle values the closed-form H/F formulas are checked against.
+are the oracle values the closed-form H/F formulas are checked against.  The
+degree-free weight W(x) = delta - |x| + sum_i H_i(x_i) is evaluated only for
+the min-W check, as its minimum over a diagonal slice |x| = j+1.  Both
+weights are read from one pair of grids, sum_i H_i(x_i) and |x|.
 
-numpy builds the cell filtration.  The functions that build arrays import
-it, so importing this module does not load it.  Vertex weights are the
-per-axis tables H_i broadcast against each other plus the |x| term.  A
+numpy builds the grids and the cell filtration.  The functions that build
+arrays import it, so importing this module does not load it.  The grids are
+the per-axis tables H_i and coordinates broadcast against each other.  A
 cube's weight is np.maximum over shifted slices of its faces' weights, one
 slice pair per axis of the cube (the "V-construction" of Wagner-Chen-Vucini,
 2012).  Each dimension is put in filtration order by argsort: any order of
@@ -72,14 +74,10 @@ class WeightedRectangle:
 
     Vertex weights are stored flat in row-major order (last coordinate
     fastest), so the weight of x is weights[sum(x_i * strides()[i])].
-    `kind` records which weight function was evaluated ("w_a" with its
-    index, or "W").
     """
 
     dims: tuple[int, ...]
     weights: tuple[int, ...]
-    kind: str
-    index: int | None
 
     @property
     def nu(self) -> int:
@@ -107,17 +105,6 @@ class BettiTable:
     min_level: int
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def max_level(self) -> int:
-        return self.min_level + len(self.rows) - 1
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if n < self.min_level:
-            raise ValueError(f"level {n} below the minimum weight {self.min_level}")
-        if n > self.max_level:
-            return (0,) * len(self.rows[0])
-        return self.rows[n - self.min_level]
-
 
 @dataclasses.dataclass(frozen=True)
 class EuOracle:
@@ -134,6 +121,32 @@ def default_dims(c: CuspCollection, box_margin: int = 0) -> tuple[int, ...]:
     return tuple(2 * d + 1 + box_margin for d in c.deltas)
 
 
+def _box(c: CuspCollection, box_margin: int, dims: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The box sizes: `dims` checked against the collection, else default_dims."""
+    if dims is None:
+        return default_dims(c, box_margin)
+    if len(dims) != c.nu:
+        raise ValueError(f"need {c.nu} box sizes, got {len(dims)}")
+    if any(m < 0 for m in dims):
+        raise ValueError(f"box sizes must be nonnegative, got {tuple(dims)}")
+    return tuple(dims)
+
+
+def _grids(c: CuspCollection, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i H_i(x_i) and |x| on every lattice point of the box, as int64 grids."""
+    import numpy as np
+
+    shape = tuple(m + 1 for m in dims)
+    hsum = np.zeros(shape, dtype=np.int64)
+    size = np.zeros(shape, dtype=np.int64)
+    for i, (h, m) in enumerate(zip(c.counting_fns, dims)):
+        axis = [1] * len(dims)
+        axis[i] = m + 1
+        hsum += np.array(h.values(0, m), dtype=np.int64).reshape(axis)
+        size += np.arange(m + 1, dtype=np.int64).reshape(axis)
+    return hsum, size
+
+
 # below this index the w_a weights leave the exact int64 range
 _MIN_INDEX = -(1 << 62)
 
@@ -144,44 +157,22 @@ def build_rectangle(
     box_margin: int = 0,
     dims: tuple[int, ...] | None = None,
     cap: int = DEFAULT_CAP,
-    kind: str = "w_a",
 ) -> WeightedRectangle:
-    """Evaluate a weight function on every lattice point of the rectangle.
-
-    kind "w_a" gives the surgery weight with index a = j; kind "W" gives the
-    degree-free weight (j is then ignored).
-    """
-    if dims is None:
-        dims = default_dims(c, box_margin)
-    if len(dims) != c.nu:
-        raise ValueError(f"need {c.nu} box sizes, got {len(dims)}")
-    if any(m < 0 for m in dims):
-        raise ValueError(f"box sizes must be nonnegative, got {tuple(dims)}")
+    """Evaluate the surgery weight w_a with index a = j on every lattice point."""
+    dims = _box(c, box_margin, dims)
     points = 1
     for m in dims:
         points *= m + 1
     if points > cap:
         raise RectangleTooLarge(points, cap)
-    if kind not in ("w_a", "W"):
-        raise ValueError(f"unknown weight kind {kind!r}")
+    if j < _MIN_INDEX:
+        raise ValueError(f"index {j} below {_MIN_INDEX}")
     import numpy as np
 
-    shape = tuple(m + 1 for m in dims)
-    weights = np.zeros(shape, dtype=np.int64)
-    size = np.zeros(shape, dtype=np.int64)  # |x|
-    for i, (h, m) in enumerate(zip(c.counting_fns, dims)):
-        axis = [1] * len(dims)
-        axis[i] = m + 1
-        weights += np.array([h(x) for x in range(m + 1)], dtype=np.int64).reshape(axis)
-        size += np.arange(m + 1, dtype=np.int64).reshape(axis)
-    if kind == "w_a":
-        if j < _MIN_INDEX:
-            raise ValueError(f"index {j} below {_MIN_INDEX}")
-        # min(0, 1 + j - |x|) vanishes on the whole box once j >= sum(dims)
-        weights += np.minimum(0, 1 + min(j, sum(dims)) - size)
-        return WeightedRectangle(tuple(dims), tuple(weights.ravel().tolist()), "w_a", j)
-    weights += c.delta - size
-    return WeightedRectangle(tuple(dims), tuple(weights.ravel().tolist()), "W", None)
+    weights, size = _grids(c, dims)
+    # min(0, 1 + j - |x|) vanishes on the whole box once j >= sum(dims)
+    weights += np.minimum(0, 1 + min(j, sum(dims)) - size)
+    return WeightedRectangle(dims, tuple(weights.ravel().tolist()))
 
 
 def _face_signs(q: int) -> list[int]:
@@ -403,34 +394,11 @@ def min_w_over_diagonal(
     """
     if j + 1 < 0:
         raise ValueError(f"diagonal slice |x| = {j + 1} is negative: need j >= -1")
-    if dims is None:
-        dims = default_dims(c, box_margin)
-    if len(dims) != c.nu:
-        raise ValueError(f"need {c.nu} box sizes, got {len(dims)}")
-    if any(m < 0 for m in dims):
-        raise ValueError(f"box sizes must be nonnegative, got {tuple(dims)}")
-    hs = c.counting_fns
-    target = j + 1
-    if target > sum(dims):
+    dims = _box(c, box_margin, dims)
+    if j + 1 > sum(dims):
         return 0
-    best = None
-
-    def scan(i: int, remaining: int, acc: int):
-        nonlocal best
-        if i == len(dims) - 1:
-            if 0 <= remaining <= dims[i]:
-                total = acc + hs[i](remaining)
-                if best is None or total < best:
-                    best = total
-            return
-        lo = max(0, remaining - sum(dims[i + 1:]))
-        hi = min(dims[i], remaining)
-        for x in range(lo, hi + 1):
-            scan(i + 1, remaining - x, acc + hs[i](x))
-
-    scan(0, target, 0)
-    assert best is not None
-    return c.delta - target + best
+    hsum, size = _grids(c, dims)
+    return c.delta - j - 1 + int(hsum[size == j + 1].min())
 
 
 def check_vanishing(table: BettiTable, nu: int) -> bool:

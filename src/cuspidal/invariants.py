@@ -50,13 +50,6 @@ class IntPoly:
 
     coeffs: IntSeq
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.degree
-
-    def coefficient(self, j: int) -> int:
-        return self.coeffs[j]
-
 
 @dataclasses.dataclass(frozen=True)
 class CuspCollection:
@@ -182,11 +175,6 @@ def alexander(s: Semigroup) -> IntPoly:
     return IntPoly(IntSeq(tuple(co)))
 
 
-def alexander_product(c: CuspCollection) -> IntPoly:
-    """Product of the cusp Alexander polynomials; see CuspCollection.alexander_product."""
-    return c.alexander_product
-
-
 def _divide_by_t_minus_1(co: list[int]) -> list[int]:
     # co = (t - 1) * q, i.e. co_j = q_{j-1} - q_j with q_{-1} = 0
     q = []
@@ -250,7 +238,7 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
     top = d * (d - 3)
     n = top + d
     # g = Delta(t) / (1-t)^2 truncated at degree n; dividing by 1-t is a partial sum
-    g = partial_sums(partial_sums(alexander_product(c).coeffs, n), n)
+    g = partial_sums(partial_sums(c.alexander_product.coeffs, n), n)
     co = [0] * (top + 1)
     for k in range(0, n + 1, d):
         i = k // d
@@ -266,21 +254,13 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
     return IntPoly(IntSeq(tuple(co)))
 
 
-def eu_h0(c: CuspCollection, d: int, a: int) -> int:
-    """eu of the zeroth lattice cohomology of the (-d)-surgery at Spin^c index a.
-
-    Sum of H(j+1) + delta-1-j over 0 <= j <= 2*delta-2 with j = a (mod d).
-    """
-    return spinc_report(c, d, a).eu_h0
-
-
-def eu_hstar(c: CuspCollection, d: int, a: int) -> int:
-    """eu of the full lattice cohomology; same sum as eu_h0 with F in place of H."""
-    return spinc_report(c, d, a).eu_hstar
-
-
 def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:
-    """Both Euler characteristics at Spin^c index a, with per-j summands."""
+    """Both Euler characteristics at Spin^c index a, with per-j summands.
+
+    eu_h0, of the zeroth lattice cohomology of the (-d)-surgery, sums
+    H(j+1) + delta-1-j over 0 <= j <= 2*delta-2 with j = a (mod d); eu_hstar,
+    of the full lattice cohomology, is the same sum with F in place of H.
+    """
     if not 0 <= a < d:
         raise ValueError(f"Spin^c index {a} not in [0, {d})")
     h = h_function(c)
@@ -308,7 +288,7 @@ def canonical_sums(c: CuspCollection, d: int) -> tuple[int, int]:
 def eu_canonical(c: CuspCollection, d: int) -> tuple[int, int]:
     """Canonical-Spin^c Euler characteristics when 2*delta = (d-1)(d-2).
 
-    Returns canonical_sums(c, d); these agree with eu_h0/eu_hstar at a = 0
+    Returns canonical_sums(c, d); these agree with spinc_report at a = 0
     and satisfy R(1) = eu_hstar - eu_h0.
     """
     require_candidate(c, d, "; use the per-Spin^c operations for general d")

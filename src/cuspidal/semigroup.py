@@ -388,8 +388,11 @@ _MULT_TOKEN = re.compile(r"^(\d+)(?:_(\d+))?$")
 _NEWTON = re.compile(r"^(?:\(\d+,\d+\))+$")
 _NEWTON_PAIR = re.compile(r"\((\d+),(\d+)\)")
 
+# a cusp type in the description its literal was written in
+Cusp = MultSeq | NewtonPairs | Semigroup
 
-def parse_cusp(text: str) -> MultSeq | NewtonPairs | Semigroup:
+
+def parse_cusp(text: str) -> Cusp:
     """Parse a cusp-type literal: '[2_4]', '[3,2]', '(2,3)(2,1)' or '<4,6,13>'."""
     text = text.strip()
     if not text:
@@ -422,7 +425,7 @@ def parse_cusp(text: str) -> MultSeq | NewtonPairs | Semigroup:
     raise SemigroupError(f"unrecognized cusp literal {text!r}")
 
 
-def resolve_semigroup(cusp: MultSeq | NewtonPairs | Semigroup) -> Semigroup:
+def resolve_semigroup(cusp: Cusp) -> Semigroup:
     """The semigroup of a cusp type in any of the three descriptions."""
     if isinstance(cusp, Semigroup):
         return cusp

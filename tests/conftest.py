@@ -350,13 +350,17 @@ def collection(*literals: str) -> CuspCollection:
     return CuspCollection(tuple(resolve_semigroup(parse_cusp(t)) for t in literals))
 
 
+def child_env() -> dict:
+    """The environment of a new interpreter that imports the cuspidal under test."""
+    src = str(Path(cuspidal.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run `code` in a new interpreter that imports the cuspidal under test."""
-    src = str(Path(cuspidal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=child_env(), timeout=300)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from conftest import fresh_python
-from cuspidal import cli, criteria, cubical, invariants
+from conftest import child_env, fresh_python
+from cuspidal import cli, criteria, cubical, invariants, semigroup
 
 
 @pytest.fixture
@@ -47,6 +48,39 @@ class TestCandidateFiles:
         code, out, err = run_cli(capsys, "invariants", str(path))
         assert code == 2
         assert ":2:" in err
+
+    def test_json_parse_error_reports_index(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"cusps": ["[2]", "[zzz]"]}))
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and not out
+        assert f"{path}: cusps[1]: " in err
+
+    @pytest.mark.parametrize("degree", [True, -5])
+    def test_json_degree_must_be_nonnegative_integer(self, tmp_path, capsys, degree):
+        # true was read as degree 1, and -5 gave p_g = -35
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps({"degree": degree, "cusps": ["[2]", "[2]", "[2]"]}))
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and not out
+        assert "field 'degree' must be a nonnegative integer" in err
+
+    @pytest.mark.parametrize("framing", ["text", "json"])
+    def test_each_literal_parsed_once(self, tmp_path, capsys, monkeypatch, framing):
+        # a generator literal runs the semigroup sieve when it is parsed
+        calls = []
+        sieve = semigroup.semigroup_from_generators
+
+        def counting_sieve(gens):
+            calls.append(gens)
+            return sieve(gens)
+
+        monkeypatch.setattr(semigroup, "semigroup_from_generators", counting_sieve)
+        path = tmp_path / "cand.txt"
+        path.write_text("<4,6,13>\n" if framing == "text" else json.dumps({"cusps": ["<4,6,13>"]}))
+        code, doc, _ = run_machine(capsys, "invariants", str(path))
+        assert code == 0 and doc["semigroups"] == ["<4,6,13>"]
+        assert len(calls) == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "/nonexistent/file")
@@ -95,6 +129,19 @@ class TestInvariants:
     def test_window_flag(self, quartic_file, capsys):
         code, doc, _ = run_machine(capsys, "invariants", quartic_file, "--window", "8")
         assert doc["table"]["k"] == list(range(9))
+
+    def test_window_above_cap_refused(self, quartic_file, capsys, monkeypatch):
+        # a window of 2e8 ended in a MemoryError traceback; nothing is tabulated
+        monkeypatch.setattr(invariants, "f_sequence", None)
+        code, out, err = run_cli(capsys, "invariants", quartic_file, "--window", "1000001")
+        assert code == 3 and not out
+        assert "window too large: 1000001 exceeds cap 1000000" in err
+
+    def test_negative_window_refused(self, quartic_file, capsys):
+        # it used to print an empty table
+        code, out, err = run_cli(capsys, "invariants", quartic_file, "--window", "-1")
+        assert code == 2 and not out
+        assert "--window must be nonnegative, got -1" in err
 
     def test_text_and_machine_same_numbers(self, quartic_file, capsys):
         _, doc, _ = run_machine(capsys, "invariants", quartic_file)
@@ -357,6 +404,17 @@ class TestStability:
         assert code == 3 and not out
         assert "1200 entries exceed cap 256" in err
 
+    def test_rows_capped_by_window(self, tmp_path, capsys):
+        # the multiset of C(60,1), delta = 1,711: each row computes H, bl and
+        # eu at that delta, and the 10,000-row walk cap alone ran for minutes
+        path = tmp_path / "c601.txt"
+        path.write_text("[58] [2_57] [2]\n")
+        start = time.perf_counter()
+        code, doc, _ = run_machine(capsys, "stability", str(path))
+        assert time.perf_counter() - start < 10
+        assert code == 0 and doc["truncated"] and doc["h_equal"]
+        assert len(doc["regroupings"]) == cli._STABILITY_CELLS // (2 * 1711 + 1)
+
     def test_sporadic_multiset_eu_variation(self, tmp_path, capsys):
         path = tmp_path / "sp4.txt"
         path.write_text("degree: 5\n[2_3] [2] [2] [2]\n")
@@ -373,7 +431,7 @@ def test_module_entry_point(tmp_path):
     path.write_text("[2] [2] [2]\n")
     proc = subprocess.run(
         [sys.executable, "-m", "cuspidal.cli", "check", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "overall: PASS" in proc.stdout
 
@@ -384,7 +442,7 @@ def test_reader_closing_pipe_early(tmp_path):
     path.write_text("[40] [40]\n")
     proc = subprocess.Popen(
         [sys.executable, "-m", "cuspidal.cli", "invariants", str(path), "--format", "machine"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     assert proc.stdout.read(100)
     proc.stdout.close()
     err = proc.stderr.read()

@@ -18,7 +18,6 @@ from cuspidal import (
     check_conj_original,
     counting_fn,
     eu_canonical,
-    eu_h0,
     expected_eu_difference,
     f_sequence,
     h_function,
@@ -27,6 +26,7 @@ from cuspidal import (
     regroupings,
     semigroup_from_generators,
     semigroup_from_multseq,
+    spinc_report,
 )
 
 OCTIC = ("[6]", "[2_4]", "[2_2]")
@@ -330,7 +330,7 @@ class TestStabilityProperties:
             colls = regroupings(items).cusp_collections()
             for d in (3, 5):
                 for a in range(d):
-                    values = {eu_h0(coll, d, a) for coll in colls}
+                    values = {spinc_report(coll, d, a).eu_h0 for coll in colls}
                     assert len(values) == 1, (items, d, a)
 
     def test_eu_hstar_not_stable(self):
