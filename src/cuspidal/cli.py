@@ -36,6 +36,10 @@ _MAX_WINDOW = 1_000_000
 # H window cells (2*delta + 1 per regrouping) that one `stability` run compares
 _STABILITY_CELLS = 50_000
 
+# the largest degree any command accepts: R, the Spin^c table and the
+# criteria all grow with d whatever delta is (r_poly has d(d-3) + 1 terms)
+_MAX_DEGREE = 2_000
+
 
 class InputError(ValueError):
     pass
@@ -105,11 +109,20 @@ _HF_COLUMNS = ("k", "H(k+1)", "F(k)", "H(k+1)-F(k)")
 
 
 def _load(args) -> tuple[list[str], CuspCollection, int | None]:
-    """Read args.file; the degree is --d, else the file's, else the candidate degree."""
+    """Read args.file; the degree is --d, else the file's, else the candidate degree.
+
+    The resolved degree, whichever its source, must lie in [0, _MAX_DEGREE].
+    """
     literals, cusps, file_degree = load_candidate_file(args.file)
     c = build_collection(cusps)
     d = args.d if args.d is not None else file_degree
-    return literals, c, d if d is not None else criteria.candidate_degree(c)
+    if d is None:
+        d = criteria.candidate_degree(c)
+    if d is not None and d < 0:
+        raise InputError(f"degree must be nonnegative, got {d}")
+    if d is not None and d > _MAX_DEGREE:
+        raise CapExceeded(f"degree too large: {d} exceeds cap {_MAX_DEGREE}")
+    return literals, c, d
 
 
 def _criteria_doc(reports) -> list[dict]:
@@ -258,10 +271,13 @@ def cmd_catalog(args) -> tuple[dict, int]:
 
 
 def cmd_oracle(args) -> tuple[dict, int]:
+    if args.cap < 1:  # no box has fewer than one cell
+        raise InputError(f"--cap must be at least 1, got {args.cap}")
     literals, cusps, _ = load_candidate_file(args.file)
     c = build_collection(cusps)
     try:
-        dims = tuple(int(tok) for tok in args.box.split(",")) if args.box else None
+        dims = (tuple(int(tok) for tok in args.box.split(","))
+                if args.box is not None else None)
     except ValueError:
         raise InputError(f"bad --box {args.box!r}") from None
     if args.j is None and not args.sweep:

@@ -370,7 +370,7 @@ def oracle_eu(
     """
     rect = build_rectangle(c, j, box_margin=box_margin, dims=dims, cap=cap)
     table = betti_table(rect)
-    min_w = rect.min_weight
+    min_w = table.min_level
     e0 = -min_w
     es = -min_w
     for row in table.rows:

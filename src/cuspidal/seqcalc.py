@@ -11,16 +11,13 @@ points k where g can attain the minimum.  Counting functions step by 0 or 1,
 so where g steps up (g(k) = g(k - 1) + 1) the split k - 1 does at least as
 well: f(j - k + 1) <= f(j - k) + 1.  That leaves k = 0 and the k in
 [1, cutoff(g)] where g is flat, offset(g) + 1 candidates in all (one per gap
-of a semigroup), against cutoff(g) + 1 splits.  There are two evaluators
-behind min_convolve:
-
-- up to _LIST_CELLS candidate cells (result values times candidate splits),
-  one shifted copy of f per candidate, folded elementwise on Python lists.  This is every fold of a small collection, and numpy is not loaded;
-- above it, a sliding window over every split on 64-bit numpy integers,
-  which is exact here: with result cutoff cut and window width b + 1, every
-  entry f(j1) + g(j2) is at most cut + b.  The window is reduced in blocks of
-  _MIN_CONVOLVE_ROWS result values, so its memory is O(cut +
-  _MIN_CONVOLVE_ROWS * b), not O(cut * b).  numpy is imported on first use.
+of a semigroup), against cutoff(g) + 1 splits.  min_convolve folds one
+shifted copy of f per candidate into the result, in O(cut) memory for a
+result cutoff cut.  One fold, two array backends chosen by input size: Python
+lists up to _LIST_CELLS candidate cells (result values times candidate
+splits), so that a small collection never loads numpy, and 64-bit numpy
+integers above it, imported on first use.  int64 is exact here: every
+f(j - k) + g(k) is at most cut + cutoff(g).
 """
 
 from __future__ import annotations
@@ -32,9 +29,6 @@ from typing import Iterable
 #: Candidate cells, (result values) x (candidate splits), up to which
 #: min_convolve runs on Python lists instead of numpy.
 _LIST_CELLS = 60_000
-
-#: Result values per block of the numpy min-plus sliding window.
-_MIN_CONVOLVE_ROWS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,14 +159,18 @@ def _candidate_splits(g: CountingFn) -> list[int]:
     return [0, *(k for k in range(1, len(head)) if head[k] == head[k - 1])]
 
 
+def _f_values(f: CountingFn, cut: int) -> list[int]:
+    """f on [0, cut]: the head, then the linear tail."""
+    return [*f.head[:cut + 1], *range(f.cutoff + 1 - f.offset, cut + 1 - f.offset)]
+
+
 def _min_convolve_lists(f: CountingFn, g: CountingFn) -> CountingFn:
     # one shifted copy of f per candidate split k, folded in elementwise: the
     # values at j < k are dominated by a split at most j, so only the part
     # from k on is compared.  A conditional comprehension runs about 3x
     # faster here than map(min, ...).
     offset = f.offset + g.offset
-    cut = 2 * offset
-    fv = [*f.head[:cut + 1], *range(f.cutoff + 1 - f.offset, cut + 1 - f.offset)]
+    fv = _f_values(f, 2 * offset)
     head = fv[:]  # the split k = 0, where g(0) = 0
     for k in _candidate_splits(g)[1:]:
         c = g.head[k]
@@ -181,26 +179,15 @@ def _min_convolve_lists(f: CountingFn, g: CountingFn) -> CountingFn:
 
 
 def _min_convolve_numpy(f: CountingFn, g: CountingFn) -> CountingFn:
-    # the whole window of splits [0, cutoff(g)], reduced in row blocks
+    # the same fold as _min_convolve_lists, on int64 vectors
     import numpy as np
 
-    def values(h: CountingFn, n: int) -> np.ndarray:
-        # h on [0, n] as int64: the head, then the linear tail
-        head = np.array(h.head[:n + 1], dtype=np.int64)
-        tail = np.arange(h.cutoff + 1, n + 1, dtype=np.int64) - h.offset
-        return np.concatenate((head, tail))
-
     offset = f.offset + g.offset
-    cut = 2 * offset
-    b = g.cutoff
-    # fv[i] = f(i - b) on i in [0, cut + b], gv[i] = g(b - i) on i in [0, b]
-    fv = np.concatenate((np.zeros(b, dtype=np.int64), values(f, cut)))
-    gv = values(g, b)[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(fv, b + 1)
-    head = np.empty(cut + 1, dtype=np.int64)
-    for j in range(0, cut + 1, _MIN_CONVOLVE_ROWS):
-        block = windows[j:j + _MIN_CONVOLVE_ROWS]
-        np.min(block + gv, axis=1, out=head[j:j + len(block)])
+    fv = np.array(_f_values(f, 2 * offset), dtype=np.int64)
+    head = fv.copy()
+    for k in _candidate_splits(g)[1:]:
+        tail = head[k:]
+        np.minimum(tail, fv[:tail.size] + g.head[k], out=tail)
     return CountingFn(tuple(head.tolist()), offset)
 
 
@@ -208,10 +195,10 @@ def min_convolve(f: CountingFn, g: CountingFn) -> CountingFn:
     """Min-plus convolution: result(j) = min over j1+j2=j of f(j1) + g(j2).
 
     The offsets add and the new cutoff is twice the combined offset.  The
-    argument with the smaller cutoff becomes g.  Up to _LIST_CELLS candidate
-    cells the candidate splits of g are folded on Python lists; above it the
-    whole window is reduced with numpy, _MIN_CONVOLVE_ROWS result values at
-    a time.
+    argument with the smaller cutoff becomes g, and one shifted copy of f per
+    candidate split of g is folded into the result: on Python lists up to
+    _LIST_CELLS candidate cells, on numpy above it.  Memory is O(cutoff) on
+    both backends.
     """
     if g.cutoff > f.cutoff:
         f, g = g, f

@@ -245,10 +245,63 @@ class TestCohomology:
         code, out, err = run_cli(capsys, "cohomology", str(path))
         assert code == 2 and not out and "pass --d" in err
 
+    def test_degree_cap_inclusive(self, quartic_file, capsys):
+        code, doc, _ = run_machine(capsys, "cohomology", quartic_file,
+                                   "--d", "2000", "--a", "0")
+        assert code == 0 and doc["degree"] == 2000
+        code, out, err = run_cli(capsys, "cohomology", quartic_file,
+                                 "--d", "2001", "--a", "0")
+        assert code == 3 and not out
+        assert "degree too large: 2001 exceeds cap 2000" in err
+
     def test_bad_index(self, quartic_file, capsys):
         code, _, err = run_cli(capsys, "cohomology", quartic_file, "--d", "4",
                                "--a", "7")
         assert code == 2
+
+
+_DEGREE_COMMANDS = [("invariants",), ("check", "--force"),
+                    ("cohomology", "--all-spinc"), ("stability",)]
+
+
+class TestDegreeRule:
+    # _load checks the resolved degree once, whatever its source; nothing
+    # that grows with d may run before the check
+    @pytest.fixture(autouse=True)
+    def no_rows(self, monkeypatch):
+        for name in ("r_poly", "spinc_report", "eu_canonical"):
+            monkeypatch.setattr(invariants, name, None)
+        monkeypatch.setattr(criteria, "run_criterion", None)
+
+    @pytest.mark.parametrize("argv", _DEGREE_COMMANDS)
+    def test_negative_degree_refused(self, quartic_file, capsys, argv):
+        # `invariants --d -5` printed p_g: -35 and exited 0
+        code, out, err = run_cli(capsys, argv[0], quartic_file, *argv[1:], "--d", "-5")
+        assert code == 2 and not out
+        assert "degree must be nonnegative, got -5" in err
+
+    @pytest.mark.parametrize("argv", _DEGREE_COMMANDS)
+    def test_degree_above_cap_refused(self, quartic_file, capsys, argv):
+        # `invariants --d 100000` ended in a MemoryError traceback
+        code, out, err = run_cli(capsys, argv[0], quartic_file, *argv[1:],
+                                 "--d", "100000")
+        assert code == 3 and not out
+        assert "degree too large: 100000 exceeds cap 2000" in err
+
+    @pytest.mark.parametrize("text", ["degree: 100000\n[2] [2] [2]\n",
+                                      '{"degree": 100000, "cusps": ["[2]"]}'])
+    def test_file_degree_above_cap_refused(self, tmp_path, capsys, text):
+        path = tmp_path / "cand.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 3 and not out
+        assert "degree too large: 100000 exceeds cap 2000" in err
+
+    def test_candidate_degree_above_cap_refused(self, quartic_file, capsys, monkeypatch):
+        monkeypatch.setattr(criteria, "candidate_degree", lambda c: 100000)
+        code, out, err = run_cli(capsys, "invariants", quartic_file)
+        assert code == 3 and not out
+        assert "degree too large: 100000 exceeds cap 2000" in err
 
 
 class TestCatalog:
@@ -350,6 +403,20 @@ class TestOracle:
                                  f"--box={box}")
         assert code == 2 and not out
         assert "box sizes must be nonnegative" in err
+
+    def test_empty_box_refused(self, quartic_file, capsys):
+        # it silently fell back to the default box
+        code, out, err = run_cli(capsys, "oracle", quartic_file, "--j", "0", "--box=")
+        assert code == 2 and not out
+        assert "bad --box ''" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_refused(self, quartic_file, capsys, cap):
+        # no box fits under it; it exited 3 as if the box were too large
+        code, out, err = run_cli(capsys, "oracle", quartic_file, "--j", "0",
+                                 "--cap", cap)
+        assert code == 2 and not out
+        assert f"--cap must be at least 1, got {cap}" in err
 
     def test_tsv_rows_in_text(self, tmp_path, capsys):
         path = tmp_path / "one.txt"

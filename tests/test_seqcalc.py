@@ -15,6 +15,7 @@ from cuspidal import (
     MultSeq,
     convolve,
     counting_fn,
+    criteria,
     diff,
     min_convolve,
     min_convolve_all,
@@ -202,6 +203,24 @@ def test_both_evaluators_at_the_list_cells_constant(rng, above):
         assert min_convolve(g, f) == expected
     assert used == ["_min_convolve_numpy" if above else "_min_convolve_lists"]
 
+
+
+@pytest.mark.parametrize("family, params", [
+    ("C", {"d": 60, "u": 1}), ("D", {"l": 28}), ("E", {"l": 19})])
+def test_both_evaluators_on_catalog_first_folds(family, params):
+    # the largest folds the benchmark runs, all above _LIST_CELLS: the two
+    # backends must agree there too, not only on small random pairs
+    c = criteria.catalog(family, **params).collection()
+    f, g = c.counting_fns[:2]
+    if g.cutoff > f.cutoff:
+        f, g = g, f
+    assert (2 * (f.offset + g.offset) + 1) * (g.offset + 1) > seqcalc._LIST_CELLS
+    assert seqcalc._min_convolve_lists(f, g) == seqcalc._min_convolve_numpy(f, g)
+    # H(2 delta - k) = H(k) + delta - k on the whole window [0, 2 delta]
+    h, delta = c.h, c.delta
+    assert h.offset == delta
+    for k in range(2 * delta + 1):
+        assert h(2 * delta - k) == h(k) + delta - k, k
 
 def _unit_step_fn(steps):
     # the counting function whose head climbs by the given 0/1 steps
