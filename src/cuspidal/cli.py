@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -43,6 +44,11 @@ _MAX_DEGREE = 2_000
 
 class InputError(ValueError):
     pass
+
+
+def _cap_degree(d: int | None) -> None:
+    if d is not None and d > _MAX_DEGREE:
+        raise CapExceeded(f"degree too large: {d} exceeds cap {_MAX_DEGREE}")
 
 
 def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
@@ -120,8 +126,7 @@ def _load(args) -> tuple[list[str], CuspCollection, int | None]:
         d = criteria.candidate_degree(c)
     if d is not None and d < 0:
         raise InputError(f"degree must be nonnegative, got {d}")
-    if d is not None and d > _MAX_DEGREE:
-        raise CapExceeded(f"degree too large: {d} exceeds cap {_MAX_DEGREE}")
+    _cap_degree(d)
     return literals, c, d
 
 
@@ -195,7 +200,7 @@ def cmd_check(args) -> tuple[dict, int]:
         "cusps": literals,
         "delta": c.delta,
         "degree": d,
-        "is_candidate": cand.is_candidate,
+        "is_candidate": invariants.is_candidate(c, d),
         "forced": bool(args.force),
         "criteria": _criteria_doc(reports),
         "all_passed": all(rep.passed for rep in reports),
@@ -209,8 +214,6 @@ def cmd_cohomology(args) -> tuple[dict, int]:
         raise InputError("cohomology needs a degree: pass --d")
     if d < 1:
         raise InputError(f"degree must be positive, got {d}")
-    if args.a is not None and not 0 <= args.a < d:
-        raise InputError(f"Spin^c index {args.a} not in [0, {d})")
     rows = []
     for a in [args.a] if args.a is not None else range(d):
         rep = invariants.spinc_report(c, d, a)
@@ -235,6 +238,10 @@ def cmd_cohomology(args) -> tuple[dict, int]:
 
 
 def cmd_catalog(args) -> tuple[dict, int]:
+    # the entry's degree, from its series parameter, before its
+    # multiplicity sequences are built
+    l = args.l if args.l is not None else 0
+    _cap_degree({"C": args.d, "D": 2 * l + 3, "E": 3 * l + 4}.get(args.family))
     try:
         entry = criteria.catalog(args.family, d=args.d, u=args.u, l=args.l)
     except ValueError as exc:
@@ -286,6 +293,12 @@ def cmd_oracle(args) -> tuple[dict, int]:
         raise InputError(f"--j must be at least -1, got {args.j}")
     window = 2 * c.delta - 2
     js = list(range(window + 1)) if args.sweep else [args.j]
+    box = cubical._box(c, args.box_margin, dims)
+    if args.sweep:  # --cap bounds one box; a sweep builds one per j
+        points = math.prod(m + 1 for m in box)
+        if len(js) * points > args.cap:
+            raise CapExceeded(f"sweep too large: {len(js)} runs of {points} lattice "
+                              f"points exceed cap {args.cap}")
     h = invariants.h_function(c)
     runs = []
     for j in js:
@@ -319,7 +332,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
         "nu": c.nu,
         "delta": c.delta,
         "box_margin": args.box_margin,
-        "dims": list(dims or cubical.default_dims(c, args.box_margin)),
+        "dims": list(box),
         "cap": args.cap,
         "runs": runs,
         "all_agree": all(run["agree"] for run in runs),
@@ -333,10 +346,12 @@ def cmd_stability(args) -> tuple[dict, int]:
     literals, c, d = _load(args)
     ms = criteria.multiplicity_multiset(c)
     # each row computes H on its window [0, 2*delta]; at least one row is compared
-    cap = max(1, min(10_000, _STABILITY_CELLS // (2 * c.delta + 1)))
+    cap = max(1, _STABILITY_CELLS // (2 * c.delta + 1))
     groups = criteria.regroupings(ms, max_parts=args.max_parts, cap=cap)
     if not groups.collections:  # each entry alone is admissible, so only --max-parts gets here
         raise InputError(f"--max-parts {args.max_parts} leaves no admissible regrouping")
+    # every regrouping has the delta of the multiset, so candidacy is shared
+    candidate = d is not None and invariants.is_candidate(c, d)
     rows = []
     for parts, coll in zip(groups.collections, groups.cusp_collections()):
         row = {
@@ -346,9 +361,8 @@ def cmd_stability(args) -> tuple[dict, int]:
             "h_matches": coll.h == c.h,
         }
         if d is not None:
-            cand = criteria.Candidate(coll, d)
-            row["bl_passed"] = criteria.check_bl(cand, force=True).passed
-            if cand.is_candidate:
+            row["bl_passed"] = criteria.check_bl(criteria.Candidate(coll, d), force=True).passed
+            if candidate:
                 e0, es = invariants.eu_canonical(coll, d)
                 row.update(eu_h0=e0, eu_hstar=es, difference=e0 - es)
         rows.append(row)

@@ -20,15 +20,13 @@ from __future__ import annotations
 import dataclasses
 import operator
 from collections import Counter
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator
 
 from .invariants import (
     CapExceeded,
     CuspCollection,
-    canonical_sums,
     h_function,
-    is_candidate,
     require_candidate,
 )
 from .semigroup import MultSeq, NewtonPairs, is_admissible, semigroup_from_multseq
@@ -44,10 +42,6 @@ class Candidate:
     def __post_init__(self):
         if self.d < 3:
             raise ValueError(f"degree {self.d} < 3")
-
-    @property
-    def is_candidate(self) -> bool:
-        return is_candidate(self.collection, self.d)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,14 +116,13 @@ def check_conj_original(cand: Candidate, force: bool = False) -> CriterionReport
 
 
 def check_conj_index(cand: Candidate, force: bool = False) -> CriterionReport:
-    """Single verdict: canonical eu_hstar <= eu_h0, with the difference."""
+    """Single verdict: canonical eu_hstar = sum_j F(jd) <= eu_h0 = sum_j H(jd+1)."""
     _require_candidate(cand, force)
-    e0, es = canonical_sums(cand.collection, cand.d)
+    e0 = sum(_h_row(cand.collection, cand.d))
+    es = sum(_f_row(cand.collection, cand.d))
     row = CriterionRow(0, es, e0, es <= e0)
     return CriterionReport("conj_index", (row,), row.ok, difference=e0 - es)
 
-
-ALL_CRITERIA = ("bezout", "bl", "conj_original", "conj_index")
 
 _CHECKS = {
     "bezout": check_bezout,
@@ -137,6 +130,8 @@ _CHECKS = {
     "conj_original": check_conj_original,
     "conj_index": check_conj_index,
 }
+
+ALL_CRITERIA = tuple(_CHECKS)
 
 
 def run_criterion(name: str, cand: Candidate, force: bool = False) -> CriterionReport:
@@ -171,24 +166,32 @@ class Regroupings:
 #: generator per entry, and Python's recursion limit stops it near 700.
 _MAX_ENTRIES = 256
 
+#: Parts the walk may try.  Few rows do not mean little work: under
+#: max_parts the walk can try every sub-multiset that holds the largest
+#: entry, about 3 * 4**11 on twelve values three times each, and keep none.
+_MAX_PARTS_TRIED = 50_000
 
-def _walk(done, part, pool, parts_left):
+
+def _walk(done, part, pool, parts_left, tried):
     # the regroupings that start with the parts in done, then part extended by
     # entries of the non-increasing pool.  Each part holds the largest entry
     # left and is at most the part before it, so every regrouping is met
     # once, in ascending order; an inadmissible part is never closed.
     if parts_left < 1 or done and part > done[-1]:
         return
+    n = next(tried)
+    if n > _MAX_PARTS_TRIED:
+        raise CapExceeded(f"regroupings too costly: {n} parts tried exceed cap {_MAX_PARTS_TRIED}")
     if is_admissible(part):
         if pool:
-            yield from _walk(done + (part,), pool[:1], pool[1:], parts_left - 1)
+            yield from _walk(done + (part,), pool[:1], pool[1:], parts_left - 1, tried)
         else:
             yield done + (part,)
     for v in sorted(set(pool)):
         if v > part[-1]:
             break
         i = pool.index(v)
-        yield from _walk(done, part + (v,), pool[:i] + pool[i + 1:], parts_left)
+        yield from _walk(done, part + (v,), pool[:i] + pool[i + 1:], parts_left, tried)
 
 
 def regroupings(
@@ -202,14 +205,16 @@ def regroupings(
     A depth-first walk yields the regroupings in ascending order, with at
     most `max_parts` parts, and stops after `cap` of them; `truncated` says
     that an admissible regrouping was left out.  A multiset of more than
-    _MAX_ENTRIES entries raises CapExceeded before the walk.
+    _MAX_ENTRIES entries raises CapExceeded before the walk, and a walk that
+    tries more than _MAX_PARTS_TRIED parts raises it during the walk.
     """
     items = tuple(sorted(Counter(multiset).elements(), reverse=True))
     if not items:
         raise ValueError("empty multiplicity multiset")
     if len(items) > _MAX_ENTRIES:
         raise CapExceeded(f"multiset too large: {len(items)} entries exceed cap {_MAX_ENTRIES}")
-    walk = _walk((), items[:1], items[1:], len(items) if max_parts is None else max_parts)
+    walk = _walk((), items[:1], items[1:], len(items) if max_parts is None else max_parts,
+                 count(1))
     kept = list(islice(walk, cap + 1))
     return Regroupings(tuple(tuple(MultSeq(part) for part in parts) for parts in kept[:cap]),
                        len(kept) > cap)

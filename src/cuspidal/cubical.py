@@ -296,10 +296,10 @@ def _reduce_column(col: dict[int, int], pivots: dict, faces: np.ndarray,
 def _rank_profile(rect: WeightedRectangle):
     """One filtration pass; per dimension, sorted weights of cells and pivots.
 
-    Returns (cell_weights, pivot_weights, min_w, max_w) where cell_weights[q]
-    holds the weights of all q-cells in increasing order and pivot_weights[q]
-    the weights of the columns of the q-boundary that carry a pivot, i.e.
-    rank of the q-boundary restricted to S_n is the number of entries <= n.
+    Returns (cell_weights, pivot_weights) where cell_weights[q] holds the
+    weights of all q-cells in increasing order and pivot_weights[q] the
+    weights of the columns of the q-boundary that carry a pivot, i.e. rank
+    of the q-boundary restricted to S_n is the number of entries <= n.
     """
     import numpy as np
 
@@ -339,15 +339,17 @@ def _rank_profile(rect: WeightedRectangle):
         cleared = pivots
     pivot_weights = [ws[cols] for ws, cols in zip(cell_weights, pivot_cols)]
     pivot_weights.append(np.empty(0, dtype=np.int64))
-    return cell_weights, pivot_weights, int(cell_weights[0][0]), int(cell_weights[0][-1])
+    return cell_weights, pivot_weights
 
 
 def betti_table(rect: WeightedRectangle) -> BettiTable:
     """Reduced Betti numbers of S_n for every level n up to stabilization."""
     import numpy as np
 
-    cell_weights, pivot_weights, min_w, max_w = _rank_profile(rect)
-    levels = np.arange(min_w, max_w + 1)
+    cell_weights, pivot_weights = _rank_profile(rect)
+    # a cell's weight is the largest of its vertices'; the last level is stable
+    min_w = int(cell_weights[0][0])
+    levels = np.arange(min_w, cell_weights[0][-1] + 1)
     counts = [np.searchsorted(ws, levels, side="right") for ws in cell_weights]
     ranks = [np.searchsorted(ws, levels, side="right") for ws in pivot_weights]
     table = np.stack([counts[q] - ranks[q] - ranks[q + 1] for q in range(rect.nu + 1)],

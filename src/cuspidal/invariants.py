@@ -278,18 +278,13 @@ def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:
     )
 
 
-def canonical_sums(c: CuspCollection, d: int) -> tuple[int, int]:
-    """(sum_j H(jd+1), sum_j F(jd)) over j = 0..d-3, for any degree d."""
-    h = h_function(c)
-    return (sum(h(j * d + 1) for j in range(d - 2)),
-            sum(c.f(j * d) for j in range(d - 2)))
-
-
 def eu_canonical(c: CuspCollection, d: int) -> tuple[int, int]:
     """Canonical-Spin^c Euler characteristics when 2*delta = (d-1)(d-2).
 
-    Returns canonical_sums(c, d); these agree with spinc_report at a = 0
-    and satisfy R(1) = eu_hstar - eu_h0.
+    The (eu_h0, eu_hstar) of spinc_report at a = 0.  Its indices are j = kd
+    for k = 0..d-3, where the normalising terms delta-1-kd sum to 0, so the
+    two are sum_k H(kd+1) and sum_k F(kd), and R(1) = eu_hstar - eu_h0.
     """
     require_candidate(c, d, "; use the per-Spin^c operations for general d")
-    return canonical_sums(c, d)
+    rep = spinc_report(c, d, 0)
+    return rep.eu_h0, rep.eu_hstar

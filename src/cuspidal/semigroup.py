@@ -145,12 +145,6 @@ class Semigroup:
         """Smallest positive element (1 for the full semigroup)."""
         return len(self._apery)
 
-    def count_below(self, k: int) -> int:
-        """Number of semigroup elements strictly below k."""
-        if k <= 0:
-            return 0
-        return k - bisect_left(self.gaps, k)
-
     def min_generators(self) -> tuple[int, ...]:
         """The unique minimal generating set.
 
@@ -377,7 +371,7 @@ def counting_fn(s: Semigroup) -> CountingFn:
     with the linear tail determines H everywhere.
     """
     d = s.delta
-    head = tuple(s.count_below(k) for k in range(2 * d + 1))
+    head = tuple(k - bisect_left(s.gaps, k) for k in range(2 * d + 1))
     return CountingFn(head, d)
 
 

@@ -338,6 +338,21 @@ class TestCatalog:
                                "--u", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, degree", [
+        (("--family", "C", "--d", "2001", "--u", "1", "--check"), 2001),
+        (("--family", "D", "--l", "999"), 2001),
+        (("--family", "E", "--l", "666", "--check"), 2002),
+    ])
+    def test_degree_above_cap_refused(self, capsys, monkeypatch, argv, degree):
+        # the degree of a FILE command was capped, the series parameter was
+        # not: C(2001,1) --check ran for 38 s and wrote 597 KB of JSON
+        monkeypatch.setattr(criteria, "MultSeq", None)  # no sequence is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "catalog", *argv)
+        assert time.perf_counter() - start < 10
+        assert code == 3 and not out
+        assert f"degree too large: {degree} exceeds cap 2000" in err
+
 
 class TestOracle:
     def test_quartic_sweep(self, quartic_file, capsys):
@@ -418,6 +433,27 @@ class TestOracle:
         assert code == 2 and not out
         assert f"--cap must be at least 1, got {cap}" in err
 
+    @pytest.mark.parametrize("cap, code", [("320", 0), ("319", 3)])
+    def test_sweep_capped_by_total_points(self, quartic_file, capsys, cap, code):
+        # 5 runs of 64 points each; --cap bounded only one box
+        got, out, err = run_cli(capsys, "oracle", quartic_file, "--sweep", "--cap", cap)
+        assert got == code
+        if code == 3:
+            assert not out
+            assert "sweep too large: 5 runs of 64 lattice points exceed cap 319" in err
+
+    def test_sweep_refused_before_any_box(self, tmp_path, capsys, monkeypatch):
+        # each box is 8% of the default cap, but at about 0.8 s a box the
+        # 799 of them add up to minutes
+        monkeypatch.setattr(cubical, "oracle_eu", None)
+        path = tmp_path / "long.txt"
+        path.write_text("[2_200] [2_200]\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", str(path), "--sweep")
+        assert time.perf_counter() - start < 10
+        assert code == 3 and not out
+        assert "799 runs of 161604 lattice points exceed cap 2000000" in err
+
     def test_tsv_rows_in_text(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
         path.write_text("[2]\n")
@@ -481,6 +517,19 @@ class TestStability:
         assert time.perf_counter() - start < 10
         assert code == 0 and doc["truncated"] and doc["h_equal"]
         assert len(doc["regroupings"]) == cli._STABILITY_CELLS // (2 * 1711 + 1)
+
+    def test_walk_bounded_by_parts_tried(self, tmp_path, capsys):
+        # under --max-parts the walk tries every sub-multiset that holds the
+        # largest entry, about 3 * 4**11 here, and keeps almost none: the row
+        # cap never fired and it ran for minutes
+        path = tmp_path / "twelve_values.txt"
+        path.write_text(" ".join(f"[{m}]" for m in range(13, 1, -1) for _ in range(3)) + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "stability", str(path), "--max-parts", "1")
+        assert time.perf_counter() - start < 10
+        assert code == 3 and not out
+        cap = criteria._MAX_PARTS_TRIED
+        assert f"{cap + 1} parts tried exceed cap {cap}" in err
 
     def test_sporadic_multiset_eu_variation(self, tmp_path, capsys):
         path = tmp_path / "sp4.txt"
