@@ -3,10 +3,12 @@
 Subcommands: invariants, check, cohomology, catalog, oracle, stability.
 ``cmd_<name>`` computes a report and reads the exit code from it; ``run`` adds
 ``schema_version`` (1) and ``command``.  ``--format machine`` prints the
-document as one JSON object (integers only); ``--format text`` renders it as
-tables with ``text_<name>``, which reads only the document (and, for the
-oracle, ``--sweep``).  Exit codes: 0 all checks pass, 1 a criterion failed,
-2 input or validation error, 3 resource cap exceeded.
+document as one JSON object (integers only): the bytes of
+``json.dumps(doc, sort_keys=True, indent=2)``, written by ``_dumps`` through
+json's C encoder.  ``--format text`` renders it as tables with
+``text_<name>``, which reads only the document (and, for the oracle,
+``--sweep``).  Exit codes: 0 all checks pass, 1 a criterion failed, 2 input
+or validation error, 3 resource cap exceeded.
 
 Candidate files are UTF-8 text, either one or more whitespace-separated cusp
 literals per line with optional ``degree: N`` line and ``#`` comments, or a
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -158,7 +161,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
         raise CapExceeded(f"window too large: {window} exceeds cap {cap}")
     h = invariants.h_function(c)
     ks = list(range(window + 1))
-    hrow = [h(k + 1) for k in ks]
+    hrow = h.values(1, window + 1)
     frow = list(invariants.f_sequence(c, window=window).window(window))
     r = invariants.r_poly(c, d) if d is not None and d >= 3 else None
     doc = {
@@ -174,7 +177,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
         "p_g": invariants.geometric_genus(d) if d is not None else None,
         "alexander": list(c.alexander_product.coeffs.window(2 * c.delta)),
         "q": list(invariants.q_coefficients(c).window(max(2 * c.delta - 2, 0))),
-        "table": dict(zip(_HF_COLUMNS, (ks, hrow, frow, [a - b for a, b in zip(hrow, frow)]))),
+        "table": dict(zip(_HF_COLUMNS, (ks, hrow, frow, list(map(operator.sub, hrow, frow))))),
         "r": None if r is None else {
             "d": d,
             "terms": [[j, (d - 3 - j) * d, r.coeffs[(d - 3 - j) * d]]
@@ -593,6 +596,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# json.dumps falls back to its pure-Python encoder when given an indent;
+# the compact encoder stays in C
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_SCALARS = frozenset((int, bool, type(None)))
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """What json.dumps writes with sort_keys and a 2-space indent, through the C encoder.
+
+    Dicts (str keys) and lists holding anything but ints, bools and None are
+    walked here; every other list, and every scalar, is one call to the C
+    encoder, which writes a str through encode_basestring_ascii.  A compact
+    list of ints, bools and None has no comma but its separators, so
+    splicing the indent in after each comma gives the indented form.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _compact(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        body = sep.join(f"{_compact(key)}: {_dumps(value[key], inner)}"
+                        for key in sorted(value))
+        return "{" + inner + body + indent + "}"
+    if set(map(type, value)) <= _SCALARS:
+        body = _compact(value)[1:-1].replace(",", sep)
+    else:
+        body = sep.join(_dumps(item, inner) for item in value)
+    return "[" + inner + body + indent + "]"
+
+
 _COMMANDS = {
     "invariants": (cmd_invariants, text_invariants),
     "check": (cmd_check, text_check),
@@ -615,7 +648,7 @@ def run(argv=None) -> int:
     doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **fields}
     try:
         if args.format == "machine":
-            print(json.dumps(doc, sort_keys=True, indent=2))
+            print(_dumps(doc))
         else:
             print("\n".join(render(doc, args)))
         sys.stdout.flush()

@@ -182,7 +182,9 @@ def _walk(done, part, pool, parts_left, tried):
     n = next(tried)
     if n > _MAX_PARTS_TRIED:
         raise CapExceeded(f"regroupings too costly: {n} parts tried exceed cap {_MAX_PARTS_TRIED}")
-    if is_admissible(part):
+    # with one part left and entries still pooled, the closing call returns
+    # at once, so the admissibility check would go unused
+    if (parts_left > 1 or not pool) and is_admissible(part):
         if pool:
             yield from _walk(done + (part,), pool[:1], pool[1:], parts_left - 1, tried)
         else:

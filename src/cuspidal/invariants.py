@@ -195,10 +195,13 @@ def q_coefficients(c: CuspCollection) -> IntSeq:
 def f_sequence(c: CuspCollection, window: int | None = None) -> IntSeq:
     """The sequence F on [0, window], the window defaulting to [0, 2*delta - 2].
 
-    F is the reversed q sequence, continued linearly (see CuspCollection.f).
+    F is the reversed q sequence, continued linearly (see CuspCollection.f):
+    the reversed q.window(2*delta - 2), then a range for j > 2*delta - 2.
     """
-    n = 2 * c.delta - 2 if window is None else window
-    return IntSeq(tuple(c.f(j) for j in range(n + 1)))
+    top = 2 * c.delta - 2
+    n = top if window is None else window
+    rows = c.q.window(top)[::-1] + tuple(range(top + 2 - c.delta, n + 2 - c.delta))
+    return IntSeq(rows[:max(n + 1, 0)])
 
 
 def h_function(c: CuspCollection) -> CountingFn:

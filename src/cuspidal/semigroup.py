@@ -31,6 +31,20 @@ from operator import ge
 from .seqcalc import CountingFn
 
 
+#: Sizes of the memo caches below.  A long-lived process that calls
+#: regroupings on many multisets meets a new key for every part it tries, so
+#: each cache is bounded, well above the at most 67 keys per cache that one
+#: pass of any benchmark workload meets.  is_admissible keeps only tuples of
+#: multiplicities and a bool.  _semigroup_from_entries, which the walk reaches
+#: through is_admissible, keeps a Semigroup per key, with a gap tuple of up to
+#: thousands of entries.  multseq_from_semigroup keeps a Semigroup per key as
+#: well, and is called only for the cusps of collections that are built, so
+#: it gets the smallest size.
+_ADMISSIBLE_CACHE = 4096
+_ENTRIES_CACHE = 1024
+_MULTSEQ_CACHE = 256
+
+
 class SemigroupError(ValueError):
     """Invalid construction or operation on a numerical semigroup."""
 
@@ -290,7 +304,7 @@ def blowup(s: Semigroup) -> Semigroup:
     return _from_apery_layers(a, m, "blowup is not a semigroup")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ENTRIES_CACHE)
 def _semigroup_from_entries(entries: tuple[int, ...]) -> Semigroup:
     s = SMOOTH
     for m in reversed(entries):
@@ -313,7 +327,7 @@ def semigroup_from_multseq(ms: MultSeq) -> Semigroup:
     return _semigroup_from_entries(ms.entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MULTSEQ_CACHE)
 def multseq_from_semigroup(s: Semigroup) -> MultSeq:
     """Record multiplicities along the blowup chain down to the full semigroup."""
     entries = []
@@ -326,7 +340,7 @@ def multseq_from_semigroup(s: Semigroup) -> MultSeq:
     return MultSeq(tuple(entries))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ADMISSIBLE_CACHE)
 def is_admissible(entries: tuple[int, ...]) -> bool:
     """Whether a non-increasing entry tuple is a valid multiplicity sequence.
 

@@ -18,12 +18,21 @@ lists up to _LIST_CELLS candidate cells (result values times candidate
 splits), so that a small collection never loads numpy, and 64-bit numpy
 integers above it, imported on first use.  int64 is exact here: every
 f(j - k) + g(k) is at most cut + cutoff(g).
+
+Rows are read by slicing: IntSeq.window and CountingFn.values return slices
+of the stored values, zero padding and a range for a linear tail, with no
+Python call per element; both min-plus evaluators read f through
+CountingFn.values.  The constructors keep every check and message on
+kernel results and public input alike; they run them through map and set,
+so that the checks, too, cost no Python call per element.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from functools import reduce
+from itertools import accumulate
 from typing import Iterable
 
 #: Candidate cells, (result values) x (candidate splits), up to which
@@ -44,7 +53,7 @@ class IntSeq:
     values: tuple[int, ...] = ()
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(map(int, self.values))
         n = len(vals)
         while n and vals[n - 1] == 0:
             n -= 1
@@ -64,8 +73,9 @@ class IntSeq:
         return len(self.values) - 1
 
     def window(self, n: int) -> tuple[int, ...]:
-        """Values on [0, n], zero-padded past the support."""
-        return tuple(self[j] for j in range(n + 1))
+        """Values on [0, n], zero-padded past the support; empty for n < 0."""
+        size = max(n + 1, 0)
+        return self.values[:size] + (0,) * (size - len(self.values))
 
 
 def diff(a: IntSeq, window: int | None = None) -> IntSeq:
@@ -81,12 +91,7 @@ def diff(a: IntSeq, window: int | None = None) -> IntSeq:
 def partial_sums(a: IntSeq, window: int | None = None) -> IntSeq:
     """Partial-sum sequence (a_0 + ... + a_j) evaluated on [0, window]."""
     n = a.degree if window is None else window
-    out = []
-    total = 0
-    for j in range(n + 1):
-        total += a[j]
-        out.append(total)
-    return IntSeq(tuple(out))
+    return IntSeq(tuple(accumulate(a.window(n))))
 
 
 def convolve(a: IntSeq, b: IntSeq) -> IntSeq:
@@ -121,14 +126,13 @@ class CountingFn:
     offset: int
 
     def __post_init__(self):
-        head = tuple(int(v) for v in self.head)
+        head = tuple(map(int, self.head))
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "offset", int(self.offset))
         if not head or head[0] != 0:
             raise ValueError("counting function must start at value 0")
-        for u, v in zip(head, head[1:]):
-            if v - u not in (0, 1):
-                raise ValueError("counting function steps must be 0 or 1")
+        if not set(map(operator.sub, head[1:], head)) <= {0, 1}:
+            raise ValueError("counting function steps must be 0 or 1")
         if head[-1] != self.cutoff - self.offset:
             raise ValueError("head and linear tail disagree at the cutoff")
 
@@ -144,8 +148,16 @@ class CountingFn:
         return k - self.offset
 
     def values(self, lo: int, hi: int) -> list[int]:
-        """Values on the inclusive range [lo, hi]."""
-        return [self(k) for k in range(lo, hi + 1)]
+        """Values on the inclusive range [lo, hi], empty if hi < lo.
+
+        Three pieces: zeros for k < 0, a slice of the head for 0 <= k <=
+        cutoff (head[0] is the value 0 at k = 0), and a range for the linear
+        tail.  On [0, hi] with hi past the cutoff the slice is the head itself.
+        """
+        start = max(lo, 0)
+        stop = max(start, min(hi, self.cutoff) + 1)
+        return [*[0] * (min(hi, -1) + 1 - lo), *self.head[start:stop],
+                *range(max(lo, self.cutoff + 1) - self.offset, hi + 1 - self.offset)]
 
 
 def _candidate_splits(g: CountingFn) -> list[int]:
@@ -159,18 +171,13 @@ def _candidate_splits(g: CountingFn) -> list[int]:
     return [0, *(k for k in range(1, len(head)) if head[k] == head[k - 1])]
 
 
-def _f_values(f: CountingFn, cut: int) -> list[int]:
-    """f on [0, cut]: the head, then the linear tail."""
-    return [*f.head[:cut + 1], *range(f.cutoff + 1 - f.offset, cut + 1 - f.offset)]
-
-
 def _min_convolve_lists(f: CountingFn, g: CountingFn) -> CountingFn:
     # one shifted copy of f per candidate split k, folded in elementwise: the
     # values at j < k are dominated by a split at most j, so only the part
     # from k on is compared.  A conditional comprehension runs about 3x
     # faster here than map(min, ...).
     offset = f.offset + g.offset
-    fv = _f_values(f, 2 * offset)
+    fv = f.values(0, 2 * offset)
     head = fv[:]  # the split k = 0, where g(0) = 0
     for k in _candidate_splits(g)[1:]:
         c = g.head[k]
@@ -183,7 +190,7 @@ def _min_convolve_numpy(f: CountingFn, g: CountingFn) -> CountingFn:
     import numpy as np
 
     offset = f.offset + g.offset
-    fv = np.array(_f_values(f, 2 * offset), dtype=np.int64)
+    fv = np.array(f.values(0, 2 * offset), dtype=np.int64)
     head = fv.copy()
     for k in _candidate_splits(g)[1:]:
         tail = head[k:]

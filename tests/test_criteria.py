@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from cuspidal import (
     min_convolve_all,
     multiplicity_multiset,
     regroupings,
+    semigroup,
     semigroup_from_generators,
     semigroup_from_multseq,
     spinc_report,
@@ -141,6 +143,21 @@ class TestMultiset:
 
 
 class TestRegroupings:
+    def test_memo_caches_stay_bounded(self):
+        # distinct multisets until every cache has missed more keys than it
+        # holds: each then stays at or below its bound
+        caches = (semigroup.is_admissible, semigroup._semigroup_from_entries,
+                  semigroup.multseq_from_semigroup)
+        for cache in caches:
+            cache.cache_clear()
+        multisets = (ms for n in range(3, 9)
+                     for ms in combinations_with_replacement(range(2, 12), n))
+        while not all(c.cache_info().misses > c.cache_info().maxsize for c in caches):
+            regroupings(next(multisets), cap=50).cusp_collections()
+            for cache in caches:
+                info = cache.cache_info()
+                assert info.maxsize is not None and info.currsize <= info.maxsize
+
     def test_degree5_multiset(self):
         groups = regroupings(Counter({3: 1, 2: 3}))
         lits = {tuple(ms.literal() for ms in parts) for parts in groups.collections}

@@ -314,3 +314,14 @@ class TestEu:
             spinc_report(c, 4, 4)
         with pytest.raises(ValueError):
             spinc_report(c, 4, -1)
+
+
+@pytest.mark.parametrize("cusps", [("[2]",), ("[2]", "[2]"), ("[3]", "[2_2]", "[2]"),
+                                   ("[4,2]", "[3]")])
+def test_f_sequence_is_the_pointwise_row(cusps):
+    # [2] has delta = 1: F is the one value q_0 on [0, 0], then the tail
+    c = collection(*cusps)
+    top = 2 * c.delta - 2
+    for window in (None, *range(-3, top + 5)):
+        n = top if window is None else window
+        assert f_sequence(c, window) == IntSeq(tuple(c.f(j) for j in range(n + 1)))

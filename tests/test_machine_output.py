@@ -1,0 +1,60 @@
+"""``--format machine`` output: the writer against ``json.dumps``.
+
+``cli._dumps`` must write the bytes of ``json.dumps(doc, sort_keys=True,
+indent=2)``, which stays here as the oracle only: on recursive documents of
+None, bools, big ints and text (with the characters that delimit JSON, and
+non-ASCII ones), and on the document of every text-snapshot case.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from cuspidal import cli
+from test_cli_text import CASES, argv_of
+
+
+def oracle(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# the characters that delimit JSON, escapes, and non-ASCII up to the astral planes
+texts = st.text(st.sampled_from(',"[]{}:\\ \n\tax\x7fé€\U0001f600'), max_size=5)
+scalars = (st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.integers()
+           | texts)
+
+
+def containers(children):
+    return (st.lists(children, max_size=5)
+            | st.lists(children, max_size=5).map(tuple)
+            | st.dictionaries(texts, children, max_size=5))
+
+
+documents = st.recursive(scalars, containers, max_leaves=20)
+
+
+@given(documents)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], [1, [2, True]], [None, "x,y"]]})
+@example([[1, 2], [3, 4]])
+@example({"é,\"[{": ["ü", 10**40, -1, False]})
+def test_writer_equals_json_dumps(doc):
+    assert cli._dumps(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_writer_on_snapshot_documents(case):
+    argv = argv_of(case) + ["--format", "machine"]
+    args = cli.build_parser().parse_args(argv)
+    compute, _ = cli._COMMANDS[args.subcommand]
+    fields, _ = compute(args)
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": args.subcommand, **fields}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.run(argv)
+    assert out.getvalue() == cli._dumps(doc) + "\n" == oracle(doc) + "\n"

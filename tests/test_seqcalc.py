@@ -88,13 +88,15 @@ def test_convolve_matches_dense_product(a, b):
 
 
 def test_counting_fn_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must start at value 0"):
         CountingFn((1, 2), 0)  # must start at 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must start at value 0"):
+        CountingFn((), 0)
+    with pytest.raises(ValueError, match="steps must be 0 or 1"):
         CountingFn((0, 2), 0)  # step of 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="steps must be 0 or 1"):
         CountingFn((0, 1, 0), 0)  # decreasing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disagree at the cutoff"):
         CountingFn((0, 1), 3)  # tail disagrees at cutoff
     f = CountingFn((0, 1, 2), 0)
     assert f(-3) == 0 and f(2) == 2 and f(10) == 10
@@ -289,3 +291,29 @@ def test_min_convolution_symmetry(rng):
         d = h.offset
         for j in range(-1, 2 * d):
             assert h(2 * d - 2 - j + 1) == h(j + 1) - j - 1 + d
+
+
+# The sliced rows against their per-element definitions, on every range
+# edge: n and lo below 0, hi < lo, hi at and past the cutoff or the support.
+
+@pytest.mark.parametrize("values", [(), (0,), (3,), (1, 0, -2), (0, 0, 5, 7)])
+def test_window_is_the_pointwise_prefix(values):
+    s = IntSeq(values)
+    for n in range(-3, len(values) + 4):
+        assert s.window(n) == tuple(s[j] for j in range(n + 1))
+
+
+def counting_fns_for_rows(rng):
+    yield CountingFn((0,), 0)
+    yield CountingFn((0, 0, 1), 1)
+    yield CountingFn((0, 1, 1, 1, 2, 2, 3), 3)
+    yield CountingFn((0, 0, 1, 1, 1, 2, 2, 2, 3, 4), 5)
+    for _ in range(5):
+        yield counting_fn(semigroup_from_multseq(random_admissible(rng, 3, 5)))
+
+
+def test_values_is_the_pointwise_row(rng):
+    for f in counting_fns_for_rows(rng):
+        for lo in range(-4, f.cutoff + 4):
+            for hi in range(lo - 3, f.cutoff + 5):
+                assert f.values(lo, hi) == [f(k) for k in range(lo, hi + 1)]
