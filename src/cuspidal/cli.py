@@ -24,10 +24,11 @@ import operator
 import os
 import re
 import sys
+from itertools import chain
 
 from . import criteria, cubical, invariants
 from .invariants import CapExceeded, CuspCollection
-from .semigroup import Cusp, SemigroupError, parse_cusp, resolve_semigroup
+from .semigroup import Cusp, MultSeq, SemigroupError, parse_cusp, resolve_semigroup
 
 SCHEMA_VERSION = 1
 
@@ -117,12 +118,16 @@ def build_collection(cusps: list[Cusp]) -> CuspCollection:
 _HF_COLUMNS = ("k", "H(k+1)", "F(k)", "H(k+1)-F(k)")
 
 
-def _load(args) -> tuple[list[str], CuspCollection, int | None]:
+def _load(args, check_parsed=None) -> tuple[list[str], CuspCollection, int | None]:
     """Read args.file; the degree is --d, else the file's, else the candidate degree.
 
-    The resolved degree, whichever its source, must lie in [0, _MAX_DEGREE].
+    `check_parsed`, if given, sees the parsed literals before any of their
+    semigroups is built.  The resolved degree, whichever its source, must
+    lie in [0, _MAX_DEGREE].
     """
     literals, cusps, file_degree = load_candidate_file(args.file)
+    if check_parsed is not None:
+        check_parsed(cusps)
     c = build_collection(cusps)
     d = args.d if args.d is not None else file_degree
     if d is None:
@@ -346,7 +351,10 @@ def cmd_oracle(args) -> tuple[dict, int]:
 def cmd_stability(args) -> tuple[dict, int]:
     if args.max_parts is not None and args.max_parts < 1:  # no regrouping would be compared
         raise InputError(f"--max-parts must be at least 1, got {args.max_parts}")
-    literals, c, d = _load(args)
+    # the un-blowup chain of a multiplicity sequence costs time quadratic in
+    # its entries, so a multiset too long to regroup is refused unbuilt
+    literals, c, d = _load(args, lambda cusps: criteria.require_entries(
+        sum(len(cusp.entries) for cusp in cusps if isinstance(cusp, MultSeq))))
     ms = criteria.multiplicity_multiset(c)
     # each row computes H on its window [0, 2*delta]; at least one row is compared
     cap = max(1, _STABILITY_CELLS // (2 * c.delta + 1))
@@ -600,16 +608,19 @@ def build_parser() -> argparse.ArgumentParser:
 # the compact encoder stays in C
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 _SCALARS = frozenset((int, bool, type(None)))
+_ARRAYS = frozenset((list, tuple))
 
 
 def _dumps(value, indent: str = "\n") -> str:
     """What json.dumps writes with sort_keys and a 2-space indent, through the C encoder.
 
-    Dicts (str keys) and lists holding anything but ints, bools and None are
-    walked here; every other list, and every scalar, is one call to the C
-    encoder, which writes a str through encode_basestring_ascii.  A compact
-    list of ints, bools and None has no comma but its separators, so
-    splicing the indent in after each comma gives the indented form.
+    Dicts (str keys) and lists holding anything but ints, bools, None and
+    non-empty lists of those are walked here; every other list, and every
+    scalar, is one call to the C encoder, which writes a str through
+    encode_basestring_ascii.  A compact list of ints, bools and None has no
+    comma, bracket or brace but its separators, and a list of such lists
+    only adds the brackets of its items, so splicing the indents in at the
+    commas and brackets gives the indented form.
     """
     if not isinstance(value, (dict, list, tuple)) or not value:
         return _compact(value)
@@ -619,8 +630,15 @@ def _dumps(value, indent: str = "\n") -> str:
         body = sep.join(f"{_compact(key)}: {_dumps(value[key], inner)}"
                         for key in sorted(value))
         return "{" + inner + body + indent + "}"
-    if set(map(type, value)) <= _SCALARS:
+    types = set(map(type, value))
+    if types <= _SCALARS:
         body = _compact(value)[1:-1].replace(",", sep)
+    elif (types <= _ARRAYS and all(value)
+          and set(map(type, chain.from_iterable(value))) <= _SCALARS):
+        deep = inner + "  "
+        body = (_compact(value)[1:-1].replace(",", "," + deep)
+                .replace("]," + deep + "[", "]" + sep + "[")
+                .replace("[", "[" + deep).replace("]", inner + "]"))
     else:
         body = sep.join(_dumps(item, inner) for item in value)
     return "[" + inner + body + indent + "]"

@@ -172,6 +172,12 @@ _MAX_ENTRIES = 256
 _MAX_PARTS_TRIED = 50_000
 
 
+def require_entries(n: int) -> None:
+    """Raise CapExceeded if a multiset of n entries is too long for regroupings."""
+    if n > _MAX_ENTRIES:
+        raise CapExceeded(f"multiset too large: {n} entries exceed cap {_MAX_ENTRIES}")
+
+
 def _walk(done, part, pool, parts_left, tried):
     # the regroupings that start with the parts in done, then part extended by
     # entries of the non-increasing pool.  Each part holds the largest entry
@@ -213,8 +219,7 @@ def regroupings(
     items = tuple(sorted(Counter(multiset).elements(), reverse=True))
     if not items:
         raise ValueError("empty multiplicity multiset")
-    if len(items) > _MAX_ENTRIES:
-        raise CapExceeded(f"multiset too large: {len(items)} entries exceed cap {_MAX_ENTRIES}")
+    require_entries(len(items))
     walk = _walk((), items[:1], items[1:], len(items) if max_parts is None else max_parts,
                  count(1))
     kept = list(islice(walk, cap + 1))

@@ -18,18 +18,23 @@ gap count delta, this module computes:
 
 A CuspCollection computes its counting functions, H, the Alexander product
 and q once, on first use, and keeps them; H, q, F, R and the Euler
-characteristics below are read from those values.
+characteristics below are read from those values.  The Alexander
+polynomial of one cusp and the product come from one route, the cusps'
+Apery sets (see _alexander_series), with no Python step per coefficient.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from functools import cached_property
+from itertools import accumulate
 
 from .semigroup import (
     MultSeq,
     Semigroup,
     SemigroupError,
+    apery_set,
     counting_fn,
     multseq_from_semigroup,
 )
@@ -101,10 +106,7 @@ class CuspCollection:
     @cached_property
     def alexander_product(self) -> IntPoly:
         """Product of the cusp Alexander polynomials; degree 2*delta, value 1 at t=1."""
-        out = IntSeq((1,))
-        for s in self.cusps:
-            out = convolve(out, alexander(s).coeffs)
-        return IntPoly(out)
+        return IntPoly(_alexander_series(self.cusps))
 
     @cached_property
     def q(self) -> IntSeq:
@@ -164,15 +166,39 @@ def geometric_genus(d: int) -> int:
 
 
 def alexander(s: Semigroup) -> IntPoly:
-    """Alexander polynomial (1-t) * sum_{k in s} t^k, of degree 2*delta."""
-    two_delta = 2 * s.delta
-    co = [0] * (two_delta + 1)
-    for k in range(two_delta):
-        if k in s:
-            co[k] += 1
-            co[k + 1] -= 1
-    co[two_delta] += 1
-    return IntPoly(IntSeq(tuple(co)))
+    """Alexander polynomial (1-t) * sum_{k in s} t^k, of degree at most 2*delta."""
+    return IntPoly(_alexander_series((s,)))
+
+
+def _alexander_series(cusps) -> IntSeq:
+    """Product of the Alexander polynomials of `cusps`, from their Apery sets.
+
+    A semigroup is its Apery set of the multiplicity m plus multiples of m,
+    so sum_{k in s} t^k = A(t) / (1 - t^m) with A(t) = sum_{w in Ap} t^w.
+    Modulo t^(2*delta + 2): multiply the A_i (one convolve per cusp, over
+    m_1 * m_2 * ... nonzero pairs), multiply by (1 - t)^nu, and divide by
+    each 1 - t^m_i with a running sum over every residue class mod m_i.
+    The product has degree at most 2*delta, so the coefficient at
+    2*delta + 1 must come out 0; a nonzero one raises ArithmeticError.
+    """
+    n = 2 * sum(s.delta for s in cusps) + 2
+    out = IntSeq((1,))
+    for s in cusps:
+        w = apery_set(s, s.multiplicity)
+        a = [0] * (w[-1] + 1)
+        for x in w:
+            a[x] = 1
+        out = convolve(out, IntSeq(a))
+    co = list(out.window(n - 1))
+    for _ in cusps:
+        co[1:] = map(operator.sub, co[1:], co)
+    for s in cusps:
+        m = s.multiplicity
+        for r in range(m):
+            co[r::m] = accumulate(co[r::m])
+    if co[-1]:
+        raise ArithmeticError("Alexander product of degree above 2*delta")
+    return IntSeq(co[:-1])
 
 
 def _divide_by_t_minus_1(co: list[int]) -> list[int]:

@@ -13,7 +13,10 @@ the multiplicity m (Rosales and Garcia-Sanchez, *Numerical Semigroups*,
 2009, ch. 1-2): the gap set must be closed under -m, and the Apery elements
 must satisfy the Kunz inequalities w_i + w_j >= w_{(i+j) mod m}.  That is
 O(c + m^2) for conductor c instead of a scan of every pair of elements below
-c.  Membership and the minimal generators are read from the same Apery set.
+c.  Membership, the minimal generators and the counting function are read
+from the same Apery set: the semigroup is the disjoint union of the
+progressions w + m*Z>=0, so the counting head marks each progression with
+one slice assignment and sums the marks.
 All values are immutable and all operations are pure, so everything here is
 safe to share across threads.
 """
@@ -22,9 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import gcd
 from operator import ge
 
@@ -257,7 +259,8 @@ def apery_set(s: Semigroup, m: int) -> tuple[int, ...]:
     """Apery set of `s` for an element m of `s`: the least element per residue mod m, sorted."""
     if m < 1 or m not in s:
         raise SemigroupError(f"modulus {m} not in semigroup")
-    return tuple(sorted(_apery_by_residue(s.gaps, m)))
+    w = s._apery if m == len(s._apery) else _apery_by_residue(s.gaps, m)
+    return tuple(sorted(w))
 
 
 def _from_apery_layers(b: tuple[int, ...], m: int, context: str) -> Semigroup:
@@ -382,11 +385,19 @@ def counting_fn(s: Semigroup) -> CountingFn:
     """Counting function H with H(k) = #{elements of s below k}.
 
     H(k) = k - delta for k >= 2*delta, so the head on [0, 2*delta] together
-    with the linear tail determines H everywhere.
+    with the linear tail determines H everywhere.  The elements are the
+    Apery set of the multiplicity m plus multiples of m: each Apery element
+    w marks w, w + m, ... below 2*delta with one slice assignment, and the
+    head is the running sum of the marks.
     """
     d = s.delta
-    head = tuple(k - bisect_left(s.gaps, k) for k in range(2 * d + 1))
-    return CountingFn(head, d)
+    n = 2 * d
+    w = s._apery
+    m = len(w)
+    member = bytearray(n)
+    for x in w:
+        member[x::m] = b"\x01" * len(range(x, n, m))
+    return CountingFn((0, *accumulate(member)), d)
 
 
 # ---------------------------------------------------------------------------

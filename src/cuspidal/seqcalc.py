@@ -4,7 +4,9 @@ Provides the four primitives everything else is built from: the difference
 operator, partial sums, ordinary convolution, and the min-plus ("minimum")
 convolution of counting functions.  All arithmetic is exact integer
 arithmetic.  Convolution runs on Python integers and loops over the nonzero
-coefficients of both factors only.
+coefficients of both factors only; in the package it multiplies the Apery
+polynomials of the cusps, m_1 * m_2 * ... nonzero pairs, and never the dense
+Alexander factors.
 
 Min-plus, result(j) = min over k of f(j - k) + g(k), needs only the split
 points k where g can attain the minimum.  Counting functions step by 0 or 1,
@@ -97,8 +99,8 @@ def partial_sums(a: IntSeq, window: int | None = None) -> IntSeq:
 def convolve(a: IntSeq, b: IntSeq) -> IntSeq:
     """Exact convolution (a * b)_j = sum_k a_k b_{j-k}.
 
-    Loops over the nonzero coefficients of both factors only: an Alexander
-    polynomial has a few nonzeros spread over a long support.
+    Loops over the nonzero coefficients of both factors only: an Apery
+    polynomial has m nonzeros spread over a long support.
     """
     if not a.values or not b.values:
         return IntSeq()

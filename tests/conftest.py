@@ -2,13 +2,15 @@
 
 The oracles here deliberately avoid the production code paths: semigroups
 are generated by repeated-addition closure instead of the sieve, counting
-values by direct enumeration, min-plus convolutions by scanning every
-split, F by sequence calculus instead of reversing q, regroupings by
-sorting the full set of multiset partitions, and cubical Betti tables from
-per-cube tuples with dict-keyed elimination.  The semigroup
-closure check, the minimal generators and the min-plus window are also kept
-in their quadratic forms, which the Apery-set and blocked production kernels
-replaced.  Golden rows are transcriptions of the published tables for the
+values by direct enumeration or by bisecting the gap list, Alexander
+polynomials by a membership loop over the gaps instead of the Apery set,
+min-plus convolutions by scanning every split, F by sequence calculus
+instead of reversing q, regroupings by sorting the full set of multiset
+partitions, and cubical Betti tables from per-cube tuples with dict-keyed
+elimination.  The semigroup closure check, the minimal generators, the
+counting heads, the Alexander polynomials and the min-plus window are also
+kept in their per-element or quadratic forms, which the Apery-set and
+blocked production kernels replaced.  Golden rows are transcriptions of the published tables for the
 curves they describe.
 """
 
@@ -18,13 +20,14 @@ import os
 import random
 import subprocess
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import product
 from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import cuspidal
 from cuspidal import (
@@ -33,13 +36,15 @@ from cuspidal import (
     CuspCollection,
     IntSeq,
     MultSeq,
+    SMOOTH,
     convolve,
-    counting_fn,
     diff,
     is_admissible,
     parse_cusp,
     partial_sums,
     resolve_semigroup,
+    semigroup_from_generators,
+    semigroup_from_multseq,
 )
 
 
@@ -193,6 +198,33 @@ def cyclotomic_quotient(numerators, denominators):
     return poly_divide(num, den)
 
 
+def reference_counting_fn(s):
+    """counting_fn(s) by one bisection of the gap list per head value."""
+    d = s.delta
+    return CountingFn(tuple(k - bisect_left(s.gaps, k) for k in range(2 * d + 1)), d)
+
+
+def reference_alexander(s):
+    """Coefficients of (1 - t) sum_{k in s} t^k on [0, 2*delta], by a membership loop over the gaps."""
+    two_delta = 2 * s.delta
+    gapset = set(s.gaps)
+    co = [0] * (two_delta + 1)
+    for k in range(two_delta):
+        if k not in gapset:
+            co[k] += 1
+            co[k + 1] -= 1
+    co[two_delta] += 1
+    return IntSeq(tuple(co))
+
+
+def reference_alexander_product(cusps):
+    """The product of reference_alexander over `cusps`, by the dense schoolbook product."""
+    out = [1]
+    for s in cusps:
+        out = poly_mul(out, reference_alexander(s).values)
+    return IntSeq(tuple(out))
+
+
 def reference_f_sequence(c, window=None):
     """F on [0, window] (default 2*delta - 2) by sequence calculus.
 
@@ -203,7 +235,7 @@ def reference_f_sequence(c, window=None):
     n = 2 * c.delta - 2 if window is None else window
     conv = IntSeq((1,))
     for s in c.cusps:
-        hi = counting_fn(s)
+        hi = reference_counting_fn(s)
         h = IntSeq(tuple(hi(j + 1) for j in range(2 * s.delta + 3)))
         conv = convolve(conv, diff(diff(h)))
     return partial_sums(partial_sums(conv, n), n)
@@ -344,6 +376,17 @@ def random_admissible(rng: random.Random, max_len=5, max_entry=9) -> MultSeq:
                                reverse=True))
         if is_admissible(entries):
             return MultSeq(entries)
+
+
+# hypothesis strategies for the pins of the per-cusp series: plane branches
+# from random admissible multiplicity sequences, and semigroups from random
+# generator sets (most of them not symmetric), with <3,4,5> and SMOOTH
+admissible_semigroups = st.randoms(use_true_random=False).map(
+    lambda r: semigroup_from_multseq(random_admissible(r, 3, 6)))
+semigroups = (admissible_semigroups
+              | st.lists(st.integers(2, 9), min_size=2, max_size=3)
+              .filter(lambda gens: gcd(*gens) == 1).map(semigroup_from_generators)
+              | st.sampled_from((SMOOTH, semigroup_from_generators((3, 4, 5)))))
 
 
 def collection(*literals: str) -> CuspCollection:

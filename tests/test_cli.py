@@ -507,6 +507,17 @@ class TestStability:
         assert code == 3 and not out
         assert "1200 entries exceed cap 256" in err
 
+    def test_long_sequence_refused_before_build(self, tmp_path, capsys, monkeypatch):
+        # the un-blowup chain of [2_1200] took 0.75 s before the refusal
+        monkeypatch.setattr(cli, "build_collection", None)
+        path = tmp_path / "long.txt"
+        path.write_text("[2_1200]\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "stability", str(path))
+        assert time.perf_counter() - start < 0.1
+        assert code == 3 and not out
+        assert "multiset too large: 1200 entries exceed cap 256" in err
+
     def test_rows_capped_by_window(self, tmp_path, capsys):
         # the multiset of C(60,1), delta = 1,711: each row computes H, bl and
         # eu at that delta, and the 10,000-row walk cap alone ran for minutes

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -13,10 +13,15 @@ from conftest import (
     SPORADIC3_F,
     SPORADIC4_F,
     SPORADIC_H,
+    admissible_semigroups,
     collection,
     cyclotomic_quotient,
     random_admissible,
+    reference_alexander,
+    reference_alexander_product,
+    reference_counting_fn,
     reference_f_sequence,
+    semigroups,
 )
 from cuspidal import (
     SMOOTH,
@@ -26,12 +31,14 @@ from cuspidal import (
     alexander,
     catalog,
     catalog_entries,
+    counting_fn,
     diff,
     eu_canonical,
     f_sequence,
     geometric_genus,
     h_function,
     IntSeq,
+    invariants,
     q_coefficients,
     r_poly,
     r_poly_series,
@@ -83,12 +90,40 @@ class TestAlexander:
             assert co == co[::-1]
 
     def test_equals_double_difference_of_counting(self, rng):
-        from cuspidal import counting_fn
         for _ in range(25):
             s = semigroup_from_multseq(random_admissible(rng, 3, 6))
             h = counting_fn(s)
             hw = IntSeq(tuple(h(j + 1) for j in range(2 * s.delta + 3)))
             assert diff(diff(hw)) == alexander(s).coeffs
+
+
+class TestAlexanderSeries:
+    """The Apery-set routes of H_i and Delta_i against per-element oracles that read the gaps."""
+
+    @given(cusps=st.lists(semigroups, min_size=1, max_size=3))
+    @example(cusps=[SMOOTH])
+    @example(cusps=[semigroup_from_generators([3, 4, 5])])
+    @example(cusps=[SMOOTH, semigroup_from_generators([3, 4, 5])])
+    def test_series_equal_gap_oracles(self, cusps):
+        for s in cusps:
+            assert counting_fn(s) == reference_counting_fn(s)
+            assert alexander(s).coeffs == reference_alexander(s)
+        assert invariants._alexander_series(tuple(cusps)) == reference_alexander_product(cusps)
+
+    def test_non_symmetric_below_top_degree(self):
+        # degree c = 3 < 2*delta = 4: no top coefficient 1 at 2*delta
+        assert alexander(semigroup_from_generators([3, 4, 5])).coeffs.values == (1, -1, 0, 1)
+
+    @given(cusps=st.lists(admissible_semigroups, min_size=1, max_size=3))
+    def test_product_equals_oracle(self, cusps):
+        c = CuspCollection(tuple(cusps))
+        assert c.alexander_product.coeffs == reference_alexander_product(cusps)
+
+    def test_series_past_the_degree_bound_refused(self, monkeypatch):
+        # a wrong Apery set {0, 5} mod 2 gives (1 + t^5)/(1 + t), of degree 4 > 2*delta
+        monkeypatch.setattr(invariants, "apery_set", lambda s, m: (0, 5))
+        with pytest.raises(ArithmeticError):
+            alexander(semigroup_from_generators([2, 3]))
 
 
 class TestAlexanderProduct:
@@ -158,7 +193,6 @@ class TestFSequence:
             s = semigroup_from_multseq(random_admissible(rng))
             c = CuspCollection((s,))
             f = f_sequence(c, window=2 * s.delta + 6)
-            from cuspidal import counting_fn
             h = counting_fn(s)
             assert all(f[k] == h(k + 1) for k in range(2 * s.delta + 7))
 

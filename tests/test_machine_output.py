@@ -3,7 +3,8 @@
 ``cli._dumps`` must write the bytes of ``json.dumps(doc, sort_keys=True,
 indent=2)``, which stays here as the oracle only: on recursive documents of
 None, bools, big ints and text (with the characters that delimit JSON, and
-non-ASCII ones), and on the document of every text-snapshot case.
+non-ASCII ones) and of lists of rows (empty and mixed rows included), and on
+the document of every text-snapshot case.
 """
 
 import contextlib
@@ -34,7 +35,15 @@ def containers(children):
             | st.dictionaries(texts, children, max_size=5))
 
 
-documents = st.recursive(scalars, containers, max_leaves=20)
+# lists of rows as the commands write them (ints, bools and None), with empty
+# rows and rows holding text or a list mixed in
+numbers = st.none() | st.booleans() | st.integers(-10**30, 10**30)
+rows = (st.lists(numbers, min_size=1, max_size=4)
+        | st.lists(numbers, min_size=1, max_size=4).map(tuple)
+        | st.lists(numbers | texts | st.lists(numbers, max_size=2), max_size=4))
+tables = st.lists(rows, min_size=1, max_size=5)
+
+documents = st.recursive(scalars | tables, containers, max_leaves=20)
 
 
 @given(documents)
@@ -42,6 +51,10 @@ documents = st.recursive(scalars, containers, max_leaves=20)
 @example([])
 @example({"a": [], "b": {}, "c": [[], [1, [2, True]], [None, "x,y"]]})
 @example([[1, 2], [3, 4]])
+@example({"terms": [[0, -1, 2], (3, True, None)]})
+@example([[1, 2], []])
+@example([[1, "x,]"], [2]])
+@example([[[1]], [2]])
 @example({"é,\"[{": ["ü", 10**40, -1, False]})
 def test_writer_equals_json_dumps(doc):
     assert cli._dumps(doc) == oracle(doc)

@@ -4,7 +4,12 @@ bench/data/reference.json records, for every ``cuspidal`` command any
 benchmark seed can run, its exit code and the first 20 hex digits of the
 sha256 of its ``--format machine`` stdout.  This replays every such command
 in-process and compares both, so a change to machine output fails here and
-not only in a benchmark run.  It only reads from bench/.
+not only in a benchmark run.  It also replays the library ops that read the
+per-cusp series without a command: ``r_poly_series`` (the Alexander
+product) and the margin-0 ``oracle_eu`` ops (the counting functions, through
+the cubical weights), digested as bench/run.py digests them.  Margins 1 and
+2 cost twice as much again and read the same series.  It only reads from
+bench/.
 """
 
 import contextlib
@@ -17,7 +22,8 @@ from pathlib import Path
 import pytest
 
 import cuspidal
-from cuspidal import cli
+from conftest import collection
+from cuspidal import cli, cubical, invariants
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -54,6 +60,37 @@ def test_cli_ops_match_reference(workload, tmp_path):
                            + ["--format", "machine"])
         key = workloads.op_key(spec)
         got = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:20]]
+        if got != REFERENCE[key]:
+            mismatches.append((key, got, REFERENCE[key]))
+    assert not mismatches, mismatches[:5]
+
+
+def library_result(spec, c):
+    """The JSON list whose sha256 bench/run.py's digest takes for a library op."""
+    if spec[0] == "oracle_eu":
+        _, _, margin, j = spec
+        oracle = cubical.oracle_eu(c, j, box_margin=margin)
+        return [oracle.eu_h0, oracle.eu_hstar, oracle.min_weight, oracle.table.min_level,
+                oracle.table.rows, cubical.min_w_over_diagonal(c, j, box_margin=margin)]
+    _, _, d = spec
+    return list(invariants.r_poly_series(c, d).coeffs.values)
+
+
+@pytest.mark.parametrize("kind", ["r_poly_series", "oracle_eu"])
+def test_library_ops_match_reference(kind):
+    specs = [spec for workload in workloads.WORKLOADS
+             for spec in workloads.universe(workload, cuspidal, workloads.load_pool())
+             if spec[0] == kind and (kind != "oracle_eu" or spec[2] == 0)]
+    assert specs
+    collections = {}
+    mismatches = []
+    for spec in specs:
+        literals = spec[1]
+        if literals not in collections:
+            collections[literals] = collection(*literals)
+        data = json.dumps(library_result(spec, collections[literals])).encode()
+        key = workloads.op_key(spec)
+        got = [0, hashlib.sha256(data).hexdigest()[:20]]
         if got != REFERENCE[key]:
             mismatches.append((key, got, REFERENCE[key]))
     assert not mismatches, mismatches[:5]
