@@ -118,16 +118,13 @@ def build_collection(cusps: list[Cusp]) -> CuspCollection:
 _HF_COLUMNS = ("k", "H(k+1)", "F(k)", "H(k+1)-F(k)")
 
 
-def _load(args, check_parsed=None) -> tuple[list[str], CuspCollection, int | None]:
-    """Read args.file; the degree is --d, else the file's, else the candidate degree.
+def _load(args, parsed) -> tuple[list[str], CuspCollection, int | None]:
+    """Build args.file, parsed by load_candidate_file, and resolve its degree.
 
-    `check_parsed`, if given, sees the parsed literals before any of their
-    semigroups is built.  The resolved degree, whichever its source, must
-    lie in [0, _MAX_DEGREE].
+    The degree is --d, else the file's, else the candidate degree; whichever
+    its source, it must lie in [0, _MAX_DEGREE].
     """
-    literals, cusps, file_degree = load_candidate_file(args.file)
-    if check_parsed is not None:
-        check_parsed(cusps)
+    literals, cusps, file_degree = parsed
     c = build_collection(cusps)
     d = args.d if args.d is not None else file_degree
     if d is None:
@@ -159,7 +156,7 @@ def _stability_ok(doc: dict) -> bool:
 def cmd_invariants(args) -> tuple[dict, int]:
     if args.window is not None and args.window < 0:
         raise InputError(f"--window must be nonnegative, got {args.window}")
-    literals, c, d = _load(args)
+    literals, c, d = _load(args, load_candidate_file(args.file))
     window = args.window if args.window is not None else 2 * c.delta - 2
     cap = max(2 * c.delta - 2, _MAX_WINDOW)
     if window > cap:
@@ -193,7 +190,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
 
 
 def cmd_check(args) -> tuple[dict, int]:
-    literals, c, d = _load(args)
+    literals, c, d = _load(args, load_candidate_file(args.file))
     if d is None:
         raise InputError(
             "no degree: 2*delta has no candidate solution; pass --d "
@@ -217,7 +214,7 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_cohomology(args) -> tuple[dict, int]:
-    literals, c, d = _load(args)
+    literals, c, d = _load(args, load_candidate_file(args.file))
     if d is None:
         raise InputError("cohomology needs a degree: pass --d")
     if d < 1:
@@ -353,8 +350,10 @@ def cmd_stability(args) -> tuple[dict, int]:
         raise InputError(f"--max-parts must be at least 1, got {args.max_parts}")
     # the un-blowup chain of a multiplicity sequence costs time quadratic in
     # its entries, so a multiset too long to regroup is refused unbuilt
-    literals, c, d = _load(args, lambda cusps: criteria.require_entries(
-        sum(len(cusp.entries) for cusp in cusps if isinstance(cusp, MultSeq))))
+    parsed = load_candidate_file(args.file)
+    criteria.require_entries(
+        sum(len(cusp.entries) for cusp in parsed[1] if isinstance(cusp, MultSeq)))
+    literals, c, d = _load(args, parsed)
     ms = criteria.multiplicity_multiset(c)
     # each row computes H on its window [0, 2*delta]; at least one row is compared
     cap = max(1, _STABILITY_CELLS // (2 * c.delta + 1))

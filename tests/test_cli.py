@@ -518,6 +518,21 @@ class TestStability:
         assert code == 3 and not out
         assert "multiset too large: 1200 entries exceed cap 256" in err
 
+    @pytest.mark.parametrize("text, entries", [
+        ("[3,2_300]\n", 301),         # inadmissible itself
+        ("[2_300] [3,2_3]\n", 304),   # the second literal is inadmissible
+    ])
+    def test_long_multiset_refused_before_resolution_errors(self, tmp_path, capsys,
+                                                            text, entries):
+        # the count comes from the parsed literals, so it precedes the error
+        # that resolving them would raise (exit 2, "bad cusp")
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "stability", str(path))
+        assert code == 3 and not out
+        assert f"multiset too large: {entries} entries exceed cap 256" in err
+        assert "bad cusp" not in err
+
     def test_rows_capped_by_window(self, tmp_path, capsys):
         # the multiset of C(60,1), delta = 1,711: each row computes H, bl and
         # eu at that delta, and the 10,000-row walk cap alone ran for minutes

@@ -7,7 +7,8 @@ in-process and compares both, so a change to machine output fails here and
 not only in a benchmark run.  It also replays the library ops that read the
 per-cusp series without a command: ``r_poly_series`` (the Alexander
 product) and the margin-0 ``oracle_eu`` ops (the counting functions, through
-the cubical weights), digested as bench/run.py digests them.  Margins 1 and
+the cubical weights), run and digested by bench/run.py's own Executor and
+digest.  Margins 1 and
 2 cost twice as much again and read the same series.  It only reads from
 bench/.
 """
@@ -17,25 +18,28 @@ import hashlib
 import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import cuspidal
 from conftest import collection
-from cuspidal import cli, cubical, invariants
+from cuspidal import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))  # bench/run.py imports its siblings by name
+import workloads  # noqa: E402
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+def load_bench_run():
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-workloads = load_workloads()
+bench_run = load_bench_run()
 REFERENCE = json.loads((BENCH / "data" / "reference.json").read_text(encoding="utf-8"))
 
 
@@ -65,17 +69,6 @@ def test_cli_ops_match_reference(workload, tmp_path):
     assert not mismatches, mismatches[:5]
 
 
-def library_result(spec, c):
-    """The JSON list whose sha256 bench/run.py's digest takes for a library op."""
-    if spec[0] == "oracle_eu":
-        _, _, margin, j = spec
-        oracle = cubical.oracle_eu(c, j, box_margin=margin)
-        return [oracle.eu_h0, oracle.eu_hstar, oracle.min_weight, oracle.table.min_level,
-                oracle.table.rows, cubical.min_w_over_diagonal(c, j, box_margin=margin)]
-    _, _, d = spec
-    return list(invariants.r_poly_series(c, d).coeffs.values)
-
-
 @pytest.mark.parametrize("kind", ["r_poly_series", "oracle_eu"])
 def test_library_ops_match_reference(kind):
     specs = [spec for workload in workloads.WORKLOADS
@@ -83,14 +76,14 @@ def test_library_ops_match_reference(kind):
              if spec[0] == kind and (kind != "oracle_eu" or spec[2] == 0)]
     assert specs
     collections = {}
+    execute = bench_run.Executor(cuspidal, {}, collections, run_dir=None)
     mismatches = []
     for spec in specs:
-        literals = spec[1]
-        if literals not in collections:
-            collections[literals] = collection(*literals)
-        data = json.dumps(library_result(spec, collections[literals])).encode()
+        if spec[1] not in collections:
+            collections[spec[1]] = collection(*spec[1])
+        code, payload = execute(spec)
         key = workloads.op_key(spec)
-        got = [0, hashlib.sha256(data).hexdigest()[:20]]
+        got = [code, bench_run.digest(spec, payload)]
         if got != REFERENCE[key]:
             mismatches.append((key, got, REFERENCE[key]))
     assert not mismatches, mismatches[:5]
