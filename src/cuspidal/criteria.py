@@ -29,7 +29,14 @@ from .invariants import (
     h_function,
     require_candidate,
 )
-from .semigroup import MultSeq, NewtonPairs, is_admissible, semigroup_from_multseq
+from .semigroup import (
+    MultSeq,
+    NewtonPairs,
+    counting_fn,
+    is_admissible,
+    semigroup_from_multseq,
+)
+from .seqcalc import CountingFn, min_convolve_all
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,11 +162,51 @@ class Regroupings:
     collections: tuple[tuple[MultSeq, ...], ...]
     truncated: bool
 
-    def cusp_collections(self) -> list[CuspCollection]:
-        return [
-            CuspCollection(tuple(semigroup_from_multseq(ms) for ms in parts))
-            for parts in self.collections
-        ]
+    def cusp_collections(self, memo_cells: int | None = None) -> list[CuspCollection]:
+        """One collection per regrouping.
+
+        By default each folds its own H on first use.  With memo_cells, the
+        H of every row is folded now, through one memo of at most memo_cells
+        cells that the rows share and that lives for this call only (see
+        _prefix_hs).
+        """
+        colls = [CuspCollection(tuple(semigroup_from_multseq(ms) for ms in parts))
+                 for parts in self.collections]
+        if memo_cells is not None:
+            for c, h in zip(colls, _prefix_hs(self.collections, memo_cells)[0]):
+                c.seed_h(h)
+        return colls
+
+
+def _prefix_hs(rows, budget: int) -> tuple[list[CountingFn], dict]:
+    """H of each row of parts, and the memo of proper prefixes it was read from.
+
+    Each row's parts are folded in ascending delta (ties by entries), so
+    rows that share their smallest parts share the H of that prefix:
+    H(prefix + p) = H(prefix) min-plus H_p.  The memo is keyed by the
+    entries of a prefix's parts; a one-part prefix is the part's counting
+    function, which later rows read wherever the part stands.  A proper
+    prefix is kept only while the memo stays within `budget` cells (cutoff
+    + 1 per H); past it, rows fold without storing.
+    """
+    memo: dict = {}
+    cells = 0
+    hs = []
+    for parts in rows:
+        ordered = sorted(parts, key=lambda p: (p.delta, p.entries))
+        key, h = (), None
+        for n, part in enumerate(ordered, 1):
+            key += (part.entries,)
+            hit = memo.get(key)
+            if hit is None:
+                fn = memo.get(key[-1:]) or counting_fn(semigroup_from_multseq(part))
+                hit = fn if h is None else min_convolve_all((h, fn))
+                if n < len(ordered) and cells + hit.cutoff + 1 <= budget:
+                    memo[key] = hit
+                    cells += hit.cutoff + 1
+            h = hit
+        hs.append(h)
+    return hs, memo
 
 
 #: Multiset entries up to which `regroupings` walks.  The walk nests one

@@ -18,9 +18,16 @@ gap count delta, this module computes:
 
 A CuspCollection computes its counting functions, H, the Alexander product
 and q once, on first use, and keeps them; H, q, F, R and the Euler
-characteristics below are read from those values.  The Alexander
+characteristics below are read from those values.  H folds the counting
+functions smallest offset first (min_convolve_all), and the Alexander
+product multiplies the cusps' Apery polynomials smallest delta first; both
+are exact, so the order of the cusps changes only the cost.  A caller that
+already holds H, such as the regroupings of a multiset, which share the H
+of their common parts, hands it over with seed_h.  The Alexander
 polynomial of one cusp and the product come from one route, the cusps'
-Apery sets (see _alexander_series), with no Python step per coefficient.
+Apery sets (see _alexander_series), and q, F and the Spin^c sums are read
+from them by slicing and running sums, with no Python step per
+coefficient.
 """
 
 from __future__ import annotations
@@ -103,6 +110,14 @@ class CuspCollection:
         """H, the min-plus convolution of the cusp counting functions."""
         return min_convolve_all(self.counting_fns)
 
+    def seed_h(self, h: CountingFn) -> None:
+        """Take h as H, when the fold of the counting functions is already known.
+
+        h must equal min_convolve_all(self.counting_fns); the regroupings of
+        a multiset fold theirs through a shared prefix memo.
+        """
+        self.__dict__["h"] = h
+
     @cached_property
     def alexander_product(self) -> IntPoly:
         """Product of the cusp Alexander polynomials; degree 2*delta, value 1 at t=1."""
@@ -175,15 +190,17 @@ def _alexander_series(cusps) -> IntSeq:
 
     A semigroup is its Apery set of the multiplicity m plus multiples of m,
     so sum_{k in s} t^k = A(t) / (1 - t^m) with A(t) = sum_{w in Ap} t^w.
-    Modulo t^(2*delta + 2): multiply the A_i (one convolve per cusp, over
-    m_1 * m_2 * ... nonzero pairs), multiply by (1 - t)^nu, and divide by
-    each 1 - t^m_i with a running sum over every residue class mod m_i.
+    Modulo t^(2*delta + 2): multiply the A_i in ascending delta (one
+    convolve per cusp, over m_1 * m_2 * ... nonzero pairs; the product is
+    the same in any order, and this one multiplies the small factors
+    first), multiply by (1 - t)^nu, and divide by each 1 - t^m_i with a
+    running sum over every residue class mod m_i.
     The product has degree at most 2*delta, so the coefficient at
     2*delta + 1 must come out 0; a nonzero one raises ArithmeticError.
     """
     n = 2 * sum(s.delta for s in cusps) + 2
     out = IntSeq((1,))
-    for s in cusps:
+    for s in sorted(cusps, key=operator.attrgetter("delta")):
         w = apery_set(s, s.multiplicity)
         a = [0] * (w[-1] + 1)
         for x in w:
@@ -202,15 +219,13 @@ def _alexander_series(cusps) -> IntSeq:
 
 
 def _divide_by_t_minus_1(co: list[int]) -> list[int]:
-    # co = (t - 1) * q, i.e. co_j = q_{j-1} - q_j with q_{-1} = 0
-    q = []
-    prev = 0
-    for v in co[:-1]:
-        prev = prev - v
-        q.append(prev)
-    if not co or co[-1] != prev:
+    # co = (t - 1) * q, i.e. co_j = q_{j-1} - q_j with q_{-1} = 0, so q_j is
+    # the running difference 0 - co_0 - ... - co_j; the division is exact
+    # when the difference over all of co comes back to 0
+    q = list(accumulate(co, operator.sub, initial=0))
+    if not co or q.pop():
         raise ArithmeticError("inexact division by t - 1")
-    return q
+    return q[1:]
 
 
 def q_coefficients(c: CuspCollection) -> IntSeq:
@@ -292,18 +307,18 @@ def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:
     """
     if not 0 <= a < d:
         raise ValueError(f"Spin^c index {a} not in [0, {d})")
-    h = h_function(c)
     dl = c.delta
-    terms = tuple(
-        (j, h(j + 1) + dl - 1 - j, c.f(j) + dl - 1 - j)
-        for j in range(a, 2 * dl - 1, d)
-    )
+    top = 2 * dl - 2
+    norm = range(dl - 1 - a, -dl, -d)  # delta - 1 - j for j = a, a + d, ... <= top
+    # H(j + 1) for j in [0, top] is h.values(1, top + 1)[j], F(j) is q_{top-j}
+    h0 = list(map(operator.add, h_function(c).values(1, top + 1)[a::d], norm))
+    hstar = list(map(operator.add, c.q.window(top)[::-1][a::d], norm))
     return EuReport(
         d=d,
         a=a,
-        eu_h0=sum(t[1] for t in terms),
-        eu_hstar=sum(t[2] for t in terms),
-        terms=terms,
+        eu_h0=sum(h0),
+        eu_hstar=sum(hstar),
+        terms=tuple(zip(range(a, top + 1, d), h0, hstar)),
     )
 
 

@@ -11,15 +11,20 @@ Alexander factors.
 Min-plus, result(j) = min over k of f(j - k) + g(k), needs only the split
 points k where g can attain the minimum.  Counting functions step by 0 or 1,
 so where g steps up (g(k) = g(k - 1) + 1) the split k - 1 does at least as
-well: f(j - k + 1) <= f(j - k) + 1.  That leaves k = 0 and the k in
-[1, cutoff(g)] where g is flat, offset(g) + 1 candidates in all (one per gap
-of a semigroup), against cutoff(g) + 1 splits.  min_convolve folds one
-shifted copy of f per candidate into the result, in O(cut) memory for a
-result cutoff cut.  One fold, two array backends chosen by input size: Python
-lists up to _LIST_CELLS candidate cells (result values times candidate
-splits), so that a small collection never loads numpy, and 64-bit numpy
-integers above it, imported on first use.  int64 is exact here: every
-f(j - k) + g(k) is at most cut + cutoff(g).
+well: f(j - k + 1) <= f(j - k) + 1.  Where g stays flat after k (g(k + 1) =
+g(k)), the split k + 1 does at least as well for every j > k, and at j = k
+the split is worth g(j).  So the result starts from min(f, g) on [0,
+cutoff(g)] (the splits 0 and k = j) and folds in one shifted copy of f per
+run start of g: the k in [1, cutoff(g)] with g(k) = g(k - 1) and g(k + 1) =
+g(k) + 1, one per gap run of a semigroup (59 for <60,61>, which has 1,770
+gaps).  The run starts are found at C speed, as b"\\x00\\x01" in the step
+bytes of g, once per fold.  min_convolve works in O(cut) memory for a result
+cutoff cut, and min_convolve_all folds in ascending offset, so the largest
+function joins last.  One fold, two array backends chosen by input size:
+Python lists up to _LIST_CELLS candidate cells (result values times the
+passes, one for min(f, g) and one per run start), so that a small collection
+never loads numpy, and 64-bit numpy integers above it, imported on first
+use.  int64 is exact here: every f(j - k) + g(k) is at most cut + cutoff(g).
 
 Rows are read by slicing: IntSeq.window and CountingFn.values return slices
 of the stored values, zero padding and a range for a linear tail, with no
@@ -37,7 +42,7 @@ from functools import reduce
 from itertools import accumulate
 from typing import Iterable
 
-#: Candidate cells, (result values) x (candidate splits), up to which
+#: Candidate cells, (result values) x (run starts of g + 1), up to which
 #: min_convolve runs on Python lists instead of numpy.
 _LIST_CELLS = 60_000
 
@@ -163,38 +168,50 @@ class CountingFn:
 
 
 def _candidate_splits(g: CountingFn) -> list[int]:
-    """0 and every k in [1, cutoff(g)] where g is flat: g(k) = g(k - 1).
+    """The run starts of g, in ascending order.
 
-    These are the split points that can attain a min-plus minimum: where g
-    steps up, the split k - 1 does at least as well.  There are offset + 1 of
-    them, against cutoff + 1 splits in the whole window.
+    They are the k in [1, cutoff(g)] with g(k) = g(k - 1) and g(k + 1) =
+    g(k) + 1; past the cutoff g steps up, so a flat stretch that reaches the
+    cutoff ends in a run start.  For a semigroup they are the first elements
+    of its runs of elements, one per gap run.  Found at C speed: a run start
+    k is a flat step into k followed by a unit step out of it, b"\\x00\\x01"
+    at step k - 1 of the step bytes.
     """
     head = g.head
-    return [0, *(k for k in range(1, len(head)) if head[k] == head[k - 1])]
+    # steps[i] = g(i + 1) - g(i); the linear tail steps up past the cutoff
+    steps = bytes(map(operator.sub, head[1:], head)) + b"\x01"
+    # with pieces p_0, p_1, ... between the matches, the n-th run start is
+    # the sum over i <= n of (len(p_i) + 2), less 1
+    pieces = steps.split(b"\x00\x01")[:-1]
+    return list(map((-1).__add__, accumulate(map((2).__add__, map(len, pieces)))))
 
 
-def _min_convolve_lists(f: CountingFn, g: CountingFn) -> CountingFn:
-    # one shifted copy of f per candidate split k, folded in elementwise: the
-    # values at j < k are dominated by a split at most j, so only the part
-    # from k on is compared.  A conditional comprehension runs about 3x
+def _min_convolve_lists(f: CountingFn, g: CountingFn, starts: list[int]) -> CountingFn:
+    # the splits 0 and j give min(f, g) on [0, cutoff(g)] and f beyond; then
+    # one shifted copy of f per run start k of g is folded in elementwise:
+    # the values at j < k are dominated by a split at most j, so only the
+    # part from k on is compared.  A conditional comprehension runs about 3x
     # faster here than map(min, ...).
     offset = f.offset + g.offset
     fv = f.values(0, 2 * offset)
-    head = fv[:]  # the split k = 0, where g(0) = 0
-    for k in _candidate_splits(g)[1:]:
+    head = [x if x <= y else y for x, y in zip(fv, g.head)]
+    head += fv[len(head):]
+    for k in starts:
         c = g.head[k]
         head[k:] = [x if x <= y + c else y + c for x, y in zip(head[k:], fv)]
     return CountingFn(tuple(head), offset)
 
 
-def _min_convolve_numpy(f: CountingFn, g: CountingFn) -> CountingFn:
+def _min_convolve_numpy(f: CountingFn, g: CountingFn, starts: list[int]) -> CountingFn:
     # the same fold as _min_convolve_lists, on int64 vectors
     import numpy as np
 
     offset = f.offset + g.offset
     fv = np.array(f.values(0, 2 * offset), dtype=np.int64)
     head = fv.copy()
-    for k in _candidate_splits(g)[1:]:
+    low = head[:g.cutoff + 1]
+    np.minimum(low, np.array(g.head, dtype=np.int64), out=low)
+    for k in starts:
         tail = head[k:]
         np.minimum(tail, fv[:tail.size] + g.head[k], out=tail)
     return CountingFn(tuple(head.tolist()), offset)
@@ -204,22 +221,28 @@ def min_convolve(f: CountingFn, g: CountingFn) -> CountingFn:
     """Min-plus convolution: result(j) = min over j1+j2=j of f(j1) + g(j2).
 
     The offsets add and the new cutoff is twice the combined offset.  The
-    argument with the smaller cutoff becomes g, and one shifted copy of f per
-    candidate split of g is folded into the result: on Python lists up to
-    _LIST_CELLS candidate cells, on numpy above it.  Memory is O(cutoff) on
-    both backends.
+    argument with the smaller cutoff becomes g.  The result starts from
+    min(f, g) on [0, cutoff(g)], and one shifted copy of f per run start of g
+    is folded into it: on Python lists up to _LIST_CELLS candidate cells, on
+    numpy above it.  Memory is O(cutoff) on both backends.
     """
     if g.cutoff > f.cutoff:
         f, g = g, f
-    # g is flat at exactly g.offset points of [1, cutoff(g)]
-    if (2 * (f.offset + g.offset) + 1) * (g.offset + 1) <= _LIST_CELLS:
-        return _min_convolve_lists(f, g)
-    return _min_convolve_numpy(f, g)
+    starts = _candidate_splits(g)
+    # one pass for min(f, g), one per run start
+    if (2 * (f.offset + g.offset) + 1) * (len(starts) + 1) <= _LIST_CELLS:
+        return _min_convolve_lists(f, g, starts)
+    return _min_convolve_numpy(f, g, starts)
 
 
 def min_convolve_all(fns: Iterable[CountingFn]) -> CountingFn:
-    """Fold min_convolve over one or more counting functions."""
-    fns = list(fns)
+    """Fold min_convolve over one or more counting functions, smallest offset first.
+
+    Min-plus is exact, commutative and associative, so the order changes
+    only the cost: the small folds run over short windows, and the largest
+    function joins last.
+    """
+    fns = sorted(fns, key=operator.attrgetter("offset"))
     if not fns:
         raise ValueError("need at least one counting function")
     return reduce(min_convolve, fns)

@@ -16,6 +16,7 @@ curves they describe.
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 import subprocess
@@ -133,7 +134,11 @@ def reference_min_convolve(f, g):
         f, g = g, f
     offset = f.offset + g.offset
     b = g.cutoff
-    head = tuple(min(f(j - i) + g(i) for i in range(b + 1))
+    # f(j - i) + g(i) over every split i in [0, b], read from two pointwise
+    # rows: fv[j + b - i] = f(j - i), and gv reversed so that it pairs g(i)
+    fv = [f(k) for k in range(-b, 2 * offset + 1)]
+    gv = [g(i) for i in range(b, -1, -1)]
+    head = tuple(min(map(operator.add, fv[j:j + b + 1], gv))
                  for j in range(2 * offset + 1))
     return CountingFn(head, offset)
 

@@ -25,6 +25,7 @@ from cuspidal import (
     min_convolve_all,
     multiplicity_multiset,
     regroupings,
+    criteria,
     semigroup,
     semigroup_from_generators,
     semigroup_from_multseq,
@@ -326,6 +327,52 @@ class TestStabilityProperties:
         expected = multiset_h(items).values(0, window)
         for coll in regroupings(items).cusp_collections():
             assert coll.h.values(0, window) == expected
+
+    @settings(max_examples=40)
+    @given(items=st.lists(st.integers(2, 6), min_size=1, max_size=8),
+           memo_cells=st.integers(0, 300) | st.just(100_000))
+    def test_memoised_h_is_the_fresh_fold(self, items, memo_cells):
+        # every row's H from the prefix memo, with a budget that runs out or
+        # one that does not, against a new collection of the same cusps that
+        # folds its own counting functions
+        groups = regroupings(items, cap=60)
+        for parts, coll in zip(groups.collections, groups.cusp_collections(memo_cells)):
+            assert "h" in vars(coll)  # seeded, not folded on first use
+            assert coll.h == CuspCollection(coll.cusps).h, parts
+
+    @pytest.mark.parametrize("n, room", [(16, 0), (16, 1), (16, 33), (16, 500),
+                                         (16, None), (30, None)])
+    def test_prefix_memo_within_its_budget(self, n, room, monkeypatch):
+        # [2_n] at the stability row cap.  Every part is some [2_k], so a
+        # row's ascending prefixes take its shortest parts first, and the H
+        # of a prefix has 2 * (its entries) + 1 cells.  room=None gives the
+        # memo room for every proper prefix and not one cell more
+        rows = regroupings([2] * n, cap=50_000 // (2 * n + 1)).collections
+        keys = (tuple(sorted(p.entries for p in parts)) for parts in rows)
+        prefixes = {key[:i] for key in keys for i in range(1, len(key))}
+        size = {key: 2 * sum(map(len, key)) + 1 for key in prefixes}
+        budget = sum(size.values()) if room is None else room
+        folds = []
+        fold = criteria.min_convolve_all
+        monkeypatch.setattr(criteria, "min_convolve_all",
+                            lambda fns: folds.append(1) or fold(fns))
+        hs, memo = criteria._prefix_hs(rows, budget)
+        assert hs == [multiset_h([2] * n)] * len(rows)
+        assert set(memo) <= prefixes
+        assert all(h.cutoff + 1 == size[key] for key, h in memo.items())
+        assert sum(size[key] for key in memo) <= budget
+        assert len(folds) <= sum(len(parts) - 1 for parts in rows)
+        if room is None:
+            assert budget <= 100_000  # the memo budget of `stability`
+            assert set(memo) == prefixes
+            # each prefix of two parts or more is folded once, and so is
+            # each row of two parts or more
+            assert len(folds) == (sum(len(key) > 1 for key in prefixes)
+                                  + sum(len(parts) > 1 for parts in rows))
+        if n == 16 and room is None:
+            for key, h in memo.items():
+                assert h == multiset_h([2] * sum(map(len, key)))
+            assert len(criteria._prefix_hs(rows, budget - 1)[1]) < len(prefixes)
 
     def test_bl_verdict_stable_across_regroupings(self, rng):
         for _ in range(15):

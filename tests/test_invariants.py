@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -39,6 +39,7 @@ from cuspidal import (
     h_function,
     IntSeq,
     invariants,
+    min_convolve_all,
     q_coefficients,
     r_poly,
     r_poly_series,
@@ -118,6 +119,21 @@ class TestAlexanderSeries:
     def test_product_equals_oracle(self, cusps):
         c = CuspCollection(tuple(cusps))
         assert c.alexander_product.coeffs == reference_alexander_product(cusps)
+
+    @settings(max_examples=50)
+    @given(cusps=st.lists(admissible_semigroups, min_size=2, max_size=4),
+           perm=st.randoms(use_true_random=False))
+    def test_cusp_order_changes_nothing(self, cusps, perm):
+        # H folds in ascending offset and the Apery polynomials multiply in
+        # ascending delta, whatever order the cusps come in
+        c = CuspCollection(tuple(cusps))
+        perm.shuffle(cusps)
+        shuffled = CuspCollection(tuple(cusps))
+        assert shuffled.h == c.h
+        assert shuffled.alexander_product == c.alexander_product
+        fns = list(c.counting_fns)
+        perm.shuffle(fns)
+        assert min_convolve_all(fns) == c.h
 
     def test_series_past_the_degree_bound_refused(self, monkeypatch):
         # a wrong Apery set {0, 5} mod 2 gives (1 + t^5)/(1 + t), of degree 4 > 2*delta
@@ -342,12 +358,41 @@ class TestEu:
                 assert sum(rep.eu_hstar for rep in reps) == \
                     sum(f[j] + dl - 1 - j for j in range(2 * dl - 1))
 
+    def test_spinc_report_terms_are_the_pointwise_sums(self, rng):
+        # terms against their definition, one H and one F value per index j
+        for _ in range(10):
+            c = random_collection(rng, max_nu=3)
+            dl = c.delta
+            for d in (1, 2, 3, 7, 2 * dl, 2 * dl + 3):
+                for a in range(min(d, 2 * dl + 1)):
+                    rep = spinc_report(c, d, a)
+                    assert rep.terms == tuple(
+                        (j, c.h(j + 1) + dl - 1 - j, c.f(j) + dl - 1 - j)
+                        for j in range(a, 2 * dl - 1, d)), (d, a)
+                    assert rep.eu_h0 == sum(t[1] for t in rep.terms)
+                    assert rep.eu_hstar == sum(t[2] for t in rep.terms)
+
     def test_index_validation(self):
         c = collection("[2]")
         with pytest.raises(ValueError):
             spinc_report(c, 4, 4)
         with pytest.raises(ValueError):
             spinc_report(c, 4, -1)
+
+
+@pytest.mark.parametrize("q", [(), (1,), (3, 0, 3, -1, 1), (-2, 5, 0, 0, 7)])
+def test_division_by_t_minus_1(q):
+    # co = (t - 1) q divides back to q; any other last coefficient is inexact
+    co = [0, *q]
+    for i, x in enumerate(q):
+        co[i] -= x
+    assert invariants._divide_by_t_minus_1(co) == list(q)
+    for bad in (co[:-1], [*co[:-1], co[-1] + 1], [*co[:-1], co[-1] - 1]):
+        if bad:
+            with pytest.raises(ArithmeticError, match="inexact division by t - 1"):
+                invariants._divide_by_t_minus_1(bad)
+    with pytest.raises(ArithmeticError, match="inexact division by t - 1"):
+        invariants._divide_by_t_minus_1([])
 
 
 @pytest.mark.parametrize("cusps", [("[2]",), ("[2]", "[2]"), ("[3]", "[2_2]", "[2]"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,28 +159,47 @@ def _random_fn(rng):
     # of argument min_convolve gets from CuspCollection.h
     f = counting_fn(semigroup_from_multseq(random_admissible(rng, 4, 7)))
     if rng.random() < 0.5:
-        f = seqcalc._min_convolve_lists(
+        f = min_convolve(
             f, counting_fn(semigroup_from_multseq(random_admissible(rng, 3, 5))))
     return f
+
+
+def _evaluations(f, g):
+    # each evaluator on (f, g) and on (g, f), with the run starts of its g
+    for evaluate in (seqcalc._min_convolve_lists, seqcalc._min_convolve_numpy):
+        for a, b in ((f, g), (g, f)):
+            yield evaluate(a, b, seqcalc._candidate_splits(b))
 
 
 @given(rng=st.randoms(use_true_random=False))
 def test_both_evaluators_match_references(rng):
     f, g = _random_fn(rng), _random_fn(rng)
     expected = reference_min_convolve(f, g)
-    for evaluate in (seqcalc._min_convolve_lists, seqcalc._min_convolve_numpy):
-        assert evaluate(f, g) == evaluate(g, f) == expected
+    assert list(_evaluations(f, g)) == [expected] * 4
     for j in rng.sample(range(expected.cutoff + 4), 8):
         assert expected(j) == brute_min_convolve([f, g], j), j
 
 
+@settings(max_examples=50)
+@given(rng=st.randoms(use_true_random=False))
+def test_min_plus_results_have_cutoff_twice_offset(rng):
+    # stability compares H by its fields, so a longer or shorter head with
+    # the same values would read as a different H
+    f, g = _random_fn(rng), _random_fn(rng)
+    for h in (*_evaluations(f, g), min_convolve(f, g), min_convolve_all([f, g, f])):
+        assert h.cutoff == 2 * h.offset
+        assert h.offset in (f.offset + g.offset, 2 * f.offset + g.offset)
+
+
 def _pair_near_list_cells(g, above):
     # f = <2, 2n + 1> (offset n) with n the largest (above=False) or smallest
-    # (above=True) such that the candidate cells are at most the constant
-    n = (seqcalc._LIST_CELLS // (g.offset + 1) - 1) // 2 - g.offset + above
+    # (above=True) such that the cells, (result values) x (run starts of g
+    # plus the pass for min(f, g)), are at most the constant
+    passes = len(seqcalc._candidate_splits(g)) + 1
+    n = (seqcalc._LIST_CELLS // passes - 1) // 2 - g.offset + above
     f = counting_fn(semigroup_from_generators([2, 2 * n + 1]))
-    cells = (2 * (f.offset + g.offset) + 1) * (g.offset + 1)
-    step = 2 * (g.offset + 1)  # cells added per unit of n
+    cells = (2 * (f.offset + g.offset) + 1) * passes
+    step = 2 * passes  # cells added per unit of n
     top = seqcalc._LIST_CELLS + step * above
     assert top - step < cells <= top
     return f
@@ -191,8 +212,9 @@ def test_both_evaluators_at_the_list_cells_constant(rng, above):
     g = counting_fn(semigroup_from_multseq(random_admissible(rng, 3, 6)))
     f = _pair_near_list_cells(g, above)
     expected = reference_min_convolve(f, g)
-    assert seqcalc._min_convolve_lists(f, g) == expected
-    assert seqcalc._min_convolve_numpy(f, g) == expected
+    starts = seqcalc._candidate_splits(g)
+    assert seqcalc._min_convolve_lists(f, g, starts) == expected
+    assert seqcalc._min_convolve_numpy(f, g, starts) == expected
     for j in rng.sample(range(expected.cutoff + 4), 4):
         assert expected(j) == brute_min_convolve([f, g], j), j
     # min_convolve puts the pair on lists up to the constant, on numpy above
@@ -200,11 +222,21 @@ def test_both_evaluators_at_the_list_cells_constant(rng, above):
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_min_convolve_lists", "_min_convolve_numpy"):
             evaluate = getattr(seqcalc, name)
-            mp.setattr(seqcalc, name, lambda a, b, name=name, evaluate=evaluate:
-                       used.append(name) or evaluate(a, b))
+            mp.setattr(seqcalc, name, lambda a, b, starts, name=name, evaluate=evaluate:
+                       used.append(name) or evaluate(a, b, starts))
         assert min_convolve(g, f) == expected
     assert used == ["_min_convolve_numpy" if above else "_min_convolve_lists"]
 
+
+def test_exactly_list_cells_runs_on_lists(monkeypatch):
+    # <2,63> has 31 run starts and f = <2,1813> offset 906, so the fold has
+    # (2 * 937 + 1) * 32 = 60,000 cells: the constant itself stays on lists
+    f = counting_fn(semigroup_from_generators([2, 1813]))
+    g = counting_fn(semigroup_from_generators([2, 63]))
+    starts = seqcalc._candidate_splits(g)
+    assert (2 * (f.offset + g.offset) + 1) * (len(starts) + 1) == seqcalc._LIST_CELLS
+    monkeypatch.setattr(seqcalc, "_min_convolve_numpy", None)
+    assert min_convolve(f, g) == seqcalc._min_convolve_lists(f, g, starts)
 
 
 @pytest.mark.parametrize("family, params", [
@@ -216,8 +248,10 @@ def test_both_evaluators_on_catalog_first_folds(family, params):
     f, g = c.counting_fns[:2]
     if g.cutoff > f.cutoff:
         f, g = g, f
-    assert (2 * (f.offset + g.offset) + 1) * (g.offset + 1) > seqcalc._LIST_CELLS
-    assert seqcalc._min_convolve_lists(f, g) == seqcalc._min_convolve_numpy(f, g)
+    starts = seqcalc._candidate_splits(g)
+    assert (2 * (f.offset + g.offset) + 1) * (len(starts) + 1) > seqcalc._LIST_CELLS
+    assert (seqcalc._min_convolve_lists(f, g, starts)
+            == seqcalc._min_convolve_numpy(f, g, starts))
     # H(2 delta - k) = H(k) + delta - k on the whole window [0, 2 delta]
     h, delta = c.h, c.delta
     assert h.offset == delta
@@ -237,11 +271,16 @@ _STEPS = st.lists(st.integers(0, 1), max_size=30)
 
 @given(f_steps=_STEPS, g_steps=_STEPS)
 def test_candidate_splits_attain_the_minimum(f_steps, g_steps):
-    # any nondecreasing unit-step function, not only a semigroup's
+    # any nondecreasing unit-step function, not only a semigroup's: the
+    # split 0, the split k = j inside g's head and the run starts k <= j
+    # attain the minimum over every split
     f, g = _unit_step_fn(f_steps), _unit_step_fn(g_steps)
-    splits = seqcalc._candidate_splits(g)
-    assert len(splits) == g.offset + 1
+    starts = seqcalc._candidate_splits(g)
+    # one run start per flat run of g, the tail past the cutoff stepping up
+    assert len(starts) == len(re.findall("0+", "".join(map(str, g_steps))))
+    assert all(g(k) == g(k - 1) and g(k + 1) == g(k) + 1 for k in starts)
     for j in range(f.cutoff + g.cutoff + 3):
+        splits = [0, *[j] * (j <= g.cutoff), *(k for k in starts if k <= j)]
         assert (min(f(j - k) + g(k) for k in splits)
                 == brute_min_convolve([g, f], j)), j
 
@@ -256,6 +295,22 @@ def test_min_convolve_memory_linear_in_cutoff():
     proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) / 1024 < 120  # ru_maxrss is in KiB
+
+
+@settings(max_examples=50)
+@given(rng=st.randoms(use_true_random=False))
+def test_min_convolve_all_is_order_free(rng):
+    # min_convolve_all folds in ascending offset: any order of its arguments
+    # gives the H of the unsorted left fold
+    fns = [counting_fn(semigroup_from_multseq(random_admissible(rng, 3, 6)))
+           for _ in range(rng.randint(1, 4))]
+    expected = min_convolve_all(fns)
+    for _ in range(3):
+        rng.shuffle(fns)
+        left = fns[0]
+        for fn in fns[1:]:
+            left = min_convolve(left, fn)
+        assert min_convolve_all(fns) == left == expected
 
 
 def test_min_convolve_associative_commutative(rng):
