@@ -39,7 +39,8 @@ _DEGREE_LINE = re.compile(r"^degree\s*[:=]\s*(\d+)$", re.IGNORECASE)
 _MAX_WINDOW = 1_000_000
 
 # H window cells (2*delta + 1 per regrouping) that one `stability` run
-# compares; the memo of shared H prefixes may hold twice as many
+# compares; the memo of shared H prefixes (criteria._H_MEMO_CELLS) may hold
+# twice as many
 _STABILITY_CELLS = 50_000
 
 # the largest degree any command accepts: R, the Spin^c table and the
@@ -364,7 +365,7 @@ def cmd_stability(args) -> tuple[dict, int]:
     # every regrouping has the delta of the multiset, so candidacy is shared
     candidate = d is not None and invariants.is_candidate(c, d)
     rows = []
-    for parts, coll in zip(groups.collections, groups.cusp_collections(2 * _STABILITY_CELLS)):
+    for parts, coll in zip(groups.collections, groups.cusp_collections()):
         row = {
             "parts": [p.literal() for p in parts],
             # both counting functions have offset delta and cutoff 2*delta,

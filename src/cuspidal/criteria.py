@@ -162,33 +162,39 @@ class Regroupings:
     collections: tuple[tuple[MultSeq, ...], ...]
     truncated: bool
 
-    def cusp_collections(self, memo_cells: int | None = None) -> list[CuspCollection]:
-        """One collection per regrouping.
+    def cusp_collections(self) -> list[CuspCollection]:
+        """One collection per regrouping, its H already folded.
 
-        By default each folds its own H on first use.  With memo_cells, the
-        H of every row is folded now, through one memo of at most memo_cells
-        cells that the rows share and that lives for this call only (see
-        _prefix_hs).
+        The rows fold their H together, through one memo of the prefixes
+        they share that lives for this call only (see _prefix_hs).
         """
         colls = [CuspCollection(tuple(semigroup_from_multseq(ms) for ms in parts))
                  for parts in self.collections]
-        if memo_cells is not None:
-            for c, h in zip(colls, _prefix_hs(self.collections, memo_cells)[0]):
-                c.seed_h(h)
+        for c, h in zip(colls, _prefix_hs(self.collections, _H_MEMO_CELLS)):
+            c.seed_h(h)
         return colls
 
 
-def _prefix_hs(rows, budget: int) -> tuple[list[CountingFn], dict]:
-    """H of each row of parts, and the memo of proper prefixes it was read from.
+#: Cells (cutoff + 1 per H) that the prefix memo of one cusp_collections
+#: call may hold: twice the H cells that one `stability` run compares
+#: (cli._STABILITY_CELLS), room for every proper prefix of [2_30] at its
+#: row cap.
+_H_MEMO_CELLS = 100_000
+
+
+def _prefix_hs(rows, budget: int) -> list[CountingFn]:
+    """H of each row of parts, the rows sharing the folds of common prefixes.
 
     Each row's parts are folded in ascending delta (ties by entries), so
     rows that share their smallest parts share the H of that prefix:
     H(prefix + p) = H(prefix) min-plus H_p.  The memo is keyed by the
-    entries of a prefix's parts; a one-part prefix is the part's counting
-    function, which later rows read wherever the part stands.  A proper
-    prefix is kept only while the memo stays within `budget` cells (cutoff
-    + 1 per H); past it, rows fold without storing.
+    entries of a prefix's parts and keeps a proper prefix of two parts or
+    more only while it stays within `budget` cells; past it, rows fold
+    without storing.  Each distinct part's counting function is built once
+    per call and kept for it: 2 * delta_p + 1 cells a part, so at most
+    2 * delta + (parts) cells a row.
     """
+    fns: dict = {}
     memo: dict = {}
     cells = 0
     hs = []
@@ -199,14 +205,16 @@ def _prefix_hs(rows, budget: int) -> tuple[list[CountingFn], dict]:
             key += (part.entries,)
             hit = memo.get(key)
             if hit is None:
-                fn = memo.get(key[-1:]) or counting_fn(semigroup_from_multseq(part))
+                fn = fns.get(part.entries)
+                if fn is None:
+                    fn = fns[part.entries] = counting_fn(semigroup_from_multseq(part))
                 hit = fn if h is None else min_convolve_all((h, fn))
-                if n < len(ordered) and cells + hit.cutoff + 1 <= budget:
+                if 1 < n < len(ordered) and cells + hit.cutoff + 1 <= budget:
                     memo[key] = hit
                     cells += hit.cutoff + 1
             h = hit
         hs.append(h)
-    return hs, memo
+    return hs
 
 
 #: Multiset entries up to which `regroupings` walks.  The walk nests one

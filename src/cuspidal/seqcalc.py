@@ -167,7 +167,7 @@ class CountingFn:
                 *range(max(lo, self.cutoff + 1) - self.offset, hi + 1 - self.offset)]
 
 
-def _candidate_splits(g: CountingFn) -> list[int]:
+def _run_starts(g: CountingFn) -> list[int]:
     """The run starts of g, in ascending order.
 
     They are the k in [1, cutoff(g)] with g(k) = g(k - 1) and g(k + 1) =
@@ -210,7 +210,7 @@ def _min_convolve_numpy(f: CountingFn, g: CountingFn, starts: list[int]) -> Coun
     fv = np.array(f.values(0, 2 * offset), dtype=np.int64)
     head = fv.copy()
     low = head[:g.cutoff + 1]
-    np.minimum(low, np.array(g.head, dtype=np.int64), out=low)
+    np.minimum(low, np.array(g.head[:low.size], dtype=np.int64), out=low)
     for k in starts:
         tail = head[k:]
         np.minimum(tail, fv[:tail.size] + g.head[k], out=tail)
@@ -228,7 +228,7 @@ def min_convolve(f: CountingFn, g: CountingFn) -> CountingFn:
     """
     if g.cutoff > f.cutoff:
         f, g = g, f
-    starts = _candidate_splits(g)
+    starts = _run_starts(g)
     # one pass for min(f, g), one per run start
     if (2 * (f.offset + g.offset) + 1) * (len(starts) + 1) <= _LIST_CELLS:
         return _min_convolve_lists(f, g, starts)

@@ -154,7 +154,8 @@ class TestRegroupings:
         multisets = (ms for n in range(3, 9)
                      for ms in combinations_with_replacement(range(2, 12), n))
         while not all(c.cache_info().misses > c.cache_info().maxsize for c in caches):
-            regroupings(next(multisets), cap=50).cusp_collections()
+            for parts in regroupings(next(multisets), cap=50).collections:
+                CuspCollection(tuple(map(semigroup_from_multseq, parts)))
             for cache in caches:
                 info = cache.cache_info()
                 assert info.maxsize is not None and info.currsize <= info.maxsize
@@ -330,49 +331,56 @@ class TestStabilityProperties:
 
     @settings(max_examples=40)
     @given(items=st.lists(st.integers(2, 6), min_size=1, max_size=8),
-           memo_cells=st.integers(0, 300) | st.just(100_000))
-    def test_memoised_h_is_the_fresh_fold(self, items, memo_cells):
+           budget=st.integers(0, 300) | st.just(criteria._H_MEMO_CELLS))
+    def test_memoised_h_is_the_fresh_fold(self, items, budget):
         # every row's H from the prefix memo, with a budget that runs out or
-        # one that does not, against a new collection of the same cusps that
-        # folds its own counting functions
+        # the one cusp_collections uses, against a new collection of the same
+        # cusps that folds its own counting functions
         groups = regroupings(items, cap=60)
-        for parts, coll in zip(groups.collections, groups.cusp_collections(memo_cells)):
+        hs = criteria._prefix_hs(groups.collections, budget)
+        for parts, coll, h in zip(groups.collections, groups.cusp_collections(), hs):
             assert "h" in vars(coll)  # seeded, not folded on first use
-            assert coll.h == CuspCollection(coll.cusps).h, parts
+            assert h == coll.h == CuspCollection(coll.cusps).h, parts
 
-    @pytest.mark.parametrize("n, room", [(16, 0), (16, 1), (16, 33), (16, 500),
-                                         (16, None), (30, None)])
-    def test_prefix_memo_within_its_budget(self, n, room, monkeypatch):
+    @pytest.mark.parametrize("n", [16, 30])
+    def test_prefix_memo_within_its_budget(self, n, monkeypatch):
         # [2_n] at the stability row cap.  Every part is some [2_k], so a
         # row's ascending prefixes take its shortest parts first, and the H
-        # of a prefix has 2 * (its entries) + 1 cells.  room=None gives the
-        # memo room for every proper prefix and not one cell more
+        # of a prefix has 2 * (its entries) + 1 cells.  The memo is seen
+        # through the folds it saves
         rows = regroupings([2] * n, cap=50_000 // (2 * n + 1)).collections
-        keys = (tuple(sorted(p.entries for p in parts)) for parts in rows)
-        prefixes = {key[:i] for key in keys for i in range(1, len(key))}
-        size = {key: 2 * sum(map(len, key)) + 1 for key in prefixes}
-        budget = sum(size.values()) if room is None else room
+        keys = [tuple(sorted(len(p.entries) for p in parts)) for parts in rows]
+        prefixes = {key[:i] for key in keys for i in range(2, len(key))}
+        full = sum(2 * sum(key) + 1 for key in prefixes)
+        assert full <= criteria._H_MEMO_CELLS  # stability keeps every prefix
         folds = []
         fold = criteria.min_convolve_all
         monkeypatch.setattr(criteria, "min_convolve_all",
                             lambda fns: folds.append(1) or fold(fns))
-        hs, memo = criteria._prefix_hs(rows, budget)
-        assert hs == [multiset_h([2] * n)] * len(rows)
-        assert set(memo) <= prefixes
-        assert all(h.cutoff + 1 == size[key] for key, h in memo.items())
-        assert sum(size[key] for key in memo) <= budget
-        assert len(folds) <= sum(len(parts) - 1 for parts in rows)
-        if room is None:
-            assert budget <= 100_000  # the memo budget of `stability`
-            assert set(memo) == prefixes
-            # each prefix of two parts or more is folded once, and so is
-            # each row of two parts or more
-            assert len(folds) == (sum(len(key) > 1 for key in prefixes)
-                                  + sum(len(parts) > 1 for parts in rows))
-        if n == 16 and room is None:
-            for key, h in memo.items():
-                assert h == multiset_h([2] * sum(map(len, key)))
-            assert len(criteria._prefix_hs(rows, budget - 1)[1]) < len(prefixes)
+
+        def count(budget):
+            folds.clear()
+            assert criteria._prefix_hs(rows, budget) == [multiset_h([2] * n)] * len(rows)
+            return len(folds)
+
+        # no room: every row folds each of its parts in
+        assert count(0) == sum(len(key) - 1 for key in keys)
+        # room for every proper prefix: each is folded once, and so is each
+        # row of two parts or more
+        assert count(full) == len(prefixes) + sum(len(key) > 1 for key in keys)
+        # in between, a prefix is kept when first folded if it still fits,
+        # and a row starts from its longest kept prefix
+        for budget in (5, 33, 500, full // 2):
+            kept, cells, expected = set(), 0, 0
+            for key in keys:
+                start = max((i for i in range(2, len(key)) if key[:i] in kept), default=1)
+                expected += len(key) - start
+                for i in range(start + 1, len(key)):
+                    size = 2 * sum(key[:i]) + 1
+                    if cells + size <= budget:
+                        kept.add(key[:i])
+                        cells += size
+            assert count(budget) == expected, budget
 
     def test_bl_verdict_stable_across_regroupings(self, rng):
         for _ in range(15):

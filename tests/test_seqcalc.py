@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -168,7 +168,7 @@ def _evaluations(f, g):
     # each evaluator on (f, g) and on (g, f), with the run starts of its g
     for evaluate in (seqcalc._min_convolve_lists, seqcalc._min_convolve_numpy):
         for a, b in ((f, g), (g, f)):
-            yield evaluate(a, b, seqcalc._candidate_splits(b))
+            yield evaluate(a, b, seqcalc._run_starts(b))
 
 
 @given(rng=st.randoms(use_true_random=False))
@@ -195,7 +195,7 @@ def _pair_near_list_cells(g, above):
     # f = <2, 2n + 1> (offset n) with n the largest (above=False) or smallest
     # (above=True) such that the cells, (result values) x (run starts of g
     # plus the pass for min(f, g)), are at most the constant
-    passes = len(seqcalc._candidate_splits(g)) + 1
+    passes = len(seqcalc._run_starts(g)) + 1
     n = (seqcalc._LIST_CELLS // passes - 1) // 2 - g.offset + above
     f = counting_fn(semigroup_from_generators([2, 2 * n + 1]))
     cells = (2 * (f.offset + g.offset) + 1) * passes
@@ -212,7 +212,7 @@ def test_both_evaluators_at_the_list_cells_constant(rng, above):
     g = counting_fn(semigroup_from_multseq(random_admissible(rng, 3, 6)))
     f = _pair_near_list_cells(g, above)
     expected = reference_min_convolve(f, g)
-    starts = seqcalc._candidate_splits(g)
+    starts = seqcalc._run_starts(g)
     assert seqcalc._min_convolve_lists(f, g, starts) == expected
     assert seqcalc._min_convolve_numpy(f, g, starts) == expected
     for j in rng.sample(range(expected.cutoff + 4), 4):
@@ -233,7 +233,7 @@ def test_exactly_list_cells_runs_on_lists(monkeypatch):
     # (2 * 937 + 1) * 32 = 60,000 cells: the constant itself stays on lists
     f = counting_fn(semigroup_from_generators([2, 1813]))
     g = counting_fn(semigroup_from_generators([2, 63]))
-    starts = seqcalc._candidate_splits(g)
+    starts = seqcalc._run_starts(g)
     assert (2 * (f.offset + g.offset) + 1) * (len(starts) + 1) == seqcalc._LIST_CELLS
     monkeypatch.setattr(seqcalc, "_min_convolve_numpy", None)
     assert min_convolve(f, g) == seqcalc._min_convolve_lists(f, g, starts)
@@ -248,7 +248,7 @@ def test_both_evaluators_on_catalog_first_folds(family, params):
     f, g = c.counting_fns[:2]
     if g.cutoff > f.cutoff:
         f, g = g, f
-    starts = seqcalc._candidate_splits(g)
+    starts = seqcalc._run_starts(g)
     assert (2 * (f.offset + g.offset) + 1) * (len(starts) + 1) > seqcalc._LIST_CELLS
     assert (seqcalc._min_convolve_lists(f, g, starts)
             == seqcalc._min_convolve_numpy(f, g, starts))
@@ -275,7 +275,7 @@ def test_candidate_splits_attain_the_minimum(f_steps, g_steps):
     # split 0, the split k = j inside g's head and the run starts k <= j
     # attain the minimum over every split
     f, g = _unit_step_fn(f_steps), _unit_step_fn(g_steps)
-    starts = seqcalc._candidate_splits(g)
+    starts = seqcalc._run_starts(g)
     # one run start per flat run of g, the tail past the cutoff stepping up
     assert len(starts) == len(re.findall("0+", "".join(map(str, g_steps))))
     assert all(g(k) == g(k - 1) and g(k + 1) == g(k) + 1 for k in starts)
@@ -283,6 +283,23 @@ def test_candidate_splits_attain_the_minimum(f_steps, g_steps):
         splits = [0, *[j] * (j <= g.cutoff), *(k for k in starts if k <= j)]
         assert (min(f(j - k) + g(k) for k in splits)
                 == brute_min_convolve([g, f], j)), j
+
+
+# steps of a unit-step function that is linear from twice its offset on,
+# as a min-plus result must be: zeros are added until at least half the
+# steps are flat, then a drawn number of unit steps carries the head on
+_STEPS_LINEAR_PAST_TWICE_OFFSET = st.builds(
+    lambda steps, pad: steps + [0] * (2 * sum(steps) - len(steps)) + [1] * pad,
+    _STEPS, st.integers(0, 8))
+
+
+@example(f_steps=[1] * 8, g_steps=[0, 0] + [1] * 6)
+@given(f_steps=_STEPS_LINEAR_PAST_TWICE_OFFSET, g_steps=_STEPS_LINEAR_PAST_TWICE_OFFSET)
+def test_both_evaluators_on_heads_past_twice_the_offset(f_steps, g_steps):
+    # a CountingFn need not have cutoff 2 * offset: in the example g has
+    # offset 2 and cutoff 8, so its head runs past the result's window [0, 4]
+    f, g = _unit_step_fn(f_steps), _unit_step_fn(g_steps)
+    assert list(_evaluations(f, g)) == [reference_min_convolve(f, g)] * 4
 
 
 def test_min_convolve_memory_linear_in_cutoff():
