@@ -28,7 +28,7 @@ from itertools import chain
 
 from . import criteria, cubical, invariants
 from .invariants import CapExceeded, CuspCollection
-from .semigroup import Cusp, MultSeq, SemigroupError, parse_cusp, resolve_semigroup
+from .semigroup import Cusp, MultSeq, Semigroup, SemigroupError, parse_cusp, resolve_semigroup
 
 SCHEMA_VERSION = 1
 
@@ -102,14 +102,28 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
     return [lit for _, lit in located], parsed, degree
 
 
+def _resolve(cusp: Cusp) -> Semigroup:
+    try:
+        return resolve_semigroup(cusp)
+    except SemigroupError as exc:
+        raise InputError(f"bad cusp {cusp.literal()!r}: {exc}") from exc
+
+
 def build_collection(cusps: list[Cusp]) -> CuspCollection:
-    semis = []
-    for cusp in cusps:
-        try:
-            semis.append(resolve_semigroup(cusp))
-        except SemigroupError as exc:
-            raise InputError(f"bad cusp {cusp.literal()!r}: {exc}") from exc
-    return CuspCollection(tuple(semis))
+    return CuspCollection(tuple(map(_resolve, cusps)))
+
+
+def _entries_at_least(cusp: MultSeq | Semigroup) -> int:
+    """A lower bound on the multiplicity-sequence entries of a cusp, unbuilt.
+
+    A multiplicity sequence has its own.  For a semigroup of multiplicity m
+    every entry n is at most m and adds n(n-1)/2 to delta, so there are at
+    least ceil(2*delta / (m(m-1))) of them.
+    """
+    if isinstance(cusp, MultSeq):
+        return len(cusp.entries)
+    m = cusp.multiplicity
+    return -(-2 * cusp.delta // (m * (m - 1))) if m > 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +364,13 @@ def cmd_oracle(args) -> tuple[dict, int]:
 def cmd_stability(args) -> tuple[dict, int]:
     if args.max_parts is not None and args.max_parts < 1:  # no regrouping would be compared
         raise InputError(f"--max-parts must be at least 1, got {args.max_parts}")
-    # the un-blowup chain of a multiplicity sequence costs time quadratic in
-    # its entries, so a multiset too long to regroup is refused unbuilt
-    parsed = load_candidate_file(args.file)
-    criteria.require_entries(
-        sum(len(cusp.entries) for cusp in parsed[1] if isinstance(cusp, MultSeq)))
-    literals, c, d = _load(args, parsed)
+    # the un-blowup chain of a multiplicity sequence and the blowup chain of
+    # a semigroup cost time quadratic in their entries, so a multiset too
+    # long to regroup is refused before either runs
+    literals, cusps, file_degree = load_candidate_file(args.file)
+    cusps = [cusp if isinstance(cusp, MultSeq) else _resolve(cusp) for cusp in cusps]
+    criteria.require_entries(sum(map(_entries_at_least, cusps)))
+    literals, c, d = _load(args, (literals, cusps, file_degree))
     ms = criteria.multiplicity_multiset(c)
     # each row computes H on its window [0, 2*delta]; at least one row is compared
     cap = max(1, _STABILITY_CELLS // (2 * c.delta + 1))
@@ -364,10 +379,12 @@ def cmd_stability(args) -> tuple[dict, int]:
         raise InputError(f"--max-parts {args.max_parts} leaves no admissible regrouping")
     # every regrouping has the delta of the multiset, so candidacy is shared
     candidate = d is not None and invariants.is_candidate(c, d)
+    # each distinct part is rendered once; regroupings shares the MultSeq of a part
+    names = {p: p.literal() for p in dict.fromkeys(chain.from_iterable(groups.collections))}
     rows = []
     for parts, coll in zip(groups.collections, groups.cusp_collections()):
         row = {
-            "parts": [p.literal() for p in parts],
+            "parts": [names[p] for p in parts],
             # both counting functions have offset delta and cutoff 2*delta,
             # so equal fields mean equal values everywhere
             "h_matches": coll.h == c.h,

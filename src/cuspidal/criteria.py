@@ -17,12 +17,12 @@ eu_h0 - eu_hstar on the three series.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from collections import Counter
-from itertools import count, islice
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain, count, islice
 
+from ._frozen import Frozen
 from .invariants import (
     CapExceeded,
     CuspCollection,
@@ -39,34 +39,39 @@ from .semigroup import (
 from .seqcalc import CountingFn, min_convolve_all
 
 
-@dataclasses.dataclass(frozen=True)
-class Candidate:
+class Candidate(Frozen):
     """A cusp collection together with a proposed curve degree."""
 
-    collection: CuspCollection
-    d: int
+    __slots__ = _fields = ("collection", "d")
 
-    def __post_init__(self):
-        if self.d < 3:
-            raise ValueError(f"degree {self.d} < 3")
-
-
-@dataclasses.dataclass(frozen=True)
-class CriterionRow:
-    j: int
-    lhs: int
-    rhs: int
-    ok: bool
+    def __init__(self, collection: CuspCollection, d: int):
+        if d < 3:
+            raise ValueError(f"degree {d} < 3")
+        object.__setattr__(self, "collection", collection)
+        object.__setattr__(self, "d", d)
 
 
-@dataclasses.dataclass(frozen=True)
-class CriterionReport:
+class CriterionRow(Frozen):
+    __slots__ = _fields = ("j", "lhs", "rhs", "ok")
+
+    def __init__(self, j: int, lhs: int, rhs: int, ok: bool):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "ok", ok)
+
+
+class CriterionReport(Frozen):
     """Per-j comparison rows plus the aggregate verdict for one criterion."""
 
-    criterion: str
-    rows: tuple[CriterionRow, ...]
-    passed: bool
-    difference: int | None = None
+    __slots__ = _fields = ("criterion", "rows", "passed", "difference")
+
+    def __init__(self, criterion: str, rows: tuple[CriterionRow, ...], passed: bool,
+                 difference: int | None = None):
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "difference", difference)
 
 
 def candidate_degree(c: CuspCollection) -> int | None:
@@ -157,10 +162,12 @@ def multiplicity_multiset(c: CuspCollection) -> Counter:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class Regroupings:
-    collections: tuple[tuple[MultSeq, ...], ...]
-    truncated: bool
+class Regroupings(Frozen):
+    __slots__ = _fields = ("collections", "truncated")
+
+    def __init__(self, collections: tuple[tuple[MultSeq, ...], ...], truncated: bool):
+        object.__setattr__(self, "collections", collections)
+        object.__setattr__(self, "truncated", truncated)
 
     def cusp_collections(self) -> list[CuspCollection]:
         """One collection per regrouping, its H already folded.
@@ -278,7 +285,10 @@ def regroupings(
     walk = _walk((), items[:1], items[1:], len(items) if max_parts is None else max_parts,
                  count(1))
     kept = list(islice(walk, cap + 1))
-    return Regroupings(tuple(tuple(MultSeq(part) for part in parts) for parts in kept[:cap]),
+    rows = kept[:cap]
+    # one MultSeq per distinct part, shared by the rows that hold it
+    seqs = {part: MultSeq(part) for part in dict.fromkeys(chain.from_iterable(rows))}
+    return Regroupings(tuple(tuple(map(seqs.__getitem__, parts)) for parts in rows),
                        len(kept) > cap)
 
 
@@ -288,20 +298,21 @@ def regroupings(
 FAMILIES = ("C", "D", "E", "sporadic3", "sporadic4")
 
 
-@dataclasses.dataclass(frozen=True)
-class CatalogEntry:
-    family: str
-    label: str
-    d: int
-    params: tuple[int, ...]
-    cusps: tuple[MultSeq, ...]
-    newton: tuple[NewtonPairs, ...]
+class CatalogEntry(Frozen):
+    __slots__ = _fields = ("family", "label", "d", "params", "cusps", "newton")
 
-    def __post_init__(self):
-        total = sum(ms.delta for ms in self.cusps)
-        if 2 * total != (self.d - 1) * (self.d - 2):
+    def __init__(self, family: str, label: str, d: int, params: tuple[int, ...],
+                 cusps: tuple[MultSeq, ...], newton: tuple[NewtonPairs, ...]):
+        total = sum(ms.delta for ms in cusps)
+        if 2 * total != (d - 1) * (d - 2):
             raise AssertionError(
-                f"catalog entry {self.label}: 2*delta = {2 * total} != (d-1)(d-2)")
+                f"catalog entry {label}: 2*delta = {2 * total} != (d-1)(d-2)")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "cusps", cusps)
+        object.__setattr__(self, "newton", newton)
 
     def collection(self) -> CuspCollection:
         return CuspCollection(tuple(semigroup_from_multseq(ms) for ms in self.cusps))

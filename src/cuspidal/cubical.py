@@ -45,14 +45,10 @@ elimination, which `check_vanishing` reads.
 
 from __future__ import annotations
 
-import dataclasses
 from math import gcd
-from typing import TYPE_CHECKING
 
+from ._frozen import Frozen
 from .invariants import CapExceeded, CuspCollection
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class RectangleTooLarge(CapExceeded):
@@ -68,16 +64,18 @@ class RectangleTooLarge(CapExceeded):
 DEFAULT_CAP = 2_000_000
 
 
-@dataclasses.dataclass(frozen=True)
-class WeightedRectangle:
+class WeightedRectangle(Frozen):
     """A weighted lattice rectangle: dims m_i and one weight per lattice point.
 
     Vertex weights are stored flat in row-major order (last coordinate
     fastest), so the weight of x is weights[sum(x_i * strides()[i])].
     """
 
-    dims: tuple[int, ...]
-    weights: tuple[int, ...]
+    __slots__ = _fields = ("dims", "weights")
+
+    def __init__(self, dims: tuple[int, ...], weights: tuple[int, ...]):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def nu(self) -> int:
@@ -94,26 +92,30 @@ class WeightedRectangle:
         return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Frozen):
     """Reduced Betti numbers of every level set S_n, n from min_level upward.
 
     Row q-entries run over q = 0..nu; rows become all-zero at the stable
     level where S_n is the full (contractible) rectangle.
     """
 
-    min_level: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("min_level", "rows")
+
+    def __init__(self, min_level: int, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "min_level", min_level)
+        object.__setattr__(self, "rows", rows)
 
 
-@dataclasses.dataclass(frozen=True)
-class EuOracle:
+class EuOracle(Frozen):
     """Euler characteristics summed from a BettiTable."""
 
-    eu_h0: int
-    eu_hstar: int
-    min_weight: int
-    table: BettiTable
+    __slots__ = _fields = ("eu_h0", "eu_hstar", "min_weight", "table")
+
+    def __init__(self, eu_h0: int, eu_hstar: int, min_weight: int, table: BettiTable):
+        object.__setattr__(self, "eu_h0", eu_h0)
+        object.__setattr__(self, "eu_hstar", eu_hstar)
+        object.__setattr__(self, "min_weight", min_weight)
+        object.__setattr__(self, "table", table)
 
 
 def default_dims(c: CuspCollection, box_margin: int = 0) -> tuple[int, ...]:

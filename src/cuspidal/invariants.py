@@ -32,11 +32,12 @@ coefficient.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import accumulate
 
+from ._frozen import Frozen
 from .semigroup import (
     MultSeq,
     Semigroup,
@@ -56,29 +57,30 @@ class NotCandidateError(ValueError):
     """An operation that requires 2*delta = (d-1)(d-2) was refused."""
 
 
-@dataclasses.dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Frozen):
     """Integer polynomial in t, coefficients stored as an IntSeq."""
 
-    coeffs: IntSeq
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: IntSeq):
+        object.__setattr__(self, "coeffs", coeffs)
 
 
-@dataclasses.dataclass(frozen=True)
-class CuspCollection:
+class CuspCollection(Frozen):
     """An immutable collection of cusp semigroups, each a plane branch.
 
     Validates every cusp on construction by extracting its multiplicity
     sequence; smooth points are rejected.  The counting functions, H, the
     Alexander product and q are computed on first use and kept on the
-    instance; F is read from q.
+    instance; F is read from q.  The fields are the cusps and their
+    multiplicity sequences; the instance keeps a __dict__ for the values
+    computed on first use.
     """
 
-    cusps: tuple[Semigroup, ...]
-    multseqs: tuple[MultSeq, ...] = dataclasses.field(init=False)
+    _fields = ("cusps", "multseqs")
 
-    def __post_init__(self):
-        cusps = tuple(self.cusps)
-        object.__setattr__(self, "cusps", cusps)
+    def __init__(self, cusps: Iterable[Semigroup]):
+        cusps = tuple(cusps)
         if not cusps:
             raise SemigroupError("a cusp collection needs at least one cusp")
         seqs = []
@@ -86,6 +88,7 @@ class CuspCollection:
             if not s.gaps:
                 raise SemigroupError("smooth point is not a cusp")
             seqs.append(multseq_from_semigroup(s))
+        object.__setattr__(self, "cusps", cusps)
         object.__setattr__(self, "multseqs", tuple(seqs))
 
     @property
@@ -147,19 +150,22 @@ class CuspCollection:
         return self.q[top - j] if j <= top else j + 1 - self.delta
 
 
-@dataclasses.dataclass(frozen=True)
-class EuReport:
+class EuReport(Frozen):
     """Per-Spin^c Euler characteristics with the per-j summands.
 
     terms holds (j, H(j+1) + delta-1-j, F(j) + delta-1-j) for the indices j
     in the congruence class; eu_h0 and eu_hstar are the two column sums.
     """
 
-    d: int
-    a: int
-    eu_h0: int
-    eu_hstar: int
-    terms: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("d", "a", "eu_h0", "eu_hstar", "terms")
+
+    def __init__(self, d: int, a: int, eu_h0: int, eu_hstar: int,
+                 terms: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "eu_h0", eu_h0)
+        object.__setattr__(self, "eu_hstar", eu_hstar)
+        object.__setattr__(self, "terms", terms)
 
 
 def is_candidate(c: CuspCollection, d: int) -> bool:

@@ -18,18 +18,25 @@ from the same Apery set: the semigroup is the disjoint union of the
 progressions w + m*Z>=0, so the counting head marks each progression with
 one slice assignment and sums the marks.
 All values are immutable and all operations are pure, so everything here is
-safe to share across threads.
+safe to share across threads.  MultSeq, NewtonPairs and Semigroup are plain
+classes on the package's frozen base (_frozen.Frozen), each with a
+written-out constructor that takes its integers through operator.index, as
+semigroup_from_generators does: a float raises TypeError instead of being
+truncated.  The literal parser reads its digits with int.  Semigroup's
+constructor runs its checks through __post_init__, and the Apery set it
+keeps is not a field, so equality, hashing and the repr go by the gaps.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate, groupby
 from math import gcd
-from operator import ge
+from operator import ge, index
 
+from ._frozen import Frozen
 from .seqcalc import CountingFn
 
 
@@ -59,24 +66,23 @@ class NotPlaneBranchError(SemigroupError):
     """A semigroup whose blowup chain does not behave like a plane branch."""
 
 
-@dataclasses.dataclass(frozen=True)
-class MultSeq:
+class MultSeq(Frozen):
     """A plane-branch multiplicity sequence, non-increasing entries >= 2.
 
     The empty sequence is the explicit smooth-point sentinel; it is a valid
     value but rejected by every operation that expects an actual cusp.
     """
 
-    entries: tuple[int, ...] = ()
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(int(n) for n in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Iterable[int] = ()):
+        entries = tuple(map(index, entries))
         for n in entries:
             if n < 2:
                 raise SemigroupError(f"multiplicity {n} < 2")
         if any(a < b for a, b in zip(entries, entries[1:])):
             raise SemigroupError(f"multiplicity sequence {entries} is not non-increasing")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def delta(self) -> int:
@@ -95,15 +101,13 @@ class MultSeq:
         return self.literal()
 
 
-@dataclasses.dataclass(frozen=True)
-class NewtonPairs:
+class NewtonPairs(Frozen):
     """Newton pairs (p_k, q_k): coprime, p_k >= 2, q_k >= 1 and q_1 > p_1."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("pairs",)
 
-    def __post_init__(self):
-        pairs = tuple((int(p), int(q)) for p, q in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
+        pairs = tuple((index(p), index(q)) for p, q in pairs)
         if not pairs:
             raise SemigroupError("empty Newton pair list")
         for p, q in pairs:
@@ -116,6 +120,7 @@ class NewtonPairs:
         p1, q1 = pairs[0]
         if q1 <= p1:
             raise SemigroupError(f"first Newton pair ({p1},{q1}) needs q > p")
+        object.__setattr__(self, "pairs", pairs)
 
     def literal(self) -> str:
         return "".join(f"({p},{q})" for p, q in self.pairs)
@@ -124,21 +129,27 @@ class NewtonPairs:
         return self.literal()
 
 
-@dataclasses.dataclass(frozen=True)
-class Semigroup:
+class Semigroup(Frozen):
     """A numerical semigroup, stored by its finite sorted gap set.
 
     The constructor checks that the complement of the gap set really is
     closed under addition, so a Semigroup value is a semigroup by
     construction.  It keeps the Apery set of the multiplicity m, indexed by
-    residue mod m, from which membership and the minimal generators are read.
+    residue mod m, from which membership and the minimal generators are
+    read; the Apery set is not a field, so equality, hashing and the repr
+    go by the gaps alone.
     """
 
-    gaps: tuple[int, ...] = ()
-    _apery: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("gaps", "_apery")
+    _fields = ("gaps",)
+
+    def __init__(self, gaps: Iterable[int] = ()):
+        object.__setattr__(self, "gaps", gaps)
+        self.__post_init__()
 
     def __post_init__(self):
-        gaps = tuple(map(int, self.gaps))
+        # bench/tracer.py times Semigroup construction by wrapping this method
+        gaps = tuple(map(index, self.gaps))
         object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "_apery", _checked_apery(gaps))
 
@@ -231,7 +242,7 @@ SMOOTH = Semigroup(())
 
 def semigroup_from_generators(gens) -> Semigroup:
     """Semigroup generated by `gens`; requires gcd of the generators to be 1."""
-    gens = sorted(set(int(g) for g in gens))
+    gens = sorted(set(map(index, gens)))
     if not gens:
         raise SemigroupError("empty generator list")
     if any(g < 1 for g in gens):

@@ -31,36 +31,41 @@ of the stored values, zero padding and a range for a linear tail, with no
 Python call per element; both min-plus evaluators read f through
 CountingFn.values.  The constructors keep every check and message on
 kernel results and public input alike; they run them through map and set,
-so that the checks, too, cost no Python call per element.
+so that the checks, too, cost no Python call per element.  IntSeq and
+CountingFn are plain classes on the package's frozen base (_frozen.Frozen),
+each with a written-out constructor that takes its integers through
+operator.index: a float raises TypeError instead of being truncated, and
+numpy integers are accepted and stored as Python ints.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import operator
+from collections.abc import Iterable
 from functools import reduce
 from itertools import accumulate
-from typing import Iterable
+
+from ._frozen import Frozen
 
 #: Candidate cells, (result values) x (run starts of g + 1), up to which
 #: min_convolve runs on Python lists instead of numpy.
 _LIST_CELLS = 60_000
 
 
-@dataclasses.dataclass(frozen=True)
-class IntSeq:
+class IntSeq(Frozen):
     """A finitely supported integer sequence indexed from 0.
 
     Stored densely as a tuple of values; trailing zeros are trimmed so that
     equality is value equality.  Indexing outside the stored range (including
     negative indices) yields 0, matching the convention that the "(-1)st"
-    element of any sequence is zero.
+    element of any sequence is zero.  The values must be integers (anything
+    with __index__, such as numpy integers); a float raises TypeError.
     """
 
-    values: tuple[int, ...] = ()
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(map(int, self.values))
+    def __init__(self, values: Iterable[int] = ()):
+        vals = tuple(map(operator.index, values))
         n = len(vals)
         while n and vals[n - 1] == 0:
             n -= 1
@@ -118,8 +123,7 @@ def convolve(a: IntSeq, b: IntSeq) -> IntSeq:
     return IntSeq(tuple(out))
 
 
-@dataclasses.dataclass(frozen=True)
-class CountingFn:
+class CountingFn(Frozen):
     """An eventually-linear nondecreasing step function on the integers.
 
     value(k) = 0 for k <= 0, head[k] for 0 <= k <= cutoff, and k - offset
@@ -127,21 +131,22 @@ class CountingFn:
     function of a numerical semigroup the offset is the gap count and the
     cutoff is twice that.  These constraints are exactly the ones satisfied
     by semigroup counting functions and are preserved by min_convolve.
+    Head and offset must be integers, as for IntSeq.
     """
 
-    head: tuple[int, ...]
-    offset: int
+    __slots__ = _fields = ("head", "offset")
 
-    def __post_init__(self):
-        head = tuple(map(int, self.head))
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "offset", int(self.offset))
+    def __init__(self, head: Iterable[int], offset: int):
+        head = tuple(map(operator.index, head))
+        offset = operator.index(offset)
         if not head or head[0] != 0:
             raise ValueError("counting function must start at value 0")
         if not set(map(operator.sub, head[1:], head)) <= {0, 1}:
             raise ValueError("counting function steps must be 0 or 1")
-        if head[-1] != self.cutoff - self.offset:
+        if head[-1] != len(head) - 1 - offset:
             raise ValueError("head and linear tail disagree at the cutoff")
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def cutoff(self) -> int:

@@ -12,7 +12,7 @@ from pathlib import Path
 import cuspidal.criteria
 import cuspidal.invariants
 from conftest import collection
-from cuspidal import IntSeq, build_rectangle, counting_fn, semigroup_from_generators
+from cuspidal import IntSeq, Semigroup, build_rectangle, counting_fn, semigroup_from_generators
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -50,3 +50,19 @@ def test_traced_counters_count():
         args, expected = calls[attr]
         n = count_fn(args, getattr(importlib.import_module(modname), attr)(*args))
         assert type(n) is int and n == expected, (attr, n)
+
+
+def test_semigroup_post_init_runs_on_construction(monkeypatch):
+    # the tracer times Semigroup construction by wrapping the __post_init__
+    # in the class dict, so the constructor must call it through the class
+    post_init = vars(Semigroup)["__post_init__"]
+    seen = []
+
+    def wrapped(self):
+        seen.append(self.gaps)
+        post_init(self)
+
+    monkeypatch.setattr(Semigroup, "__post_init__", wrapped)
+    s = Semigroup([1])
+    assert seen == [[1]]
+    assert s.gaps == (1,) and 3 in s and 1 not in s

@@ -1,11 +1,12 @@
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from conftest import child_env, fresh_python
+from conftest import child_env, fresh_python, random_admissible
 from cuspidal import cli, criteria, cubical, invariants, semigroup
 
 
@@ -517,6 +518,37 @@ class TestStability:
         assert time.perf_counter() - start < 0.1
         assert code == 3 and not out
         assert "multiset too large: 1200 entries exceed cap 256" in err
+
+    @pytest.mark.parametrize("literal", ["<2,2401>", "(2,2401)"])
+    def test_long_semigroup_refused_before_build(self, tmp_path, capsys, monkeypatch,
+                                                 literal):
+        # delta = 1,200 at multiplicity 2 takes at least 1,200 entries; the
+        # blowup chain of <2,2401> took 0.25 s before the refusal
+        monkeypatch.setattr(invariants, "multseq_from_semigroup", None)
+        path = tmp_path / "long.txt"
+        path.write_text(literal + "\n")
+        code, out, err = run_cli(capsys, "stability", str(path))
+        assert code == 3 and not out
+        assert "multiset too large: 1200 entries exceed cap 256" in err
+
+    def test_entry_bound_never_exceeds_the_entries(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            ms = random_admissible(rng, max_len=8)
+            s = semigroup.semigroup_from_multseq(ms)
+            assert cli._entries_at_least(ms) == len(ms.entries)
+            assert cli._entries_at_least(s) <= len(ms.entries)
+        # exact when every entry equals the multiplicity
+        s = semigroup.semigroup_from_multseq(semigroup.MultSeq((5,) * 7))
+        assert cli._entries_at_least(s) == 7
+        assert cli._entries_at_least(semigroup.SMOOTH) == 0
+
+    def test_smooth_point_refused(self, tmp_path, capsys):
+        path = tmp_path / "smooth.txt"
+        path.write_text("<1,5> [2]\n")
+        code, out, err = run_cli(capsys, "stability", str(path))
+        assert code == 2 and not out
+        assert "smooth point is not a cusp" in err
 
     @pytest.mark.parametrize("text, entries", [
         ("[3,2_300]\n", 301),         # inadmissible itself

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import C_SERIES_ROWS, collection, random_admissible, reference_regroupings
 from cuspidal import (
     Candidate,
+    CatalogEntry,
     CuspCollection,
+    MultSeq,
     NotCandidateError,
     candidate_degree,
     catalog,
@@ -55,6 +57,18 @@ class TestCandidateDegree:
         assert candidate_degree(collection("[2]", "[2]", "[2]")) == 4
         assert candidate_degree(collection("[2_2]")) is None  # delta = 2
         assert candidate_degree(collection("[2]")) == 3
+
+
+def test_candidate_degree_at_least_three():
+    c = collection("[2]")
+    assert Candidate(c, 3).d == 3
+    with pytest.raises(ValueError, match="degree 2 < 3"):
+        Candidate(c, 2)
+
+
+def test_catalog_entry_checks_its_delta():
+    with pytest.raises(AssertionError, match=r"bad: 2\*delta = 2 != \(d-1\)\(d-2\)"):
+        CatalogEntry("C", "bad", 5, (), (MultSeq((2,)),), ())
 
 
 class TestBezout:
@@ -181,6 +195,14 @@ class TestRegroupings:
         groups = regroupings([6, 2])
         assert [tuple(ms.literal() for ms in parts) for parts in groups.collections] \
             == [("[6]", "[2]")]
+
+    def test_one_multseq_per_distinct_part(self):
+        # rows share the MultSeq of a part instead of rebuilding it
+        groups = regroupings([2] * 8)
+        parts = [ms for row in groups.collections for ms in row]
+        shared = {}
+        assert all(shared.setdefault(ms.entries, ms) is ms for ms in parts)
+        assert len(parts) == 86 and len(shared) == 8
 
     def test_max_parts(self):
         groups = regroupings(Counter({3: 1, 2: 3}), max_parts=2)

@@ -37,6 +37,33 @@ def S(*gens):
     return semigroup_from_generators(gens)
 
 
+class TestExactIntegers:
+    @pytest.mark.parametrize("build", [
+        lambda: MultSeq((3.7, 2)),
+        lambda: MultSeq((3, 2.0)),
+        lambda: NewtonPairs(((2.0, 3),)),
+        lambda: NewtonPairs(((2, 3.5),)),
+        lambda: Semigroup((1.0,)),
+        lambda: semigroup_from_generators([2.0, 3]),
+    ])
+    def test_float_raises_type_error(self, build):
+        # a float is refused, not truncated: [3.7, 2] is not the cusp [3,2]
+        with pytest.raises(TypeError):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        import numpy as np
+
+        ms = MultSeq(np.array([3, 2], dtype=np.int64))
+        assert ms == MultSeq((3, 2)) and set(map(type, ms.entries)) == {int}
+        pairs = NewtonPairs(np.array([[2, 3], [2, 1]], dtype=np.int64))
+        assert pairs == NewtonPairs(((2, 3), (2, 1)))
+        assert {type(v) for pair in pairs.pairs for v in pair} == {int}
+        s = Semigroup(np.array([1], dtype=np.int64))
+        assert s == S(2, 3) and type(s.gaps[0]) is int
+        assert semigroup_from_generators(np.array([2, 3], dtype=np.int64)) == S(2, 3)
+
+
 class TestSemigroupFromGenerators:
     def test_two_three(self):
         s = S(2, 3)
@@ -59,6 +86,11 @@ class TestSemigroupFromGenerators:
     def test_not_numerical(self):
         with pytest.raises(SemigroupError, match="not numerical"):
             S(4, 6)
+
+    @pytest.mark.parametrize("gens", [(0, 2, 3), (-1, 2, 3), (0,)])
+    def test_nonpositive_generator(self, gens):
+        with pytest.raises(SemigroupError, match="generators must be positive"):
+            S(*gens)
 
     def test_empty(self):
         with pytest.raises(SemigroupError):
@@ -245,14 +277,14 @@ class TestMultSeqConversion:
 
 class TestNewtonPairs:
     def test_validation(self):
-        with pytest.raises(SemigroupError):
+        with pytest.raises(SemigroupError, match="needs q > p"):
             NewtonPairs(((3, 2),))  # needs q > p in the first pair
-        with pytest.raises(SemigroupError):
+        with pytest.raises(SemigroupError, match="has p < 2"):
             NewtonPairs(((1, 2), (2, 1)))  # p >= 2
-        with pytest.raises(SemigroupError):
+        with pytest.raises(SemigroupError, match="not coprime"):
             NewtonPairs(((2, 4),))  # not coprime
-        with pytest.raises(SemigroupError):
-            NewtonPairs(((2, 3), (2, 0)))  # q >= 1
+        with pytest.raises(SemigroupError, match="has q < 1"):
+            NewtonPairs(((2, 3), (2, 0)))  # q >= 1, checked before coprimality
         assert NewtonPairs(((2, 3),)).pairs == ((2, 3),)
 
     def test_examples(self):

@@ -37,6 +37,28 @@ def test_intseq_canonical_form():
     assert IntSeq((0,) * 20000) == IntSeq(())
 
 
+@pytest.mark.parametrize("build", [
+    lambda: IntSeq((1.9, 2.2)),
+    lambda: IntSeq((1, 2.0)),
+    lambda: CountingFn((0, 0.0, 1), 1),
+    lambda: CountingFn((0, 0, 1), 1.0),
+])
+def test_float_values_raise_type_error(build):
+    # arithmetic stays exact: a float is refused, not truncated
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_numpy_integers_accepted():
+    import numpy as np
+
+    a = IntSeq(np.array([1, -2, 0], dtype=np.int64))
+    assert a == IntSeq((1, -2)) and set(map(type, a.values)) == {int}
+    f = CountingFn(np.array([0, 0, 1], dtype=np.int64), np.int64(1))
+    assert f == CountingFn((0, 0, 1), 1)
+    assert set(map(type, f.head)) == {int} and type(f.offset) is int
+
+
 def test_diff_on_counting_window():
     # h_j = H(j+1) for the semigroup <2,3>
     h = IntSeq((1, 1, 2, 3, 4))

@@ -1,0 +1,154 @@
+"""Value semantics of the package's classes.
+
+Every value class sits on one frozen base: instances refuse assignment and
+deletion, compare and hash by their fields, and print the repr that names
+them.  The expected reprs are the text the classes printed when they were
+generated dataclasses, so that the change of base changed no output.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import cuspidal
+from conftest import fresh_python
+from cuspidal import (
+    BettiTable,
+    Candidate,
+    CatalogEntry,
+    CountingFn,
+    CriterionReport,
+    CriterionRow,
+    CuspCollection,
+    EuOracle,
+    EuReport,
+    IntPoly,
+    IntSeq,
+    MultSeq,
+    NewtonPairs,
+    Regroupings,
+    Semigroup,
+    WeightedRectangle,
+    catalog,
+    regroupings,
+    semigroup_from_generators,
+)
+
+CUSPS = "CuspCollection(cusps=(Semigroup(gaps=(1,)),), multseqs=(MultSeq(entries=(2,)),))"
+
+
+def _values():
+    """(instance, its repr) for one instance of each value class."""
+    c = CuspCollection((semigroup_from_generators([2, 3]),))
+    row = CriterionRow(0, 1, 1, True)
+    return [
+        (IntSeq((1, -1, 2)), "IntSeq(values=(1, -1, 2))"),
+        (CountingFn((0, 0, 1), 1), "CountingFn(head=(0, 0, 1), offset=1)"),
+        (MultSeq((3, 2)), "MultSeq(entries=(3, 2))"),
+        (NewtonPairs(((2, 3), (2, 1))), "NewtonPairs(pairs=((2, 3), (2, 1)))"),
+        (semigroup_from_generators([2, 3]), "Semigroup(gaps=(1,))"),
+        (IntPoly(IntSeq((1, -1, 1))), "IntPoly(coeffs=IntSeq(values=(1, -1, 1)))"),
+        (c, CUSPS),
+        (EuReport(d=4, a=1, eu_h0=2, eu_hstar=-1, terms=((1, 2, 3),)),
+         "EuReport(d=4, a=1, eu_h0=2, eu_hstar=-1, terms=((1, 2, 3),))"),
+        (Candidate(c, 3), f"Candidate(collection={CUSPS}, d=3)"),
+        (row, "CriterionRow(j=0, lhs=1, rhs=1, ok=True)"),
+        (CriterionReport("conj_index", (row,), True, difference=0),
+         "CriterionReport(criterion='conj_index', rows=(CriterionRow(j=0, lhs=1, rhs=1, "
+         "ok=True),), passed=True, difference=0)"),
+        (regroupings([3, 2]),
+         "Regroupings(collections=((MultSeq(entries=(3,)), MultSeq(entries=(2,))), "
+         "(MultSeq(entries=(3, 2)),)), truncated=False)"),
+        (catalog("sporadic3"),
+         "CatalogEntry(family='sporadic3', label='sporadic3', d=5, params=(), "
+         "cusps=(MultSeq(entries=(2, 2)), MultSeq(entries=(2, 2)), MultSeq(entries=(2, 2))), "
+         "newton=(NewtonPairs(pairs=((2, 5),)), NewtonPairs(pairs=((2, 5),)), "
+         "NewtonPairs(pairs=((2, 5),))))"),
+        (WeightedRectangle((1, 2), (0, 1, 2, 3, 4, 5)),
+         "WeightedRectangle(dims=(1, 2), weights=(0, 1, 2, 3, 4, 5))"),
+        (BettiTable(-1, ((1, 0), (0, 0))), "BettiTable(min_level=-1, rows=((1, 0), (0, 0)))"),
+        (EuOracle(1, 2, -1, BettiTable(-1, ((1, 0),))),
+         "EuOracle(eu_h0=1, eu_hstar=2, min_weight=-1, "
+         "table=BettiTable(min_level=-1, rows=((1, 0),)))"),
+    ]
+
+
+CLASSES = (IntSeq, CountingFn, MultSeq, NewtonPairs, Semigroup, IntPoly, CuspCollection,
+           EuReport, Candidate, CriterionRow, CriterionReport, Regroupings, CatalogEntry,
+           WeightedRectangle, BettiTable, EuOracle)
+
+each_class = pytest.mark.parametrize("i", range(len(CLASSES)), ids=[c.__name__ for c in CLASSES])
+
+
+def test_one_value_of_each_class():
+    assert [type(v) for v, _ in _values()] == list(CLASSES)
+
+
+@each_class
+def test_repr_unchanged(i):
+    value, text = _values()[i]
+    assert repr(value) == text
+
+
+@each_class
+def test_assignment_and_deletion_refused(i):
+    value, text = _values()[i]
+    for name in (*type(value)._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+@each_class
+def test_equal_and_hashed_by_fields(i):
+    value, twin = _values()[i][0], _values()[i][0]
+    assert twin is not value
+    assert twin == value and not twin != value and hash(twin) == hash(value)
+    fields = tuple(getattr(value, name) for name in type(value)._fields)
+    assert value != fields and value != fields[0]  # nor are the fields themselves
+
+
+def test_unequal_when_one_field_differs():
+    assert IntSeq((1, 2)) != IntSeq((1, 3))
+    assert CountingFn((0, 0, 1), 1) != CountingFn((0, 1, 2), 0)
+    assert CriterionRow(0, 1, 1, True) != CriterionRow(0, 1, 1, False)
+    assert CriterionReport("bl", (), True) != CriterionReport("bl", (), True, difference=0)
+    assert MultSeq((3,)) != MultSeq((2,)) and MultSeq((2, 2)) != NewtonPairs(((2, 5),))
+    assert len({IntSeq((1,)), IntSeq((1, 0)), IntSeq((2,))}) == 2
+
+
+def test_semigroup_apery_set_is_not_a_field():
+    s = semigroup_from_generators([3, 5])
+    t = Semigroup(s.gaps)
+    assert s._apery == t._apery == (0, 10, 5)
+    object.__setattr__(t, "_apery", (0,))  # what no constructor would keep
+    assert s == t and hash(s) == hash(t) and repr(t) == "Semigroup(gaps=(1, 2, 4, 7))"
+
+
+def test_cusp_collection_keeps_first_use_values():
+    # cached_property and seed_h write into the instance dict, past __setattr__
+    c = CuspCollection((semigroup_from_generators([2, 3]),) * 3)
+    assert c.delta == 3 and vars(c)["delta"] == 3
+    h = c.h
+    c.seed_h(h)
+    assert c.h is h
+    assert c == CuspCollection(c.cusps)
+
+
+def test_import_generates_no_code():
+    # site may load typing before the package; only what the import adds counts
+    package = sorted("cuspidal" if p.stem == "__init__" else "cuspidal." + p.stem
+                     for p in Path(cuspidal.__file__).parent.glob("*.py"))
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import cuspidal.cli\n"
+            "added = set(sys.modules) - before\n"
+            f"print(json.dumps([sorted(added & {{'dataclasses', 'inspect', 'typing'}}), "
+            f"sorted(set({package!r}) - added)]))\n")
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    generated, missing = json.loads(proc.stdout)
+    assert generated == [] and missing == []

@@ -6,7 +6,8 @@ Usage (from the repository root):
     python3 tools/mutate.py src/cuspidal/semigroup.py counting_fn \\
         --tests tests/test_semigroup.py --workdir /tmp/mutants
 
-Each mutant changes one site of the named module-level functions:
+Each mutant changes one site of the named functions: module-level
+functions by name, methods as ``Class.method`` (say ``IntSeq.__init__``):
 
 * a comparison flipped: < and <=, > and >=, == and !=, in and not in,
   is and is not swap;
@@ -34,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,14 +66,24 @@ def _sites(func: ast.FunctionDef):
                 yield node, "value", None, node.value + step, f"{node.value} -> {node.value + step}"
 
 
+def _functions(tree: ast.Module) -> dict:
+    """Module-level functions by name, and the methods of module-level classes as Class.method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    funcs = {node.name: node for node in tree.body if isinstance(node, defs)}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            funcs.update((f"{cls.name}.{node.name}", node)
+                         for node in cls.body if isinstance(node, defs))
+    return funcs
+
+
 def mutants(source: str, names: list[str]):
     """(function name, line, label, first line, last line, new function source) per mutant."""
     tree = ast.parse(source)
-    funcs = {node.name: node for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    funcs = _functions(tree)
     missing = [name for name in names if name not in funcs]
     if missing:
-        raise SystemExit(f"no module-level function named {', '.join(missing)}")
+        raise SystemExit(f"no function or method named {', '.join(missing)}")
     for name in names:
         func = funcs[name]
         first = min([func.lineno] + [d.lineno for d in func.decorator_list])
@@ -83,7 +95,8 @@ def mutants(source: str, names: list[str]):
                 setattr(node, field, new)
             else:
                 getattr(node, field)[index] = new
-            yield name, node.lineno, label, first, func.end_lineno, ast.unparse(mutated)
+            text = textwrap.indent(ast.unparse(mutated), " " * func.col_offset)
+            yield name, node.lineno, label, first, func.end_lineno, text
 
 
 def run_tests(workdir: str, tests: list[str]) -> bool:
@@ -102,7 +115,8 @@ def run_tests(workdir: str, tests: list[str]) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="path of the module, relative to the repository root")
-    parser.add_argument("functions", nargs="+", help="module-level functions to mutate")
+    parser.add_argument("functions", nargs="+",
+                        help="module-level functions, or Class.method, to mutate")
     parser.add_argument("--tests", nargs="+", required=True,
                         help="pytest arguments, relative to the repository root")
     parser.add_argument("--workdir", default=None,
