@@ -38,13 +38,8 @@ _DEGREE_LINE = re.compile(r"^degree\s*[:=]\s*(\d+)$", re.IGNORECASE)
 # the largest --window beyond 2*delta - 2 that `invariants` tabulates
 _MAX_WINDOW = 1_000_000
 
-# H window cells (2*delta + 1 per regrouping) that one `stability` run
-# compares; the memo of shared H prefixes (criteria._H_MEMO_CELLS) may hold
-# twice as many
-_STABILITY_CELLS = 50_000
-
 # the largest degree any command accepts: R, the Spin^c table and the
-# criteria all grow with d whatever delta is (r_poly has d(d-3) + 1 terms)
+# criteria all grow with d whatever delta is (R has d - 2 terms)
 _MAX_DEGREE = 2_000
 
 
@@ -181,7 +176,6 @@ def cmd_invariants(args) -> tuple[dict, int]:
     ks = list(range(window + 1))
     hrow = h.values(1, window + 1)
     frow = list(invariants.f_sequence(c, window=window).window(window))
-    r = invariants.r_poly(c, d) if d is not None and d >= 3 else None
     doc = {
         "cusps": literals,
         "multiplicity_sequences": [ms.literal() for ms in c.multseqs],
@@ -196,10 +190,9 @@ def cmd_invariants(args) -> tuple[dict, int]:
         "alexander": list(c.alexander_product.coeffs.window(2 * c.delta)),
         "q": list(invariants.q_coefficients(c).window(max(2 * c.delta - 2, 0))),
         "table": dict(zip(_HF_COLUMNS, (ks, hrow, frow, list(map(operator.sub, hrow, frow))))),
-        "r": None if r is None else {
+        "r": None if d is None or d < 3 else {
             "d": d,
-            "terms": [[j, (d - 3 - j) * d, r.coeffs[(d - 3 - j) * d]]
-                      for j in range(d - 2)],
+            "terms": [[j, e, v] for j, (e, v) in enumerate(invariants._r_terms(c, d))],
         },
     }
     return doc, 0
@@ -373,7 +366,7 @@ def cmd_stability(args) -> tuple[dict, int]:
     literals, c, d = _load(args, (literals, cusps, file_degree))
     ms = criteria.multiplicity_multiset(c)
     # each row computes H on its window [0, 2*delta]; at least one row is compared
-    cap = max(1, _STABILITY_CELLS // (2 * c.delta + 1))
+    cap = max(1, criteria._STABILITY_CELLS // (2 * c.delta + 1))
     groups = criteria.regroupings(ms, max_parts=args.max_parts, cap=cap)
     if not groups.collections:  # each entry alone is admissible, so only --max-parts gets here
         raise InputError(f"--max-parts {args.max_parts} leaves no admissible regrouping")
@@ -594,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = file_and_degree("cohomology", "eu per Spin^c index")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--a", type=int, default=None)
-    group.add_argument("--all-spinc", action="store_true")
+    group.add_argument("--all-spinc", action="store_true",
+                       help="tabulate every index a in [0, d); the default without --a")
 
     p = sub.add_parser("catalog", help="known-curve catalog entries")
     p.add_argument("--family", required=True, choices=criteria.FAMILIES)

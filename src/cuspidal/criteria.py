@@ -182,11 +182,12 @@ class Regroupings(Frozen):
         return colls
 
 
+#: H window cells (2*delta + 1 per regrouping) one `stability` run compares.
+_STABILITY_CELLS = 50_000
+
 #: Cells (cutoff + 1 per H) that the prefix memo of one cusp_collections
-#: call may hold: twice the H cells that one `stability` run compares
-#: (cli._STABILITY_CELLS), room for every proper prefix of [2_30] at its
-#: row cap.
-_H_MEMO_CELLS = 100_000
+#: call may hold, room for every proper prefix of [2_30] at its row cap.
+_H_MEMO_CELLS = 2 * _STABILITY_CELLS
 
 
 def _prefix_hs(rows, budget: int) -> list[CountingFn]:

@@ -7,14 +7,15 @@ gap count delta, this module computes:
   and the product Delta of all of them (degree 2*delta, Delta(1) = 1);
 * the quotient Q with Delta(t) = 1 + delta(t-1) + (t-1)^2 Q(t) and its
   coefficient sequence q_0..q_{2delta-2};
-* the sequence F, the reversed q sequence on [0, 2*delta-2] continued by
-  F(j) = j + 1 - delta (the coefficients of Delta(t)/(1-t)^2);
+* the sequence F of the coefficients of Delta(t)/(1-t)^2, which is
+  F(j) = q_j + j + 1 - delta for j >= 0 (q_j = 0 past 2*delta-2);
 * H, the min-plus convolution of the cusp counting functions;
 * the sparse polynomial R supported on multiples of a degree d, whose
   coefficients compare q at multiples of d against triangular numbers; and
 * the normalized Euler characteristics eu_h0 / eu_hstar of the lattice
   cohomology of the (-d)-surgery on the connected sum of the cusp knots, per
-  Spin^c index a, as explicit finite sums over H and F.
+  Spin^c index a, as explicit finite sums over H and F (F(j) + delta-1-j
+  is q_j, so eu_hstar sums q over the class).
 
 A CuspCollection computes its counting functions, H, the Alexander product
 and q once, on first use, and keeps them; H, q, F, R and the Euler
@@ -25,8 +26,8 @@ are exact, so the order of the cusps changes only the cost.  A caller that
 already holds H, such as the regroupings of a multiset, which share the H
 of their common parts, hands it over with seed_h.  The Alexander
 polynomial of one cusp and the product come from one route, the cusps'
-Apery sets (see _alexander_series), and q, F and the Spin^c sums are read
-from them by slicing and running sums, with no Python step per
+Apery sets (see _alexander_series), and q, F, R and the Spin^c sums are
+read from them by slicing and running sums, with no Python step per
 coefficient.
 """
 
@@ -141,13 +142,12 @@ class CuspCollection(Frozen):
         return IntSeq(tuple(_divide_by_t_minus_1(_divide_by_t_minus_1(co))))
 
     def f(self, j: int) -> int:
-        """F(j) = q_{2delta-2-j} on [0, 2*delta-2], j + 1 - delta above, 0 below.
+        """F(j) = q_j + j + 1 - delta for j >= 0, and 0 below.
 
-        F(j) is the t^j coefficient of Delta(t)/(1-t)^2, which is
-        j + 1 - delta + q_j, and the symmetry of Delta makes that q_{2delta-2-j}.
+        F(j) is the t^j coefficient of Delta(t)/(1-t)^2: with Delta(t) =
+        1 + delta(t-1) + (t-1)^2 Q(t) that is Q plus 1/(1-t)^2 - delta/(1-t).
         """
-        top = 2 * self.delta - 2
-        return self.q[top - j] if j <= top else j + 1 - self.delta
+        return self.q[j] + j + 1 - self.delta if j >= 0 else 0
 
 
 class EuReport(Frozen):
@@ -242,13 +242,11 @@ def q_coefficients(c: CuspCollection) -> IntSeq:
 def f_sequence(c: CuspCollection, window: int | None = None) -> IntSeq:
     """The sequence F on [0, window], the window defaulting to [0, 2*delta - 2].
 
-    F is the reversed q sequence, continued linearly (see CuspCollection.f):
-    the reversed q.window(2*delta - 2), then a range for j > 2*delta - 2.
+    F(j) = q_j + j + 1 - delta (see CuspCollection.f): q.window(window) plus
+    a range.
     """
-    top = 2 * c.delta - 2
-    n = top if window is None else window
-    rows = c.q.window(top)[::-1] + tuple(range(top + 2 - c.delta, n + 2 - c.delta))
-    return IntSeq(rows[:max(n + 1, 0)])
+    n = 2 * c.delta - 2 if window is None else window
+    return IntSeq(map(operator.add, c.q.window(n), range(1 - c.delta, n + 2 - c.delta)))
 
 
 def h_function(c: CuspCollection) -> CountingFn:
@@ -264,12 +262,16 @@ def r_poly(c: CuspCollection, d: int) -> IntPoly:
     """
     if d < 3:
         raise ValueError(f"invalid degree {d}: need d >= 3")
-    q = q_coefficients(c)
     co = [0] * (d * (d - 3) + 1)
-    for j in range(d - 2):
-        idx = (d - 3 - j) * d
-        co[idx] = q[idx] - (j + 1) * (j + 2) // 2
-    return IntPoly(IntSeq(tuple(co)))
+    for e, v in _r_terms(c, d):
+        co[e] = v
+    return IntPoly(IntSeq(co))
+
+
+def _r_terms(c: CuspCollection, d: int) -> list[tuple[int, int]]:
+    """R's d - 2 terms as (exponent, coefficient), j = 0..d-3 (see r_poly)."""
+    return [(e, c.q[e] - (j + 1) * (j + 2) // 2)
+            for j, e in enumerate(range((d - 3) * d, -1, -d))]
 
 
 def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
@@ -293,7 +295,7 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
     for k in range(0, n + 1, d):
         i = k // d
         sub = (i + 1) * (i + 2) // 2
-        if k >= d * d and (k - d * d) % d == 0:
+        if k >= d * d:
             ii = (k - d * d) // d
             sub -= (ii + 1) * (ii + 2) // 2
         value = g[k] - sub
@@ -310,15 +312,16 @@ def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:
     eu_h0, of the zeroth lattice cohomology of the (-d)-surgery, sums
     H(j+1) + delta-1-j over 0 <= j <= 2*delta-2 with j = a (mod d); eu_hstar,
     of the full lattice cohomology, is the same sum with F in place of H.
+    F(j) + delta-1-j is q_j, so the eu_hstar terms are q's coefficients.
     """
     if not 0 <= a < d:
         raise ValueError(f"Spin^c index {a} not in [0, {d})")
     dl = c.delta
     top = 2 * dl - 2
     norm = range(dl - 1 - a, -dl, -d)  # delta - 1 - j for j = a, a + d, ... <= top
-    # H(j + 1) for j in [0, top] is h.values(1, top + 1)[j], F(j) is q_{top-j}
-    h0 = list(map(operator.add, h_function(c).values(1, top + 1)[a::d], norm))
-    hstar = list(map(operator.add, c.q.window(top)[::-1][a::d], norm))
+    # H(j + 1) is head[j + 1] (cutoff 2*delta); q has degree top, q_top = 1
+    h0 = list(map(operator.add, h_function(c).head[a + 1:top + 2:d], norm))
+    hstar = c.q.values[a:top + 1:d]
     return EuReport(
         d=d,
         a=a,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -163,6 +164,24 @@ class TestInvariants:
         assert code == 0
         assert len(calls) == 3  # one per cusp, for the alexander row and q together
 
+    def test_r_terms_without_the_dense_r(self, tmp_path, capsys, monkeypatch):
+        # R has d - 2 terms, read from q; the dense r_poly has d(d-3) + 1
+        # coefficients, about 4 million here, and is never built.  The digest
+        # is of the bytes printed when the terms were read from r_poly.
+        path = tmp_path / "two.txt"
+        path.write_text("[2]\n")
+        monkeypatch.setattr(invariants, "r_poly", None)
+        code, out, _ = run_cli(capsys, "invariants", str(path), "--d", "2000",
+                               "--format", "machine")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "8cc59064a02430f5bc0b032293639a4bbf7d7a1451514ec540b81b10c233132f"
+        terms = json.loads(out)["r"]["terms"]
+        # [2] has q = (1,): every coefficient is -(j+1)(j+2)/2, plus q_0 at j = d - 3
+        assert len(terms) == 1998
+        assert terms[0] == [0, 1997 * 2000, -1]
+        assert terms[-1] == [1997, 0, 1 - 1998 * 1999 // 2]
+
     def test_determinism(self, octic_file, capsys):
         _, out1, _ = run_cli(capsys, "invariants", octic_file, "--format", "machine")
         _, out2, _ = run_cli(capsys, "invariants", octic_file, "--format", "machine")
@@ -270,7 +289,7 @@ class TestDegreeRule:
     # that grows with d may run before the check
     @pytest.fixture(autouse=True)
     def no_rows(self, monkeypatch):
-        for name in ("r_poly", "spinc_report", "eu_canonical"):
+        for name in ("r_poly", "_r_terms", "spinc_report", "eu_canonical"):
             monkeypatch.setattr(invariants, name, None)
         monkeypatch.setattr(criteria, "run_criterion", None)
 
@@ -574,7 +593,7 @@ class TestStability:
         code, doc, _ = run_machine(capsys, "stability", str(path))
         assert time.perf_counter() - start < 10
         assert code == 0 and doc["truncated"] and doc["h_equal"]
-        assert len(doc["regroupings"]) == cli._STABILITY_CELLS // (2 * 1711 + 1)
+        assert len(doc["regroupings"]) == criteria._STABILITY_CELLS // (2 * 1711 + 1)
 
     def test_walk_bounded_by_parts_tried(self, tmp_path, capsys):
         # under --max-parts the walk tries every sub-multiset that holds the

@@ -141,7 +141,7 @@ class TestOracle:
         assert (o.eu_h0, o.eu_hstar) == (1, 1)
 
     def test_quartic_q_identity(self):
-        # oracle eu_hstar at j equals the reversed q coefficients (3,0,3,-1,1)
+        # oracle eu_hstar at j equals q_j = F(j) + delta-1-j, q = (3,0,3,-1,1)
         got = [oracle_eu(QUARTIC, j).eu_hstar for j in range(5)]
         assert got == [3, 0, 3, -1, 1]
 

@@ -221,6 +221,25 @@ class TestFSequence:
         assert f_sequence(c) == reference_f_sequence(c)
 
 
+    @given(cusps=st.lists(admissible_semigroups, min_size=1, max_size=3))
+    def test_pointwise_f_meets_the_reference(self, cusps):
+        # c.f, the oracle of the Spin^c pointwise test, against the
+        # sequence-calculus route, below 0 and past the linear tail's start
+        c = CuspCollection(tuple(cusps))
+        n = 2 * c.delta + 3
+        ref = reference_f_sequence(c, n)
+        assert [c.f(j) for j in range(-3, n + 1)] == [ref[j] for j in range(-3, n + 1)]
+
+    @given(cusps=st.lists(admissible_semigroups, min_size=1, max_size=3))
+    def test_f_is_q_reversed_on_the_window(self, cusps):
+        # Delta is palindromic for plane branches, so F(j) = q_j + j + 1 - delta
+        # is also q_{2delta-2-j} on [0, 2delta-2]
+        c = CuspCollection(tuple(cusps))
+        top = 2 * c.delta - 2
+        assert [c.f(j) for j in range(top + 1)] == [c.q[top - j] for j in range(top + 1)]
+        assert f_sequence(c).window(top) == c.q.window(top)[::-1]
+
+
 class TestHFunction:
     def test_golden_rows(self):
         h = h_function(collection(*QUARTIC))
@@ -284,6 +303,21 @@ class TestRPoly:
             top = d * (d - 3)
             assert all(r.coeffs[e] == r.coeffs[top - e]
                        for e in range(top + 1)), entry.label
+
+    @settings(max_examples=30)
+    @given(cusps=st.lists(admissible_semigroups, min_size=1, max_size=2))
+    def test_reader_is_r_poly(self, cusps):
+        # the d - 2 terms that r_poly places and the CLI prints, against
+        # r_poly's nonzero coefficients and q read off the reference F
+        c = CuspCollection(tuple(cusps))
+        top = 2 * c.delta + 3
+        ref = reference_f_sequence(c, top * (top - 3))
+        for d in range(3, top + 1):
+            terms = invariants._r_terms(c, d)
+            assert terms == [(e, ref[e] - e - 1 + c.delta - (j + 1) * (j + 2) // 2)
+                             for j, e in enumerate(range((d - 3) * d, -1, -d))]
+            assert {e: v for e, v in terms if v} == \
+                {e: v for e, v in enumerate(r_poly(c, d).coeffs.values) if v}
 
     def test_series_route_needs_candidate(self):
         with pytest.raises(NotCandidateError):
