@@ -26,17 +26,27 @@ slice pair per axis of the cube (the "V-construction" of Wagner-Chen-Vucini,
 equal weights gives the same ranks at every level, and the order over all
 cells (weight, then dimension) lists faces before cofaces, so every prefix
 is a subcomplex.  The face rows of all q-cubes come from slicing the inverse
-permutation of dimension q-1.  All weights are small integers, so int64
-arrays hold them exactly.
+permutation of dimension q-1, and the oldest coface of every (q-1)-cube is
+np.minimum over the same slices of the q-cube positions.  All weights are
+small integers, so int64 arrays hold them exactly.
 
 Rank computation is exact Python-int arithmetic: sparse column elimination
 with gcd normalization (cross-multiplication instead of fractions),
 processed in filtration order so that one pass yields the rank of every
-sublevel boundary matrix at once.  The edge boundary's rank comes from a
-union-find.  For q >= 2, pivot rows of the (q+1)-boundary clear the
-corresponding q-columns (Chen-Kerber, 2011), which is valid level-by-level
-because row order equals filtration order.  A column whose lowest row is
-not a pivot yet becomes a pivot as it is; only the others are reduced.
+sublevel boundary matrix at once.  Only the columns that need it reach the
+Python loop.  For q >= 2, the boundaries go top dimension first:
+- a column is apparent when its lowest row, its youngest face, has the
+  column as its oldest coface (the apparent pairs of Bauer's Ripser, 2021).
+  No earlier column meets that row, so numpy registers every apparent
+  column as a pivot as it stands;
+- pivot rows of the (q+1)-boundary clear the corresponding q-columns
+  (Chen-Kerber, 2011), which is valid level-by-level because row order
+  equals filtration order;
+- of the rest, a column whose lowest row is not a pivot yet becomes a pivot
+  as it is; only the others are reduced.
+The edge boundary's rank comes last, from a union-find over the edges that
+are not pivot rows of the reduced 2-boundary: such an edge closes a cycle,
+so its union is a no-op, and clearing reaches down to the edges.
 
 The top boundary is eliminated too, although btilde_nu(S_n) = 0 holds for
 every subcomplex of R^nu: a zero last column is a self-test of the
@@ -190,23 +200,51 @@ def _face_signs(q: int) -> list[int]:
     return out
 
 
-def _cell_filtration(rect: WeightedRectangle):
-    """Cell weights and face rows of every dimension, in filtration order.
+def _shifted(a, axis: int, k: int):
+    """The entries of `a` at x (k = 0) or at x + e_axis (k = 1)."""
+    return a[(slice(None),) * axis + ((slice(None, -1), slice(1, None))[k],)]
 
-    Returns (weights, faces): weights[q] is the nondecreasing int64 array of
-    the weights of all q-cubes, and faces[q] (q >= 1) the (n_q, 2q) array
-    whose row k holds the positions, within dimension q-1, of the faces of
-    the k-th q-cube, ordered as `_face_signs(q)`.  faces[0] is None.
+
+def _oldest_cofaces(below: dict, above: dict):
+    """Position of the oldest coface of every (q-1)-cube, by its own position.
+
+    `below` and `above` map each axis mask to the grid of filtration
+    positions of the cubes with those axes, in dimensions q-1 and q.  The
+    q-cube at x with an extra axis i has the (q-1)-cube at x as its lower and
+    the one at x + e_i as its upper face, so the oldest coface is the
+    np.minimum over those two shifted slices for every axis missing from the
+    mask: the transpose of how `_cell_filtration` reads face rows.  A cube
+    without cofaces gets the number of q-cubes, which no position reaches.
+    """
+    import numpy as np
+
+    size = sum(g.size for g in above.values())
+    out = np.empty(sum(g.size for g in below.values()), dtype=np.int64)
+    for m, g in below.items():
+        oldest = np.full(g.shape, size, dtype=np.int64)
+        for i in range(g.ndim):
+            if not m >> i & 1:
+                for k in (0, 1):
+                    view = _shifted(oldest, i, k)
+                    np.minimum(view, above[m | 1 << i], out=view)
+        out[g.ravel()] = oldest.ravel()
+    return out
+
+
+def _cell_filtration(rect: WeightedRectangle):
+    """Cell weights, face rows and oldest cofaces of every dimension, in filtration order.
+
+    Returns (weights, faces, cofaces): weights[q] is the nondecreasing int64
+    array of the weights of all q-cubes, faces[q] (q >= 1) the (n_q, 2q)
+    array whose row k holds the positions, within dimension q-1, of the faces
+    of the k-th q-cube, ordered as `_face_signs(q)`, and cofaces[q]
+    (1 <= q < nu) the position, within dimension q+1, of the oldest coface
+    of the k-th q-cube (see `_oldest_cofaces`).  faces[0], cofaces[0] and
+    cofaces[nu] are None.
     """
     import numpy as np
 
     nu = rect.nu
-    lower_upper = (slice(None, -1), slice(1, None))
-
-    def shifted(a, axis, k):
-        # the entries of `a` at x (k = 0) or at x + e_axis (k = 1)
-        return a[(slice(None),) * axis + (lower_upper[k],)]
-
     # cube weights per axis mask: np.maximum over the two faces along the
     # highest axis, whose weights are already the max over their vertices;
     # corner[mask] is the flat index of each cube's lowest vertex
@@ -216,11 +254,11 @@ def _cell_filtration(rect: WeightedRectangle):
     for mask in range(1, 1 << nu):
         i = mask.bit_length() - 1
         w = cube[mask ^ 1 << i]
-        cube[mask] = np.maximum(shifted(w, i, 0), shifted(w, i, 1))
-        corner[mask] = shifted(corner[mask ^ 1 << i], i, 0)
+        cube[mask] = np.maximum(_shifted(w, i, 0), _shifted(w, i, 1))
+        corner[mask] = _shifted(corner[mask ^ 1 << i], i, 0)
     min_w = int(cube[0].min())
 
-    weights, faces = [], []
+    weights, faces, cofaces = [], [], [None] * (nu + 1)
     below: dict[int, np.ndarray] = {}
     for q in range(nu + 1):
         masks = [m for m in range(1 << nu) if m.bit_count() == q]
@@ -245,38 +283,42 @@ def _cell_filtration(rect: WeightedRectangle):
                 for i in range(nu):
                     if m >> i & 1:
                         g = below[m ^ 1 << i]
-                        rows += (shifted(g, i, 1).ravel(), shifted(g, i, 0).ravel())
+                        rows += (_shifted(g, i, 1).ravel(), _shifted(g, i, 0).ravel())
                 blocks.append(np.stack(rows, axis=1))
             faces.append(np.concatenate(blocks)[order])
         else:
             faces.append(None)
+        if q >= 2:
+            cofaces[q - 1] = _oldest_cofaces(below, grids)
         below = grids
-    return weights, faces
+    return weights, faces, cofaces
 
 
-def _reduce_column(col: dict[int, int], pivots: dict, faces: np.ndarray,
-                   signs: list[int]) -> bool:
+def _reduce_column(col: dict[int, int], pivots: dict, apparent: np.ndarray,
+                   faces: np.ndarray, signs: list[int]) -> bool:
     """Eliminate `col` against the pivot columns; register it if independent.
 
     Exact integer arithmetic: to kill the leading row r shared with pivot P,
     replace col by (P_r/g)*col - (col_r/g)*P with g = gcd.  Returns True when
-    the column carries a new pivot (rank grows by one).  A pivot that was
-    taken as it stood is stored as its column index and turned into a dict
-    here the first time a reduction needs it.
+    the column carries a new pivot (rank grows by one), at once when its
+    lowest row is no pivot row yet.  The pivot of row r is pivots[r], else
+    the apparent column apparent[r] (-1 for none), whose face row enters
+    pivots the first time a reduction needs it.
     """
     while col:
         r = max(col)
         piv = pivots.get(r)
         if piv is None:
-            g = 0
-            for v in col.values():
-                g = gcd(g, v)
-            if g > 1:
-                for k in col:
-                    col[k] //= g
-            pivots[r] = col
-            return True
-        if piv.__class__ is int:
+            piv = apparent[r]
+            if piv < 0:
+                g = 0
+                for v in col.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    for k in col:
+                        col[k] //= g
+                pivots[r] = col
+                return True
             piv = pivots[r] = dict(zip(faces[piv].tolist(), signs))
         a = piv[r]
         b = col[r]
@@ -295,6 +337,19 @@ def _reduce_column(col: dict[int, int], pivots: dict, faces: np.ndarray,
     return False
 
 
+def _apparent(faces: np.ndarray, oldest: np.ndarray):
+    """Lowest rows of a boundary's columns, and the mask of its apparent columns.
+
+    A column is apparent when its lowest row (its youngest face) has the
+    column as its oldest coface.  No earlier column meets that row, so an
+    apparent column is a pivot of the left-to-right reduction as it stands.
+    """
+    import numpy as np
+
+    low = faces.max(axis=1)
+    return low, oldest[low] == np.arange(len(faces))
+
+
 def _rank_profile(rect: WeightedRectangle):
     """One filtration pass; per dimension, sorted weights of cells and pivots.
 
@@ -306,13 +361,36 @@ def _rank_profile(rect: WeightedRectangle):
     import numpy as np
 
     nu = rect.nu
-    cell_weights, faces = _cell_filtration(rect)
-    pivot_cols: list[list[int]] = [[] for _ in range(nu + 2)]
+    cell_weights, faces, cofaces = _cell_filtration(rect)
+    pivot_weights = [np.empty(0, dtype=np.int64)] * (nu + 2)
 
-    # rank of the edge boundary via union-find: tree edges are the pivots
+    # higher boundaries top dimension first, so that pivot rows clear the
+    # matching columns one dimension down.  Apparent columns are pivots as
+    # they stand, kept by row in a numpy array; only the other columns reach
+    # the loop, and the pivots it finds go into a dict
+    cleared = np.zeros(len(cell_weights[nu]), dtype=bool)
+    for q in range(nu, 1, -1):
+        f = faces[q]
+        low, pivot = _apparent(f, cofaces[q - 1])
+        apparent = np.full(len(cell_weights[q - 1]), -1)
+        apparent[low[pivot]] = np.flatnonzero(pivot)
+        signs = _face_signs(q)
+        pivots: dict = {}
+        for idx in np.flatnonzero(~(pivot | cleared)).tolist():
+            if _reduce_column(dict(zip(f[idx].tolist(), signs)), pivots, apparent, f, signs):
+                pivot[idx] = True
+        pivot_weights[q] = cell_weights[q][pivot]
+        cleared = apparent >= 0
+        cleared[list(pivots)] = True
+
+    # rank of the edge boundary via union-find: tree edges are the pivots.
+    # An edge that is a pivot row of the reduced 2-boundary closes a cycle,
+    # so its union would be a no-op and it is skipped
+    edges = np.flatnonzero(~cleared)
     parent = list(range(len(cell_weights[0])))
-    tree = pivot_cols[1]
-    for idx, (u, v) in enumerate(faces[1].tolist()):
+    tree = []
+    us, vs = faces[1][edges].T.tolist()
+    for idx, u, v in zip(edges.tolist(), us, vs):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -320,27 +398,7 @@ def _rank_profile(rect: WeightedRectangle):
         if u != v:
             parent[u] = v
             tree.append(idx)
-
-    # higher boundaries by exact sparse elimination, top dimension first so
-    # that pivot rows clear the matching columns one dimension down
-    cleared = ()
-    for q in range(nu, 1, -1):
-        f = faces[q]
-        keep = np.ones(len(f), dtype=bool)
-        keep[list(cleared)] = False
-        todo = np.flatnonzero(keep)
-        signs = _face_signs(q)
-        pivots: dict = {}
-        found = pivot_cols[q]
-        for idx, r in zip(todo.tolist(), f[todo].max(axis=1).tolist()):
-            if r not in pivots:
-                pivots[r] = idx
-                found.append(idx)
-            elif _reduce_column(dict(zip(f[idx].tolist(), signs)), pivots, f, signs):
-                found.append(idx)
-        cleared = pivots
-    pivot_weights = [ws[cols] for ws, cols in zip(cell_weights, pivot_cols)]
-    pivot_weights.append(np.empty(0, dtype=np.int64))
+    pivot_weights[1] = cell_weights[1][tree]
     return cell_weights, pivot_weights
 
 

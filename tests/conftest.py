@@ -374,6 +374,101 @@ def reference_betti_table(rect):
     return BettiTable(min_w, tuple(out))
 
 
+def reference_rank_profile(rect):
+    """Pivot weights of every boundary by the loop that preceded apparent pairs.
+
+    Every column that clearing leaves goes through the first-low shortcut or
+    `_reference_reduce` in filtration order, and the union-find visits every
+    edge.  It shares only `_cell_filtration` and `_face_signs` with the
+    production route.
+    """
+    import numpy as np
+
+    from cuspidal.cubical import _cell_filtration, _face_signs
+
+    nu = rect.nu
+    cell_weights, faces, _ = _cell_filtration(rect)
+    pivot_cols = [[] for _ in range(nu + 2)]
+
+    parent = list(range(len(cell_weights[0])))
+    tree = pivot_cols[1]
+    for idx, (u, v) in enumerate(faces[1].tolist()):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            tree.append(idx)
+
+    cleared = ()
+    for q in range(nu, 1, -1):
+        f = faces[q]
+        keep = np.ones(len(f), dtype=bool)
+        keep[list(cleared)] = False
+        todo = np.flatnonzero(keep)
+        signs = _face_signs(q)
+        pivots = {}
+        found = pivot_cols[q]
+        for idx, r in zip(todo.tolist(), f[todo].max(axis=1).tolist()):
+            col = dict(zip(f[idx].tolist(), signs))
+            if r not in pivots:
+                pivots[r] = col
+                found.append(idx)
+            elif _reference_reduce(col, pivots):
+                found.append(idx)
+        cleared = pivots
+    pivot_weights = [ws[cols] for ws, cols in zip(cell_weights, pivot_cols)]
+    pivot_weights.append(np.empty(0, dtype=np.int64))
+    return cell_weights, pivot_weights
+
+
+def reference_apparent(rect, faces):
+    """Per dimension q >= 2, oldest cofaces and apparent columns by their definition.
+
+    Returns {q: (oldest, apparent)}: oldest[r] is the position of the oldest
+    q-coface of the (q-1)-cube at position r (the number of q-cubes if it
+    has none), and apparent[k] whether the q-cube at position k is the
+    oldest coface of its youngest face.
+
+    Each filtration position is matched to its cube (point, axis mask) of
+    `enumerate_cells` through its vertex set: vertices are ordered by weight,
+    then by flat index, and a cube's vertex set is the union of its faces'.
+    The youngest face and the oldest coface are then read from
+    `cube_boundary`, by brute force over all cubes.
+    """
+    nu = rect.nu
+    strides = rect.strides()
+    cells = enumerate_cells(rect)
+    vertex_pos = {p: k for k, (_, p) in enumerate(
+        sorted((w, p) for w, dim, p, _ in cells if dim == 0))}
+    verts = [[frozenset((k,)) for k in range(len(vertex_pos))]]
+    for q in range(1, nu + 1):
+        verts.append([frozenset().union(*(verts[q - 1][f] for f in row))
+                      for row in faces[q].tolist()])
+    position = [{v: k for k, v in enumerate(vs)} for vs in verts]
+    pos = {}
+    for _, dim, p, mask in cells:
+        offsets = [0]
+        for i in range(nu):
+            if mask >> i & 1:
+                offsets += [o + strides[i] for o in offsets]
+        pos[p, mask] = position[dim][frozenset(vertex_pos[p + o] for o in offsets)]
+    out = {}
+    for q in range(2, nu + 1):
+        youngest = [None] * len(verts[q])
+        oldest = [len(verts[q])] * len(verts[q - 1])
+        for _, dim, p, mask in cells:
+            if dim == q:
+                k = pos[p, mask]
+                rows = [pos[fp, fmask] for fp, fmask, _ in cube_boundary(p, mask, strides)]
+                youngest[k] = max(rows)
+                for r in rows:
+                    oldest[r] = min(oldest[r], k)
+        out[q] = oldest, [oldest[r] == k for k, r in enumerate(youngest)]
+    return out
+
+
 def random_admissible(rng: random.Random, max_len=5, max_entry=9) -> MultSeq:
     while True:
         r = rng.randint(1, max_len)

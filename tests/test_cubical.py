@@ -1,10 +1,18 @@
 import itertools
+from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import collection, random_admissible, reference_betti_table
+from conftest import (
+    collection,
+    random_admissible,
+    reference_apparent,
+    reference_betti_table,
+    reference_rank_profile,
+)
 from cuspidal import (
     CuspCollection,
     RectangleTooLarge,
@@ -16,9 +24,18 @@ from cuspidal import (
     h_function,
     min_w_over_diagonal,
     oracle_eu,
+    regroupings,
     semigroup_from_multseq,
 )
-from cuspidal.cubical import _cell_filtration, _face_signs, default_dims
+from cuspidal import cubical
+from cuspidal.cubical import (
+    _apparent,
+    _cell_filtration,
+    _face_signs,
+    _rank_profile,
+    _reduce_column,
+    default_dims,
+)
 
 QUARTIC = collection("[2]", "[2]", "[2]")
 SINGLE = collection("[2]")
@@ -69,7 +86,7 @@ class TestBoundaryOperator:
     def test_boundary_of_boundary_vanishes(self):
         for rect in (build_rectangle(collection("[2]", "[2]"), 1),
                      build_rectangle(QUARTIC, 2, dims=(2, 3, 4))):
-            _, faces = _cell_filtration(rect)
+            _, faces, _ = _cell_filtration(rect)
             for q in range(2, rect.nu + 1):
                 for row in faces[q].tolist():
                     assert len(set(row)) == 2 * q
@@ -78,6 +95,22 @@ class TestBoundaryOperator:
                         for g, gsign in zip(faces[q - 1][f].tolist(), _face_signs(q - 1)):
                             total[g] = total.get(g, 0) + sign * gsign
                     assert all(v == 0 for v in total.values())
+
+
+    def test_reduce_column_beyond_unit_entries(self):
+        # cubical pivots lead with +-1, but the elimination is exact for any
+        # integers: 2*col - pivot kills row 5, and the rest is a new pivot
+        none = np.full(6, -1)
+        pivots = {5: {5: 2, 1: 1}}
+        assert _reduce_column({5: 1, 3: 1}, pivots, none, None, None)
+        assert pivots[3] == {3: 2, 1: -1}
+        # a multiple of a pivot reduces to zero and adds none
+        assert not _reduce_column({5: 4, 1: 2}, pivots, none, None, None)
+        assert len(pivots) == 2
+        # a new pivot is stored divided by the gcd of its entries
+        pivots = {5: {5: 1, 1: 1}}
+        assert _reduce_column({5: 1, 3: 2, 1: 3}, pivots, none, None, None)
+        assert pivots[3] == {3: 1, 1: 1}
 
 
 class TestLevelBetti:
@@ -113,7 +146,7 @@ class TestLevelBetti:
         # alternating sum of (non-reduced) Betti numbers equals the
         # alternating cube count at every level
         rect = build_rectangle(collection("[3]", "[2_2]"), 3)
-        cell_weights, _ = _cell_filtration(rect)
+        cell_weights, _, _ = _cell_filtration(rect)
         table = betti_table(rect)
         for n, row in enumerate(table.rows, start=table.min_level):
             counts = [sum(1 for w in ws.tolist() if w <= n) for ws in cell_weights]
@@ -125,7 +158,7 @@ class TestLevelBetti:
         # cells come in weight order and no face outweighs its cube, so every
         # sublevel set is a subcomplex
         rect = build_rectangle(QUARTIC, 1)
-        cell_weights, faces = _cell_filtration(rect)
+        cell_weights, faces, _ = _cell_filtration(rect)
         assert [len(ws) for ws in cell_weights] == [64, 144, 108, 27]
         for q, ws in enumerate(cell_weights):
             ws = ws.tolist()
@@ -241,14 +274,21 @@ def test_oracle_respects_cap():
         oracle_eu(QUARTIC, 0, cap=10)
 
 
-@given(rng=st.randoms(use_true_random=False), nu=st.integers(1, 3), data=st.data())
-def test_betti_table_matches_reference(rng, nu, data):
+def random_box(rng, nu, data):
+    """A random collection of nu cusps, a box of at most 81 points for nu = 4, and an index."""
     c = CuspCollection(tuple(semigroup_from_multseq(random_admissible(rng, 3, 5))
                              for _ in range(nu)))
-    top = (8, 5, 3)[nu - 1]
+    top = (8, 5, 3, 2)[nu - 1]
     dims = tuple(data.draw(st.lists(st.integers(0, top), min_size=nu, max_size=nu)))
     j = data.draw(st.integers(-3, 2 * c.delta + 4))
-    rect = build_rectangle(c, j, dims=dims)
+    return build_rectangle(c, j, dims=dims)
+
+
+@given(rng=st.randoms(use_true_random=False), nu=st.integers(1, 4), data=st.data())
+def test_betti_table_matches_reference(rng, nu, data):
+    # at nu = 4 apparent pairs and clearing run through the boundaries of
+    # dimensions 4, 3 and 2 and down to the edges
+    rect = random_box(rng, nu, data)
     table = betti_table(rect)
     assert table == reference_betti_table(rect)
     assert all(row[-1] == 0 for row in table.rows)
@@ -268,3 +308,65 @@ def test_min_w_over_diagonal_matches_enumeration(rng, nu, data):
     expected = min((c.delta - j - 1 + sum(h(v) for h, v in zip(hs, x)) for x in slice_),
                    default=0)
     assert min_w_over_diagonal(c, j, dims=dims) == expected
+
+
+@settings(max_examples=80)
+@given(rng=st.randoms(use_true_random=False), nu=st.integers(2, 4), data=st.data())
+def test_apparent_columns_and_pivots(rng, nu, data):
+    # the oldest cofaces and the apparent mask against their per-cube
+    # definitions, and the pivot weights against the loop without them
+    rect = random_box(rng, nu, data)
+    _, faces, cofaces = _cell_filtration(rect)
+    reference = reference_apparent(rect, faces)
+    for q, (oldest, apparent) in reference.items():
+        assert cofaces[q - 1].tolist() == oldest
+        low, mask = _apparent(faces[q], cofaces[q - 1])
+        assert low.tolist() == faces[q].max(axis=1).tolist()
+        assert mask.tolist() == apparent
+    with patch.object(cubical, "_reduce_column", wraps=cubical._reduce_column) as reduce:
+        cells, pivots = _rank_profile(rect)
+    ref_cells, ref_pivots = reference_rank_profile(rect)
+    assert [ws.tolist() for ws in cells] == [ws.tolist() for ws in ref_cells]
+    assert [ws.tolist() for ws in pivots] == [ws.tolist() for ws in ref_pivots]
+    # the loop visits only the columns that are neither apparent nor cleared
+    # by one of the rank(d_{q+1}) pivot rows one dimension up
+    assert reduce.call_count == sum(len(faces[q]) - sum(apparent) - len(ref_pivots[q + 1])
+                                    for q, (_, apparent) in reference.items())
+
+
+def level_columns(c, a, margin=0):
+    """min_level and the b~0 and b~1 columns, trailing zeros dropped."""
+    table = betti_table(build_rectangle(c, a, box_margin=margin))
+    columns = []
+    for q in (0, 1):
+        column = [row[q] for row in table.rows]
+        while column and column[-1] == 0:
+            column.pop()
+        columns.append(column)
+    return table.min_level, columns
+
+
+@settings(max_examples=60)
+@given(multiset=st.sampled_from(((3, 2, 2), (2, 2, 2, 2), (3, 3, 2), (4, 2, 2), (3, 2, 2, 2))),
+       data=st.data())
+def test_h0_depends_only_on_the_multiset(multiset, data):
+    # the paper: H^0 of S^3_{-d}(K) depends only on the multiset of
+    # multiplicities, read here off the oracle's graded b~0 ranks
+    rows = regroupings(multiset).collections
+    picks = data.draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2, unique=True))
+    first, second = (CuspCollection(tuple(map(semigroup_from_multseq, parts))) for parts in picks)
+    a = data.draw(st.integers(-1, 2 * first.delta))
+    margin = data.draw(st.integers(0, 1))
+    (min_first, (b0_first, _)), (min_second, (b0_second, _)) = (
+        level_columns(c, a, margin) for c in (first, second))
+    assert (min_first, b0_first) == (min_second, b0_second)
+
+
+def test_h0_pin_is_not_vacuous():
+    # the same multiset (3,2,2) and index: equal minimum and b~0, but a b~1
+    # class in one regrouping only, so the full lattice cohomology is no
+    # multiset invariant
+    one, two = (level_columns(collection(*lits), 4)
+                for lits in (("[3]", "[2]", "[2]"), ("[3]", "[2_2]")))
+    assert one == (0, [[1, 1], [0, 0, 1]])
+    assert two == (0, [[1, 1], []])
