@@ -63,7 +63,7 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
             raise InputError(f"{path}: bad JSON: {exc}") from exc
         cusps = doc.get("cusps")
         if not isinstance(cusps, list) or not all(isinstance(c, str) for c in cusps):

@@ -47,18 +47,11 @@ class Candidate(Frozen):
     def __init__(self, collection: CuspCollection, d: int):
         if d < 3:
             raise ValueError(f"degree {d} < 3")
-        object.__setattr__(self, "collection", collection)
-        object.__setattr__(self, "d", d)
+        super().__init__(collection, d)
 
 
 class CriterionRow(Frozen):
     __slots__ = _fields = ("j", "lhs", "rhs", "ok")
-
-    def __init__(self, j: int, lhs: int, rhs: int, ok: bool):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "ok", ok)
 
 
 class CriterionReport(Frozen):
@@ -68,10 +61,7 @@ class CriterionReport(Frozen):
 
     def __init__(self, criterion: str, rows: tuple[CriterionRow, ...], passed: bool,
                  difference: int | None = None):
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "difference", difference)
+        super().__init__(criterion, rows, passed, difference)
 
 
 def candidate_degree(c: CuspCollection) -> int | None:
@@ -133,7 +123,7 @@ def check_conj_index(cand: Candidate, force: bool = False) -> CriterionReport:
     e0 = sum(_h_row(cand.collection, cand.d))
     es = sum(_f_row(cand.collection, cand.d))
     row = CriterionRow(0, es, e0, es <= e0)
-    return CriterionReport("conj_index", (row,), row.ok, difference=e0 - es)
+    return CriterionReport("conj_index", (row,), row.ok, e0 - es)
 
 
 _CHECKS = {
@@ -164,10 +154,6 @@ def multiplicity_multiset(c: CuspCollection) -> Counter:
 
 class Regroupings(Frozen):
     __slots__ = _fields = ("collections", "truncated")
-
-    def __init__(self, collections: tuple[tuple[MultSeq, ...], ...], truncated: bool):
-        object.__setattr__(self, "collections", collections)
-        object.__setattr__(self, "truncated", truncated)
 
     def cusp_collections(self) -> list[CuspCollection]:
         """One collection per regrouping, its H already folded.
@@ -308,12 +294,7 @@ class CatalogEntry(Frozen):
         if 2 * total != (d - 1) * (d - 2):
             raise AssertionError(
                 f"catalog entry {label}: 2*delta = {2 * total} != (d-1)(d-2)")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "cusps", cusps)
-        object.__setattr__(self, "newton", newton)
+        super().__init__(family, label, d, params, cusps, newton)
 
     def collection(self) -> CuspCollection:
         return CuspCollection(tuple(semigroup_from_multseq(ms) for ms in self.cusps))

@@ -83,10 +83,6 @@ class WeightedRectangle(Frozen):
 
     __slots__ = _fields = ("dims", "weights")
 
-    def __init__(self, dims: tuple[int, ...], weights: tuple[int, ...]):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "weights", weights)
-
     @property
     def nu(self) -> int:
         return len(self.dims)
@@ -111,21 +107,11 @@ class BettiTable(Frozen):
 
     __slots__ = _fields = ("min_level", "rows")
 
-    def __init__(self, min_level: int, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "min_level", min_level)
-        object.__setattr__(self, "rows", rows)
-
 
 class EuOracle(Frozen):
     """Euler characteristics summed from a BettiTable."""
 
     __slots__ = _fields = ("eu_h0", "eu_hstar", "min_weight", "table")
-
-    def __init__(self, eu_h0: int, eu_hstar: int, min_weight: int, table: BettiTable):
-        object.__setattr__(self, "eu_h0", eu_h0)
-        object.__setattr__(self, "eu_hstar", eu_hstar)
-        object.__setattr__(self, "min_weight", min_weight)
-        object.__setattr__(self, "table", table)
 
 
 def default_dims(c: CuspCollection, box_margin: int = 0) -> tuple[int, ...]:
@@ -205,32 +191,6 @@ def _shifted(a, axis: int, k: int):
     return a[(slice(None),) * axis + ((slice(None, -1), slice(1, None))[k],)]
 
 
-def _oldest_cofaces(below: dict, above: dict):
-    """Position of the oldest coface of every (q-1)-cube, by its own position.
-
-    `below` and `above` map each axis mask to the grid of filtration
-    positions of the cubes with those axes, in dimensions q-1 and q.  The
-    q-cube at x with an extra axis i has the (q-1)-cube at x as its lower and
-    the one at x + e_i as its upper face, so the oldest coface is the
-    np.minimum over those two shifted slices for every axis missing from the
-    mask: the transpose of how `_cell_filtration` reads face rows.  A cube
-    without cofaces gets the number of q-cubes, which no position reaches.
-    """
-    import numpy as np
-
-    size = sum(g.size for g in above.values())
-    out = np.empty(sum(g.size for g in below.values()), dtype=np.int64)
-    for m, g in below.items():
-        oldest = np.full(g.shape, size, dtype=np.int64)
-        for i in range(g.ndim):
-            if not m >> i & 1:
-                for k in (0, 1):
-                    view = _shifted(oldest, i, k)
-                    np.minimum(view, above[m | 1 << i], out=view)
-        out[g.ravel()] = oldest.ravel()
-    return out
-
-
 def _cell_filtration(rect: WeightedRectangle):
     """Cell weights, face rows and oldest cofaces of every dimension, in filtration order.
 
@@ -239,8 +199,7 @@ def _cell_filtration(rect: WeightedRectangle):
     array whose row k holds the positions, within dimension q-1, of the faces
     of the k-th q-cube, ordered as `_face_signs(q)`, and cofaces[q]
     (1 <= q < nu) the position, within dimension q+1, of the oldest coface
-    of the k-th q-cube (see `_oldest_cofaces`).  faces[0], cofaces[0] and
-    cofaces[nu] are None.
+    of the k-th q-cube.  faces[0], cofaces[0] and cofaces[nu] are None.
     """
     import numpy as np
 
@@ -277,20 +236,28 @@ def _cell_filtration(rect: WeightedRectangle):
             grids[m] = position[start:start + cube[m].size].reshape(cube[m].shape)
             start += cube[m].size
         if q:
+            # the q-cube at x with axis i added to the mask has the one at x
+            # (lower) and at x + e_i (upper) as faces; read the other way, the
+            # oldest coface of a (q-1)-cube is the np.minimum of the positions
+            # of the q-cubes it is a face of, and the number of q-cubes if none
+            oldest = {m: np.full_like(g, order.size) for m, g in below.items()}
             blocks = []
             for m in masks:
                 rows = []
                 for i in range(nu):
                     if m >> i & 1:
-                        g = below[m ^ 1 << i]
-                        rows += (_shifted(g, i, 1).ravel(), _shifted(g, i, 0).ravel())
+                        for k in (1, 0):
+                            rows.append(_shifted(below[m ^ 1 << i], i, k).ravel())
+                            if q >= 2:
+                                view = _shifted(oldest[m ^ 1 << i], i, k)
+                                np.minimum(view, grids[m], out=view)
                 blocks.append(np.stack(rows, axis=1))
             faces.append(np.concatenate(blocks)[order])
+            if q >= 2:
+                cofaces[q - 1] = np.concatenate([o.ravel() for o in oldest.values()])[below_order]
         else:
             faces.append(None)
-        if q >= 2:
-            cofaces[q - 1] = _oldest_cofaces(below, grids)
-        below = grids
+        below, below_order = grids, order
     return weights, faces, cofaces
 
 

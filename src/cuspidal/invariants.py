@@ -63,9 +63,6 @@ class IntPoly(Frozen):
 
     __slots__ = _fields = ("coeffs",)
 
-    def __init__(self, coeffs: IntSeq):
-        object.__setattr__(self, "coeffs", coeffs)
-
 
 class CuspCollection(Frozen):
     """An immutable collection of cusp semigroups, each a plane branch.
@@ -89,8 +86,7 @@ class CuspCollection(Frozen):
             if not s.gaps:
                 raise SemigroupError("smooth point is not a cusp")
             seqs.append(multseq_from_semigroup(s))
-        object.__setattr__(self, "cusps", cusps)
-        object.__setattr__(self, "multseqs", tuple(seqs))
+        super().__init__(cusps, tuple(seqs))
 
     @property
     def nu(self) -> int:
@@ -159,22 +155,16 @@ class EuReport(Frozen):
 
     __slots__ = _fields = ("d", "a", "eu_h0", "eu_hstar", "terms")
 
-    def __init__(self, d: int, a: int, eu_h0: int, eu_hstar: int,
-                 terms: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "eu_h0", eu_h0)
-        object.__setattr__(self, "eu_hstar", eu_hstar)
-        object.__setattr__(self, "terms", terms)
-
 
 def is_candidate(c: CuspCollection, d: int) -> bool:
-    """Whether 2*delta = (d-1)(d-2), i.e. c is a candidate of degree d."""
-    return 2 * c.delta == (d - 1) * (d - 2)
+    """Whether d >= 3 and 2*delta = (d-1)(d-2), i.e. c is a candidate of degree d."""
+    return d >= 3 and 2 * c.delta == (d - 1) * (d - 2)
 
 
 def require_candidate(c: CuspCollection, d: int, remedy: str) -> None:
     """Raise NotCandidateError, its message ending in `remedy`, unless is_candidate."""
+    if d < 3:
+        raise NotCandidateError(f"not a candidate: degree {d} < 3{remedy}")
     if not is_candidate(c, d):
         raise NotCandidateError(
             f"not a candidate: 2*delta = {2 * c.delta} != (d-1)(d-2) = "
@@ -280,8 +270,10 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
     Averaging Delta(xt)/(1-xt)^2 over the d-th roots of unity x keeps every
     d-th coefficient of the series Delta(t)/(1-t)^2; subtracting the series
     (1-t^{d*d})/(1-t^d)^3 must then leave a polynomial supported on multiples
-    of d up to d(d-3).  Only valid when 2*delta = (d-1)(d-2), where the tail
-    cancels.  Reads the Alexander product, not q, so that it stays
+    of d up to d(d-3).  The series is read only up to degree d(d-2) < d^2,
+    where the numerator 1-t^{d*d} does not act, so the coefficient subtracted
+    at t^{id} is (i+1)(i+2)/2.  Only valid when 2*delta = (d-1)(d-2), where
+    the tail cancels.  Reads the Alexander product, not q, so that it stays
     independent of r_poly.
     """
     if d < 3:
@@ -294,11 +286,7 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
     co = [0] * (top + 1)
     for k in range(0, n + 1, d):
         i = k // d
-        sub = (i + 1) * (i + 2) // 2
-        if k >= d * d:
-            ii = (k - d * d) // d
-            sub -= (ii + 1) * (ii + 2) // 2
-        value = g[k] - sub
+        value = g[k] - (i + 1) * (i + 2) // 2
         if k <= top:
             co[k] = value
         elif value != 0:
@@ -322,13 +310,7 @@ def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:
     # H(j + 1) is head[j + 1] (cutoff 2*delta); q has degree top, q_top = 1
     h0 = list(map(operator.add, h_function(c).head[a + 1:top + 2:d], norm))
     hstar = c.q.values[a:top + 1:d]
-    return EuReport(
-        d=d,
-        a=a,
-        eu_h0=sum(h0),
-        eu_hstar=sum(hstar),
-        terms=tuple(zip(range(a, top + 1, d), h0, hstar)),
-    )
+    return EuReport(d, a, sum(h0), sum(hstar), tuple(zip(range(a, top + 1, d), h0, hstar)))
 
 
 def eu_canonical(c: CuspCollection, d: int) -> tuple[int, int]:

@@ -58,6 +58,14 @@ class TestCandidateFiles:
         assert code == 2 and not out
         assert f"{path}: cusps[1]: " in err
 
+    def test_deeply_nested_json_is_bad_json(self, tmp_path, capsys):
+        # json.loads raised RecursionError: a traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text('{"cusps": ["[2]"], "x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, "invariants", str(path), "--format", "machine")
+        assert code == 2 and not out
+        assert err.startswith(f"error: {path}: bad JSON: ")
+
     @pytest.mark.parametrize("degree", [True, -5])
     def test_json_degree_must_be_nonnegative_integer(self, tmp_path, capsys, degree):
         # true was read as degree 1, and -5 gave p_g = -35
@@ -282,6 +290,20 @@ class TestCohomology:
 
 _DEGREE_COMMANDS = [("invariants",), ("check", "--force"),
                     ("cohomology", "--all-spinc"), ("stability",)]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_degree_below_three_is_no_candidate(tmp_path, capsys, d):
+    # (0-1)(0-2) = 2 = 2*delta of [2]: `invariants --d 0` printed "candidate: yes"
+    path = tmp_path / "a2.txt"
+    path.write_text("[2]\n")
+    code, doc, _ = run_machine(capsys, "invariants", str(path), "--d", str(d))
+    assert code == 0 and doc["is_candidate"] is False
+    code, out, err = run_cli(capsys, "invariants", str(path), "--d", str(d))
+    assert code == 0 and f"degree: {d}  (candidate: no)" in out
+    code, out, err = run_cli(capsys, "check", str(path), "--d", str(d))
+    assert code == 2 and not out
+    assert f"degree {d} < 3" in err and "2*delta" not in err
 
 
 class TestDegreeRule:

@@ -372,6 +372,13 @@ class TestEu:
         with pytest.raises(NotCandidateError):
             eu_canonical(collection("[2]"), 4)
 
+    def test_degree_below_three_is_no_candidate(self):
+        # (0-1)(0-2) = 2 = 2*delta of [2], so degree 0 passed as a candidate
+        c = collection("[2]")
+        assert not any(invariants.is_candidate(c, d) for d in range(3))
+        with pytest.raises(NotCandidateError, match=r"^not a candidate: degree 0 < 3; "):
+            eu_canonical(c, 0)
+
     def test_r_at_one_is_eu_difference(self):
         for entry in catalog_entries(8):
             c = entry.collection()

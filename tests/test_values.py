@@ -111,6 +111,52 @@ def test_equal_and_hashed_by_fields(i):
     assert value != fields and value != fields[0]  # nor are the fields themselves
 
 
+# records that the base constructs, and CriterionReport, whose own __init__
+# only carries the default of difference
+BASE_BUILT = (IntPoly, EuReport, CriterionRow, CriterionReport, Regroupings,
+              WeightedRectangle, BettiTable, EuOracle)
+each_base_built = pytest.mark.parametrize("cls", BASE_BUILT, ids=[c.__name__ for c in BASE_BUILT])
+
+
+def _fields_of(cls):
+    """The fields of the instance of cls in _values(), by position and by keyword."""
+    value = next(v for v, _ in _values() if type(v) is cls)
+    args = tuple(getattr(value, name) for name in cls._fields)
+    return value, args, dict(zip(cls._fields, args))
+
+
+@each_base_built
+def test_positional_and_keyword_construction_agree(cls):
+    value, args, kwargs = _fields_of(cls)
+    rest = {name: kwargs[name] for name in cls._fields[1:]}
+    built = [cls(*args), cls(**kwargs), cls(args[0], **rest)]
+    assert built == [value] * 3 and [repr(v) for v in built] == [repr(value)] * 3
+
+
+WRONG_ARGUMENTS = {
+    "missing field": lambda cls, args, kwargs: cls(*args[:-2]),  # CriterionReport defaults one
+    "missing keyword": lambda cls, args, kwargs: cls(**dict(list(kwargs.items())[1:])),
+    "extra argument": lambda cls, args, kwargs: cls(*args, 0),
+    "unknown keyword": lambda cls, args, kwargs: cls(**kwargs, extra=0),
+    "field given twice": lambda cls, args, kwargs: cls(args[0], **kwargs),
+}
+
+
+@each_base_built
+@pytest.mark.parametrize("wrong", WRONG_ARGUMENTS)
+def test_wrong_arguments_refused(cls, wrong):
+    _, args, kwargs = _fields_of(cls)
+    with pytest.raises(TypeError, match=cls.__name__):
+        WRONG_ARGUMENTS[wrong](cls, args, kwargs)
+
+
+def test_wrong_arguments_message_names_the_fields():
+    with pytest.raises(TypeError) as info:
+        CriterionRow(0, 1, 1)
+    assert str(info.value) == ("CriterionRow takes each of its fields (j, lhs, rhs, ok) once, "
+                               "by position or by keyword")
+
+
 def test_unequal_when_one_field_differs():
     assert IntSeq((1, 2)) != IntSeq((1, 3))
     assert CountingFn((0, 0, 1), 1) != CountingFn((0, 1, 2), 0)
