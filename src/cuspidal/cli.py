@@ -32,7 +32,7 @@ from .semigroup import Cusp, MultSeq, Semigroup, SemigroupError, parse_cusp, res
 
 SCHEMA_VERSION = 1
 
-_DEGREE_LINE = re.compile(r"^degree\s*[:=]\s*(\d+)$", re.IGNORECASE)
+_DEGREE_LINE = re.compile(r"degree\s*[:=]\s*(\d+)", re.IGNORECASE)
 
 
 # the largest --window beyond 2*delta - 2 that `invariants` tabulates
@@ -55,9 +55,10 @@ def _cap_degree(d: int | None) -> None:
 def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
     """Return the cusp literals, each parsed once, and the optional declared degree."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -80,7 +81,7 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            m = _DEGREE_LINE.match(line)
+            m = _DEGREE_LINE.fullmatch(line)
             if m:
                 degree = int(m.group(1))
                 continue
@@ -188,7 +189,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
         "is_candidate": d is not None and invariants.is_candidate(c, d),
         "p_g": invariants.geometric_genus(d) if d is not None else None,
         "alexander": list(c.alexander_product.coeffs.window(2 * c.delta)),
-        "q": list(invariants.q_coefficients(c).window(max(2 * c.delta - 2, 0))),
+        "q": list(invariants.q_coefficients(c).window(2 * c.delta - 2)),
         "table": dict(zip(_HF_COLUMNS, (ks, hrow, frow, list(map(operator.sub, hrow, frow))))),
         "r": None if d is None or d < 3 else {
             "d": d,
@@ -320,16 +321,19 @@ def cmd_oracle(args) -> tuple[dict, int]:
         oracle = cubical.oracle_eu(c, j, box_margin=args.box_margin, dims=dims,
                                    cap=args.cap)
         in_window = 0 <= j <= window
+        # H(j+1) + delta - 1 - j is both eu_h0 and the minimum of W over
+        # |x| = j+1; the normalised F summand F(j) + delta - 1 - j is q_j
+        h0 = h(j + 1) + c.delta - 1 - j
         run = {
             "j": j,
             "min_weight": oracle.min_weight,
             "eu_h0": oracle.eu_h0,
             "eu_hstar": oracle.eu_hstar,
-            "expected_eu_h0": h(j + 1) + c.delta - 1 - j if in_window else None,
-            "expected_eu_hstar": c.f(j) + c.delta - 1 - j if in_window else None,
+            "expected_eu_h0": h0 if in_window else None,
+            "expected_eu_hstar": c.q[j] if in_window else None,
             "min_w_diagonal": cubical.min_w_over_diagonal(
                 c, j, box_margin=args.box_margin, dims=dims),
-            "expected_min_w_diagonal": c.delta - j - 1 + h(j + 1),
+            "expected_min_w_diagonal": h0,
             "betti_totals": [sum(row[q] for row in oracle.table.rows)
                              for q in range(c.nu + 1)],
             "vanishing_ok": cubical.check_vanishing(oracle.table, c.nu),

@@ -34,7 +34,7 @@ Rank computation is exact Python-int arithmetic: sparse column elimination
 with gcd normalization (cross-multiplication instead of fractions),
 processed in filtration order so that one pass yields the rank of every
 sublevel boundary matrix at once.  Only the columns that need it reach the
-Python loop.  For q >= 2, the boundaries go top dimension first:
+Python loop.  The boundaries go top dimension first, down to the edges:
 - a column is apparent when its lowest row, its youngest face, has the
   column as its oldest coface (the apparent pairs of Bauer's Ripser, 2021).
   No earlier column meets that row, so numpy registers every apparent
@@ -44,9 +44,6 @@ Python loop.  For q >= 2, the boundaries go top dimension first:
   equals filtration order;
 - of the rest, a column whose lowest row is not a pivot yet becomes a pivot
   as it is; only the others are reduced.
-The edge boundary's rank comes last, from a union-find over the edges that
-are not pivot rows of the reduced 2-boundary: such an edge closes a cycle,
-so its union is a no-op, and clearing reaches down to the edges.
 
 The top boundary is eliminated too, although btilde_nu(S_n) = 0 holds for
 every subcomplex of R^nu: a zero last column is a self-test of the
@@ -198,8 +195,8 @@ def _cell_filtration(rect: WeightedRectangle):
     array of the weights of all q-cubes, faces[q] (q >= 1) the (n_q, 2q)
     array whose row k holds the positions, within dimension q-1, of the faces
     of the k-th q-cube, ordered as `_face_signs(q)`, and cofaces[q]
-    (1 <= q < nu) the position, within dimension q+1, of the oldest coface
-    of the k-th q-cube.  faces[0], cofaces[0] and cofaces[nu] are None.
+    (0 <= q < nu) the position, within dimension q+1, of the oldest coface
+    of the k-th q-cube.  Only faces[0] and cofaces[nu] are None.
     """
     import numpy as np
 
@@ -248,13 +245,11 @@ def _cell_filtration(rect: WeightedRectangle):
                     if m >> i & 1:
                         for k in (1, 0):
                             rows.append(_shifted(below[m ^ 1 << i], i, k).ravel())
-                            if q >= 2:
-                                view = _shifted(oldest[m ^ 1 << i], i, k)
-                                np.minimum(view, grids[m], out=view)
+                            view = _shifted(oldest[m ^ 1 << i], i, k)
+                            np.minimum(view, grids[m], out=view)
                 blocks.append(np.stack(rows, axis=1))
             faces.append(np.concatenate(blocks)[order])
-            if q >= 2:
-                cofaces[q - 1] = np.concatenate([o.ravel() for o in oldest.values()])[below_order]
+            cofaces[q - 1] = np.concatenate([o.ravel() for o in oldest.values()])[below_order]
         else:
             faces.append(None)
         below, below_order = grids, order
@@ -313,7 +308,9 @@ def _apparent(faces: np.ndarray, oldest: np.ndarray):
     """
     import numpy as np
 
-    low = faces.max(axis=1)
+    # the lowest rows through a contiguous transpose: a reduction along the
+    # short rows of a C-ordered array is several times slower
+    low = np.ascontiguousarray(faces.T).max(axis=0)
     return low, oldest[low] == np.arange(len(faces))
 
 
@@ -331,12 +328,12 @@ def _rank_profile(rect: WeightedRectangle):
     cell_weights, faces, cofaces = _cell_filtration(rect)
     pivot_weights = [np.empty(0, dtype=np.int64)] * (nu + 2)
 
-    # higher boundaries top dimension first, so that pivot rows clear the
-    # matching columns one dimension down.  Apparent columns are pivots as
-    # they stand, kept by row in a numpy array; only the other columns reach
-    # the loop, and the pivots it finds go into a dict
+    # boundaries top dimension first, so that pivot rows clear the matching
+    # columns one dimension down.  Apparent columns are pivots as they
+    # stand, kept by row in a numpy array; only the other columns reach the
+    # loop, and the pivots it finds go into a dict
     cleared = np.zeros(len(cell_weights[nu]), dtype=bool)
-    for q in range(nu, 1, -1):
+    for q in range(nu, 0, -1):
         f = faces[q]
         low, pivot = _apparent(f, cofaces[q - 1])
         apparent = np.full(len(cell_weights[q - 1]), -1)
@@ -349,23 +346,6 @@ def _rank_profile(rect: WeightedRectangle):
         pivot_weights[q] = cell_weights[q][pivot]
         cleared = apparent >= 0
         cleared[list(pivots)] = True
-
-    # rank of the edge boundary via union-find: tree edges are the pivots.
-    # An edge that is a pivot row of the reduced 2-boundary closes a cycle,
-    # so its union would be a no-op and it is skipped
-    edges = np.flatnonzero(~cleared)
-    parent = list(range(len(cell_weights[0])))
-    tree = []
-    us, vs = faces[1][edges].T.tolist()
-    for idx, u, v in zip(edges.tolist(), us, vs):
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            tree.append(idx)
-    pivot_weights[1] = cell_weights[1][tree]
     return cell_weights, pivot_weights
 
 

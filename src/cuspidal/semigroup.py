@@ -22,7 +22,8 @@ safe to share across threads.  MultSeq, NewtonPairs and Semigroup are plain
 classes on the package's frozen base (_frozen.Frozen), each with a
 written-out constructor that takes its integers through operator.index, as
 semigroup_from_generators does: a float raises TypeError instead of being
-truncated.  The literal parser reads its digits with int.  Semigroup's
+truncated.  The literal parser reads its numbers with int, once the
+grammar's digit rule has accepted them.  Semigroup's
 constructor runs its checks through __post_init__, and the Apery set it
 keeps is not a field, so equality, hashing and the repr go by the gaps.
 """
@@ -414,8 +415,9 @@ def counting_fn(s: Semigroup) -> CountingFn:
 # ---------------------------------------------------------------------------
 # cusp-type literal grammar shared by the CLI and candidate files
 
-_MULT_TOKEN = re.compile(r"^(\d+)(?:_(\d+))?$")
-_NEWTON = re.compile(r"^(?:\(\d+,\d+\))+$")
+# matched with fullmatch: a $ would also match before a trailing newline
+_MULT_TOKEN = re.compile(r"(\d+)(?:_(\d+))?")
+_NEWTON = re.compile(r"(?:\(\d+,\d+\))+")
 _NEWTON_PAIR = re.compile(r"\((\d+),(\d+)\)")
 
 # a cusp type in the description its literal was written in
@@ -433,7 +435,7 @@ def parse_cusp(text: str) -> Cusp:
             raise SemigroupError(f"empty multiplicity sequence in {text!r}")
         entries = []
         for token in body.split(","):
-            m = _MULT_TOKEN.match(token)
+            m = _MULT_TOKEN.fullmatch(token)
             if not m:
                 raise SemigroupError(f"bad multiplicity token {token!r} in {text!r}")
             value = int(m.group(1))
@@ -443,13 +445,18 @@ def parse_cusp(text: str) -> Cusp:
             entries.extend([value] * count)
         return MultSeq(tuple(entries))
     if text.startswith("<") and text.endswith(">"):
-        body = text[1:-1]
+        tokens = text[1:-1].split(",")
         try:
-            gens = [int(tok) for tok in body.split(",")]
+            # the \d+ of the other spellings (str.isdecimal accepts exactly
+            # what \d does), where int also takes signs, spaces and _; int
+            # still refuses a token past its digit limit
+            if not all(tok.isdecimal() for tok in tokens):
+                raise ValueError
+            gens = [int(tok) for tok in tokens]
         except ValueError:
             raise SemigroupError(f"bad generator list {text!r}") from None
         return semigroup_from_generators(gens)
-    if _NEWTON.match(text):
+    if _NEWTON.fullmatch(text):
         pairs = tuple((int(p), int(q)) for p, q in _NEWTON_PAIR.findall(text))
         return NewtonPairs(pairs)
     raise SemigroupError(f"unrecognized cusp literal {text!r}")

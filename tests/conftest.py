@@ -424,7 +424,7 @@ def reference_rank_profile(rect):
 
 
 def reference_apparent(rect, faces):
-    """Per dimension q >= 2, oldest cofaces and apparent columns by their definition.
+    """Per dimension q >= 1, oldest cofaces and apparent columns by their definition.
 
     Returns {q: (oldest, apparent)}: oldest[r] is the position of the oldest
     q-coface of the (q-1)-cube at position r (the number of q-cubes if it
@@ -455,7 +455,7 @@ def reference_apparent(rect, faces):
                 offsets += [o + strides[i] for o in offsets]
         pos[p, mask] = position[dim][frozenset(vertex_pos[p + o] for o in offsets)]
     out = {}
-    for q in range(2, nu + 1):
+    for q in range(1, nu + 1):
         youngest = [None] * len(verts[q])
         oldest = [len(verts[q])] * len(verts[q - 1])
         for _, dim, p, mask in cells:

@@ -92,6 +92,47 @@ class TestCandidateFiles:
         assert code == 0 and doc["semigroups"] == ["<4,6,13>"]
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name,content", [
+        ("bom.txt", "[2] [2] [2]\n"),
+        ("bom.json", json.dumps({"cusps": ["[2]", "[2]", "[2]"]})),
+    ])
+    def test_byte_order_mark(self, tmp_path, capsys, name, content):
+        # the mark was read as part of the first literal, or hid the JSON
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + content.encode())
+        code, doc, _ = run_machine(capsys, "invariants", str(path))
+        assert code == 0 and doc["cusps"] == ["[2]", "[2]", "[2]"]
+
+    def test_not_utf8(self, tmp_path, capsys):
+        # the decode error went out without the file's name
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"[2] \xff[2]\n")
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("cusps", ["[2] [2]", ["[2]", 2], None])
+    def test_json_cusps_must_be_list_of_literals(self, tmp_path, capsys, cusps):
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps({"cusps": cusps}))
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and not out
+        assert err == f"error: {path}: field 'cusps' must be a list of literals\n"
+
+    @pytest.mark.parametrize("name,content,message", [
+        # int read '1_0' as 10, and a $ anchor let '3\n' through as 3
+        ("gens.txt", "<1_0,11>\n", "{path}:1: token 1: bad generator list '<1_0,11>'"),
+        ("newline.json", json.dumps({"cusps": ["[3\n]"]}),
+         "{path}: cusps[0]: bad multiplicity token '3\\n' in '[3\\n]'"),
+        ("zero.txt", "[2] [2_0]\n", "{path}:1: token 2: bad repetition count in '2_0'"),
+    ])
+    def test_bad_literal_tokens(self, tmp_path, capsys, name, content, message):
+        path = tmp_path / name
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and not out
+        assert err == "error: " + message.format(path=path) + "\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "/nonexistent/file")
         assert code == 2 and "error" in err
@@ -104,6 +145,13 @@ class TestCandidateFiles:
 
 
 class TestInvariants:
+    def test_inadmissible_sequence_refused(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("[6,4]\n")
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: bad cusp '[6,4]': inadmissible multiplicity sequence")
+
     def test_quartic_table(self, quartic_file, capsys):
         code, doc, _ = run_machine(capsys, "invariants", quartic_file)
         assert code == 0
@@ -223,6 +271,18 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(path), "--d", "4")
         assert code == 2 and "not a candidate" in err
 
+    def test_no_candidate_degree_refused(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("[2] [2]\n")  # 2*delta = 4 is no (d-1)(d-2)
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: no degree: 2*delta has no candidate solution; pass --d")
+
+    def test_unknown_criterion_refused(self, octic_file, capsys):
+        code, out, err = run_cli(capsys, "check", octic_file, "--only", "bezout,nosuch")
+        assert code == 2 and not out
+        assert err == "error: unknown criterion 'nosuch'\n"
+
     def test_force(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
         path.write_text("[2]\n")
@@ -281,6 +341,11 @@ class TestCohomology:
                                  "--d", "2001", "--a", "0")
         assert code == 3 and not out
         assert "degree too large: 2001 exceeds cap 2000" in err
+
+    def test_degree_zero_refused(self, quartic_file, capsys):
+        code, out, err = run_cli(capsys, "cohomology", quartic_file, "--d", "0")
+        assert code == 2 and not out
+        assert err == "error: degree must be positive, got 0\n"
 
     def test_bad_index(self, quartic_file, capsys):
         code, _, err = run_cli(capsys, "cohomology", quartic_file, "--d", "4",
@@ -402,6 +467,11 @@ class TestOracle:
         assert code == 0
         assert doc["all_agree"]
         assert [run["j"] for run in doc["runs"]] == list(range(5))
+
+    def test_needs_j_or_sweep(self, quartic_file, capsys):
+        code, out, err = run_cli(capsys, "oracle", quartic_file)
+        assert code == 2 and not out
+        assert err == "error: oracle needs --j or --sweep\n"
 
     def test_single_j_table(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
@@ -629,6 +699,27 @@ class TestStability:
         assert code == 3 and not out
         cap = criteria._MAX_PARTS_TRIED
         assert f"{cap + 1} parts tried exceed cap {cap}" in err
+
+    def test_text_names_a_varying_eu_h0(self):
+        # no input known today gives two eu_h0 values (the paper's theorem),
+        # so the renderer, which reads only the document, gets a built one
+        doc = {
+            "cusps": ["[3]", "[2_2]"], "multiset": [3, 2, 2], "truncated": False,
+            "regroupings": [
+                {"parts": ["[3]", "[2_2]"], "h_matches": True,
+                 "eu_h0": 6, "eu_hstar": 6, "difference": 0},
+                {"parts": ["[3]", "[2]", "[2]"], "h_matches": False,
+                 "eu_h0": 7, "eu_hstar": 6, "difference": 1},
+            ],
+            "h_equal": False, "bl_constant": None,
+            "eu_h0_values": [6, 7], "eu_hstar_values": [6],
+        }
+        assert cli.text_stability(doc, None)[-4:] == [
+            "H identical across regroupings: NO",
+            "eu_h0 VARIES: 6 7",
+            "eu_hstar values: 6",
+            "overall: FAIL",
+        ]
 
     def test_sporadic_multiset_eu_variation(self, tmp_path, capsys):
         path = tmp_path / "sp4.txt"

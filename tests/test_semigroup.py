@@ -394,6 +394,28 @@ class TestLiterals:
         with pytest.raises(SemigroupError):
             parse_cusp(bad)
 
+    @pytest.mark.parametrize("bad,message", [
+        # int alone would read these as <10,11>, <4,6,13> and <4,6>
+        ("<1_0,11>", "bad generator list '<1_0,11>'"),
+        ("<+4,6,13>", "bad generator list '<+4,6,13>'"),
+        ("< 4 , 6 ,13>", "bad generator list '< 4 , 6 ,13>'"),
+        ("<4,6\n>", "bad generator list '<4,6\\n>'"),
+        # a $ anchor matches before a trailing newline, fullmatch does not
+        ("[3\n]", "bad multiplicity token '3\\n' in '[3\\n]'"),
+        ("[3\n,2]", "bad multiplicity token '3\\n' in '[3\\n,2]'"),
+        ("[3,2_2\n]", "bad multiplicity token '2_2\\n' in '[3,2_2\\n]'"),
+    ])
+    def test_tokens_are_digits_only(self, bad, message):
+        # every spelling reads its numbers by the one \d+ rule
+        with pytest.raises(SemigroupError) as info:
+            parse_cusp(bad)
+        assert str(info.value) == message
+
+    def test_non_ascii_decimal_digits(self):
+        # \d and str.isdecimal both accept every decimal digit (category Nd)
+        assert parse_cusp("<\u0664,\u0665>") == S(4, 5)
+        assert parse_cusp("[\u0663]") == parse_cusp("[3]")
+
     def test_resolve(self):
         assert resolve_semigroup(parse_cusp("[2_4]")) == S(2, 9)
         assert resolve_semigroup(parse_cusp("(2,3)")) == S(2, 3)
