@@ -28,7 +28,7 @@ from itertools import chain
 
 from . import criteria, cubical, invariants
 from .invariants import CapExceeded, CuspCollection
-from .semigroup import Cusp, MultSeq, Semigroup, SemigroupError, parse_cusp, resolve_semigroup
+from .semigroup import Cusp, MultSeq, NewtonPairs, Semigroup, SemigroupError, parse_cusp, resolve_semigroup
 
 SCHEMA_VERSION = 1
 
@@ -64,7 +64,7 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
+        except (ValueError, RecursionError) as exc:  # also a number past int's digit limit; too deep a nesting
             raise InputError(f"{path}: bad JSON: {exc}") from exc
         cusps = doc.get("cusps")
         if not isinstance(cusps, list) or not all(isinstance(c, str) for c in cusps):
@@ -83,7 +83,10 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
                 continue
             m = _DEGREE_LINE.fullmatch(line)
             if m:
-                degree = int(m.group(1))
+                try:
+                    degree = int(m.group(1))
+                except ValueError:  # past int's digit limit
+                    raise InputError(f"{path}:{lineno}: bad degree line {line!r}") from None
                 continue
             located += [(f"{path}:{lineno}: token {col + 1}", token)
                         for col, token in enumerate(line.split())]
@@ -98,15 +101,8 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
     return [lit for _, lit in located], parsed, degree
 
 
-def _resolve(cusp: Cusp) -> Semigroup:
-    try:
-        return resolve_semigroup(cusp)
-    except SemigroupError as exc:
-        raise InputError(f"bad cusp {cusp.literal()!r}: {exc}") from exc
-
-
 def build_collection(cusps: list[Cusp]) -> CuspCollection:
-    return CuspCollection(tuple(map(_resolve, cusps)))
+    return CuspCollection(cusps)
 
 
 def _entries_at_least(cusp: MultSeq | Semigroup) -> int:
@@ -363,9 +359,10 @@ def cmd_stability(args) -> tuple[dict, int]:
         raise InputError(f"--max-parts must be at least 1, got {args.max_parts}")
     # the un-blowup chain of a multiplicity sequence and the blowup chain of
     # a semigroup cost time quadratic in their entries, so a multiset too
-    # long to regroup is refused before either runs
+    # long to regroup is refused before either runs.  Newton pairs are read as
+    # semigroups first, which never fails: valid pairs give generators of gcd 1
     literals, cusps, file_degree = load_candidate_file(args.file)
-    cusps = [cusp if isinstance(cusp, MultSeq) else _resolve(cusp) for cusp in cusps]
+    cusps = [resolve_semigroup(c) if isinstance(c, NewtonPairs) else c for c in cusps]
     criteria.require_entries(sum(map(_entries_at_least, cusps)))
     literals, c, d = _load(args, (literals, cusps, file_degree))
     ms = criteria.multiplicity_multiset(c)

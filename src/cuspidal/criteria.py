@@ -161,8 +161,7 @@ class Regroupings(Frozen):
         The rows fold their H together, through one memo of the prefixes
         they share that lives for this call only (see _prefix_hs).
         """
-        colls = [CuspCollection(tuple(semigroup_from_multseq(ms) for ms in parts))
-                 for parts in self.collections]
+        colls = list(map(CuspCollection, self.collections))
         for c, h in zip(colls, _prefix_hs(self.collections, _H_MEMO_CELLS)):
             c.seed_h(h)
         return colls
@@ -297,11 +296,7 @@ class CatalogEntry(Frozen):
         super().__init__(family, label, d, params, cusps, newton)
 
     def collection(self) -> CuspCollection:
-        return CuspCollection(tuple(semigroup_from_multseq(ms) for ms in self.cusps))
-
-
-def _rep(value: int, count: int) -> tuple[int, ...]:
-    return (value,) * count
+        return CuspCollection(self.cusps)
 
 
 def catalog(family: str, d: int | None = None, u: int | None = None,
@@ -315,7 +310,7 @@ def catalog(family: str, d: int | None = None, u: int | None = None,
         # the series is symmetric in u <-> d-2-u; emit the longer double-point
         # chain first, the order the published tables use
         v1, v2 = max(u, d - 2 - u), min(u, d - 2 - u)
-        cusps = (MultSeq((d - 2,)), MultSeq(_rep(2, v1)), MultSeq(_rep(2, v2)))
+        cusps = (MultSeq((d - 2,)), MultSeq((2,) * v1), MultSeq((2,) * v2))
         newton = (
             NewtonPairs(((d - 2, d - 1),)),
             NewtonPairs(((2, 2 * v1 + 1),)),
@@ -326,7 +321,7 @@ def catalog(family: str, d: int | None = None, u: int | None = None,
         if l is None or l < 1:
             raise ValueError("family D needs l >= 1")
         d_ = 2 * l + 3
-        cusps = (MultSeq((2 * l,) + _rep(2, l)), MultSeq(_rep(3, l)), MultSeq((2,)))
+        cusps = (MultSeq((2 * l,) + (2,) * l), MultSeq((3,) * l), MultSeq((2,)))
         # l = 1 degenerates: [2,2] is the one-pair cusp (2,5)
         first = NewtonPairs(((2, 5),)) if l == 1 else NewtonPairs(((l, l + 1), (2, 1)))
         newton = (first, NewtonPairs(((3, 3 * l + 1),)), NewtonPairs(((2, 3),)))
@@ -336,8 +331,8 @@ def catalog(family: str, d: int | None = None, u: int | None = None,
             raise ValueError("family E needs l >= 1")
         d_ = 3 * l + 4
         cusps = (
-            MultSeq((3 * l,) + _rep(3, l)),
-            MultSeq(_rep(4, l) + (2, 2)),
+            MultSeq((3 * l,) + (3,) * l),
+            MultSeq((4,) * l + (2, 2)),
             MultSeq((2,)),
         )
         # l = 1 degenerates: [3,3] is the one-pair cusp (3,7)

@@ -17,18 +17,18 @@ gap count delta, this module computes:
   Spin^c index a, as explicit finite sums over H and F (F(j) + delta-1-j
   is q_j, so eu_hstar sums q over the class).
 
-A CuspCollection computes its counting functions, H, the Alexander product
-and q once, on first use, and keeps them; H, q, F, R and the Euler
+A CuspCollection takes multiplicity sequences, Newton pairs or semigroups,
+keeps a sequence it is given, and computes its counting functions, H, the
+Alexander product and q once, on first use; H, q, F, R and the Euler
 characteristics below are read from those values.  H folds the counting
 functions smallest offset first (min_convolve_all), and the Alexander
 product multiplies the cusps' Apery polynomials smallest delta first; both
 are exact, so the order of the cusps changes only the cost.  A caller that
-already holds H, such as the regroupings of a multiset, which share the H
-of their common parts, hands it over with seed_h.  The Alexander
-polynomial of one cusp and the product come from one route, the cusps'
-Apery sets (see _alexander_series), and q, F, R and the Spin^c sums are
-read from them by slicing and running sums, with no Python step per
-coefficient.
+already holds H (the regroupings of a multiset share the H of their common
+parts) hands it over with seed_h.  The Alexander polynomial of one cusp and
+the product come from one route, the cusps' Apery sets (see
+_alexander_series), and q, F, R and the Spin^c sums are read from them by
+slicing and running sums, with no Python step per coefficient.
 """
 
 from __future__ import annotations
@@ -40,12 +40,14 @@ from itertools import accumulate
 
 from ._frozen import Frozen
 from .semigroup import (
+    Cusp,
     MultSeq,
     Semigroup,
     SemigroupError,
     apery_set,
     counting_fn,
     multseq_from_semigroup,
+    resolve_semigroup,
 )
 from .seqcalc import CountingFn, IntSeq, convolve, min_convolve_all, partial_sums
 
@@ -65,28 +67,32 @@ class IntPoly(Frozen):
 
 
 class CuspCollection(Frozen):
-    """An immutable collection of cusp semigroups, each a plane branch.
+    """An immutable collection of plane-branch cusps, in any of their descriptions.
 
-    Validates every cusp on construction by extracting its multiplicity
-    sequence; smooth points are rejected.  The counting functions, H, the
-    Alexander product and q are computed on first use and kept on the
-    instance; F is read from q.  The fields are the cusps and their
-    multiplicity sequences; the instance keeps a __dict__ for the values
-    computed on first use.
+    Resolves each cusp (a multiplicity sequence, Newton pairs or a semigroup)
+    once to its semigroup.  A given sequence is kept; that of any other cusp
+    is read off its blowup chain, which checks that it is a plane branch.
+    Smooth points are rejected.  Equal cusps in any description give equal
+    collections.  The counting functions, H, the Alexander product and q are
+    computed on first use and kept; F is read from q.
     """
 
     _fields = ("cusps", "multseqs")
 
-    def __init__(self, cusps: Iterable[Semigroup]):
-        cusps = tuple(cusps)
-        if not cusps:
-            raise SemigroupError("a cusp collection needs at least one cusp")
-        seqs = []
-        for s in cusps:
+    def __init__(self, cusps: Iterable[Cusp]):
+        semigroups, seqs = [], []
+        for cusp in cusps:
+            try:
+                s = resolve_semigroup(cusp)
+            except SemigroupError as exc:
+                raise type(exc)(f"bad cusp {cusp.literal()!r}: {exc}") from exc
             if not s.gaps:
                 raise SemigroupError("smooth point is not a cusp")
-            seqs.append(multseq_from_semigroup(s))
-        super().__init__(cusps, tuple(seqs))
+            semigroups.append(s)
+            seqs.append(cusp if isinstance(cusp, MultSeq) else multseq_from_semigroup(s))
+        if not semigroups:
+            raise SemigroupError("a cusp collection needs at least one cusp")
+        super().__init__(tuple(semigroups), tuple(seqs))
 
     @property
     def nu(self) -> int:

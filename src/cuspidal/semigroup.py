@@ -22,10 +22,11 @@ safe to share across threads.  MultSeq, NewtonPairs and Semigroup are plain
 classes on the package's frozen base (_frozen.Frozen), each with a
 written-out constructor that takes its integers through operator.index, as
 semigroup_from_generators does: a float raises TypeError instead of being
-truncated.  The literal parser reads its numbers with int, once the
-grammar's digit rule has accepted them.  Semigroup's
-constructor runs its checks through __post_init__, and the Apery set it
-keeps is not a field, so equality, hashing and the repr go by the gaps.
+truncated.  The literal parser reads its numbers with int once the grammar's
+digit rule has accepted them, and refuses one past int's digit limit in its
+spelling's own message.  Semigroup's constructor runs its checks through
+__post_init__, and the Apery set it keeps is not a field, so equality,
+hashing and the repr go by the gaps.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import re
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate, groupby
-from math import gcd
+from math import gcd, prod
 from operator import ge, index
 
 from ._frozen import Frozen
@@ -44,15 +45,15 @@ from .seqcalc import CountingFn
 #: Sizes of the memo caches below.  A long-lived process that calls
 #: regroupings on many multisets meets a new key for every part it tries, so
 #: each cache is bounded, well above the at most 67 keys per cache that one
-#: pass of any benchmark workload meets.  is_admissible keeps only tuples of
-#: multiplicities and a bool.  _semigroup_from_entries, which the walk reaches
-#: through is_admissible, keeps a Semigroup per key, with a gap tuple of up to
-#: thousands of entries.  multseq_from_semigroup keeps a Semigroup per key as
-#: well, and is called only for the cusps of collections that are built, so
-#: it gets the smallest size.
+#: pass of any benchmark workload meets.  is_admissible keeps a bool per tuple
+#: of multiplicities, _semigroup_from_entries (which it calls) a Semigroup.
+#: Both pay, in warm seed-7 passes on one CPU: without the two, `screen` took
+#: 390-392 ms against 349-352 and `highdeg` 145-148 against 108-109, and without
+#: _semigroup_from_entries's alone 382-383 and 137-141.  Without is_admissible's
+#: the passes hardly moved, but in-process `stability` on [6,3] [4,2] [3,2]
+#: [2_2] took 10.8-11.0 ms against 9.7-9.9: failed chains are kept nowhere else.
 _ADMISSIBLE_CACHE = 4096
 _ENTRIES_CACHE = 1024
-_MULTSEQ_CACHE = 256
 
 
 class SemigroupError(ValueError):
@@ -342,7 +343,6 @@ def semigroup_from_multseq(ms: MultSeq) -> Semigroup:
     return _semigroup_from_entries(ms.entries)
 
 
-@lru_cache(maxsize=_MULTSEQ_CACHE)
 def multseq_from_semigroup(s: Semigroup) -> MultSeq:
     """Record multiplicities along the blowup chain down to the full semigroup."""
     entries = []
@@ -378,18 +378,11 @@ def semigroup_from_newton_pairs(np_: NewtonPairs) -> Semigroup:
     sequences and the gap-count formula.
     """
     pairs = np_.pairs
-    r = len(pairs)
     ps = [p for p, _ in pairs]
-
-    def ptail(k):  # p_{k+1} * ... * p_r with 1-based k
-        out = 1
-        for i in range(k, r):
-            out *= ps[i]
-        return out
-
-    beta = [ptail(0), pairs[0][1] * ptail(1)]
-    for k in range(1, r):
-        beta.append(ps[k - 1] * beta[k] + pairs[k][1] * ptail(k + 1))
+    # prod(ps[k:]) is p_{k+1} * ... * p_r with 1-based indices
+    beta = [prod(ps), pairs[0][1] * prod(ps[1:])]
+    for k in range(1, len(pairs)):
+        beta.append(ps[k - 1] * beta[k] + pairs[k][1] * prod(ps[k + 1:]))
     return semigroup_from_generators(beta)
 
 
@@ -436,12 +429,18 @@ def parse_cusp(text: str) -> Cusp:
         entries = []
         for token in body.split(","):
             m = _MULT_TOKEN.fullmatch(token)
-            if not m:
-                raise SemigroupError(f"bad multiplicity token {token!r} in {text!r}")
-            value = int(m.group(1))
-            count = int(m.group(2)) if m.group(2) else 1
-            if count < 1:
-                raise SemigroupError(f"bad repetition count in {token!r}")
+            try:
+                if not m:
+                    raise ValueError
+                value = int(m.group(1))
+            except ValueError:  # no match, or a number past int's digit limit
+                raise SemigroupError(f"bad multiplicity token {token!r} in {text!r}") from None
+            try:
+                count = int(m.group(2) or 1)
+                if count < 1:
+                    raise ValueError
+            except ValueError:
+                raise SemigroupError(f"bad repetition count in {token!r}") from None
             entries.extend([value] * count)
         return MultSeq(tuple(entries))
     if text.startswith("<") and text.endswith(">"):
@@ -457,7 +456,10 @@ def parse_cusp(text: str) -> Cusp:
             raise SemigroupError(f"bad generator list {text!r}") from None
         return semigroup_from_generators(gens)
     if _NEWTON.fullmatch(text):
-        pairs = tuple((int(p), int(q)) for p, q in _NEWTON_PAIR.findall(text))
+        try:
+            pairs = tuple((int(p), int(q)) for p, q in _NEWTON_PAIR.findall(text))
+        except ValueError:  # a number past int's digit limit
+            raise SemigroupError(f"bad Newton pairs {text!r}") from None
         return NewtonPairs(pairs)
     raise SemigroupError(f"unrecognized cusp literal {text!r}")
 

@@ -133,6 +133,27 @@ class TestCandidateFiles:
         assert code == 2 and not out
         assert err == "error: " + message.format(path=path) + "\n"
 
+    # digits one past int's limit on str conversion; at most 1 where the
+    # interpreter has no limit
+    _PAST_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: -1)() + 1
+
+    @pytest.mark.skipif(_PAST_LIMIT < 2, reason="int has no digit limit here")
+    @pytest.mark.parametrize("name,content,message", [
+        ("value.txt", "[{n}]\n", "{path}:1: token 1: bad multiplicity token '{n}'"),
+        ("count.txt", "[2_{n}]\n", "{path}:1: token 1: bad repetition count in '2_{n}'"),
+        ("newton.txt", "({n},3)\n", "{path}:1: token 1: bad Newton pairs '({n},3)'"),
+        ("degree.txt", "degree: {n}\n[2] [2] [2]\n", "{path}:1: bad degree line 'degree: {n}'"),
+        ("degree.json", '{{"degree": {n}, "cusps": ["[2]"]}}', "{path}: bad JSON: "),
+    ], ids=["multiplicity", "count", "newton", "degree", "json"])
+    def test_number_past_int_digit_limit(self, tmp_path, capsys, name, content, message):
+        # int's own message named neither the file nor the token
+        n = "1" * self._PAST_LIMIT
+        path = tmp_path / name
+        path.write_text(content.format(n=n))
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: " + message.format(path=path, n=n))
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "/nonexistent/file")
         assert code == 2 and "error" in err
@@ -641,6 +662,26 @@ class TestStability:
         code, out, err = run_cli(capsys, "stability", str(path))
         assert code == 3 and not out
         assert "multiset too large: 1200 entries exceed cap 256" in err
+
+    def test_sequences_given_are_never_re_derived(self, tmp_path, capsys, monkeypatch):
+        # a collection keeps the multiplicity sequences it is given, so no
+        # caller that holds them runs the blowup chain
+        def refuse(s):
+            raise AssertionError(f"blowup chain run on {s}")
+
+        monkeypatch.setattr(invariants, "multseq_from_semigroup", refuse)
+        seqs = [semigroup.MultSeq(e) for e in ((6, 3), (4, 2), (3, 2), (2, 2))]
+        assert invariants.CuspCollection(seqs).multseqs == tuple(seqs)
+        entry = criteria.catalog("C", d=9, u=2)
+        assert entry.collection().multseqs == entry.cusps
+        groups = criteria.regroupings(criteria.multiplicity_multiset(
+            invariants.CuspCollection(seqs)), cap=20)
+        assert [c.multseqs for c in groups.cusp_collections()] == list(groups.collections)
+        path = tmp_path / "four.txt"
+        path.write_text("[6,3] [4,2] [3,2] [2_2]\n")
+        assert run_cli(capsys, "stability", str(path))[::2] == (0, "")
+        assert run_cli(capsys, "catalog", "--family", "C", "--d", "9", "--u", "2",
+                       "--check")[::2] == (0, "")
 
     def test_entry_bound_never_exceeds_the_entries(self):
         rng = random.Random(14)

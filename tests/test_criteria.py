@@ -161,8 +161,7 @@ class TestRegroupings:
     def test_memo_caches_stay_bounded(self):
         # distinct multisets until every cache has missed more keys than it
         # holds: each then stays at or below its bound
-        caches = (semigroup.is_admissible, semigroup._semigroup_from_entries,
-                  semigroup.multseq_from_semigroup)
+        caches = (semigroup.is_admissible, semigroup._semigroup_from_entries)
         for cache in caches:
             cache.cache_clear()
         multisets = (ms for n in range(3, 9)

@@ -26,6 +26,8 @@ from conftest import (
 from cuspidal import (
     SMOOTH,
     CuspCollection,
+    InadmissibleSequenceError,
+    MultSeq,
     NotCandidateError,
     SemigroupError,
     alexander,
@@ -45,6 +47,7 @@ from cuspidal import (
     r_poly_series,
     semigroup_from_generators,
     semigroup_from_multseq,
+    semigroup_from_newton_pairs,
     spinc_report,
 )
 
@@ -72,6 +75,37 @@ class TestCuspCollection:
             CuspCollection(())
         with pytest.raises(SemigroupError, match="smooth"):
             CuspCollection((SMOOTH,))
+
+    @staticmethod
+    def assert_same(colls):
+        first = colls[0]
+        for c in colls[1:]:
+            assert c == first and hash(c) == hash(first) and repr(c) == repr(first)
+            assert c.multseqs == first.multseqs
+            assert c.h == first.h and c.q == first.q
+
+    def test_any_description_gives_the_same_collection(self, rng):
+        # a multiplicity sequence is kept as given, and that of a semigroup or
+        # of Newton pairs is read off its blowup chain: the same value
+        for _ in range(40):
+            seqs = [random_admissible(rng, 4, 7) for _ in range(rng.randint(1, 4))]
+            sgs = list(map(semigroup_from_multseq, seqs))
+            mixed = [rng.choice(pair) for pair in zip(seqs, sgs)]
+            self.assert_same([CuspCollection(seqs), CuspCollection(sgs), CuspCollection(mixed)])
+        for entry in catalog_entries(12):
+            sgs = list(map(semigroup_from_multseq, entry.cusps))
+            assert list(map(semigroup_from_newton_pairs, entry.newton)) == sgs, entry.label
+            mixed = [(ms, s, np_)[i % 3]
+                     for i, (ms, s, np_) in enumerate(zip(entry.cusps, sgs, entry.newton))]
+            self.assert_same([CuspCollection(entry.cusps), CuspCollection(sgs),
+                              CuspCollection(entry.newton), CuspCollection(mixed),
+                              entry.collection()])
+
+    def test_bad_cusp_named_by_its_literal(self):
+        with pytest.raises(InadmissibleSequenceError) as info:
+            CuspCollection([MultSeq((6, 4))])
+        assert str(info.value).startswith(
+            "bad cusp '[6,4]': inadmissible multiplicity sequence")
 
 
 class TestAlexander:
@@ -140,6 +174,13 @@ class TestAlexanderSeries:
         monkeypatch.setattr(invariants, "apery_set", lambda s, m: (0, 5))
         with pytest.raises(ArithmeticError):
             alexander(semigroup_from_generators([2, 3]))
+
+    def test_series_one_degree_too_high_refused(self, monkeypatch):
+        # a wrong Apery set {0, 2, 7} mod 3 gives (1 + t^2 + t^7)/(1 + t + t^2),
+        # of degree 5 = 2*delta + 1 for <3,4,5>: the first degree refused
+        monkeypatch.setattr(invariants, "apery_set", lambda s, m: (0, 2, 7))
+        with pytest.raises(ArithmeticError, match="degree above 2[*]delta"):
+            alexander(semigroup_from_generators([3, 4, 5]))
 
 
 class TestAlexanderProduct:
@@ -323,6 +364,23 @@ class TestRPoly:
         with pytest.raises(NotCandidateError):
             r_poly_series(collection("[2]"), 5)
 
+    def test_series_route_from_degree_three(self):
+        c = collection("[2]")
+        assert r_poly_series(c, 3) == r_poly(c, 3)
+        with pytest.raises(ValueError, match="^invalid degree 2: need d >= 3$"):
+            r_poly_series(c, 2)
+
+    def test_series_tail_checked(self):
+        # one more t^4 in the quartic's Delta changes the series from t^4 on:
+        # R's top coefficient, at t^(d(d-3)) = t^4, and the tail, which no
+        # longer cancels at t^(d(d-3) + d) = t^8
+        c = collection(*QUARTIC)
+        co = list(c.alexander_product.coeffs.values)
+        co[4] += 1
+        c.__dict__["alexander_product"] = invariants.IntPoly(IntSeq(co))
+        with pytest.raises(ArithmeticError, match="at degree 8$"):
+            r_poly_series(c, 4)
+
 
 class TestEu:
     def test_octic_canonical(self):
@@ -371,6 +429,17 @@ class TestEu:
     def test_canonical_refuses_non_candidate(self):
         with pytest.raises(NotCandidateError):
             eu_canonical(collection("[2]"), 4)
+
+    def test_candidate_from_degree_three(self):
+        # [2] is the cuspidal cubic: 2*delta = 2 = (3-1)(3-2)
+        c = collection("[2]")
+        assert invariants.is_candidate(c, 3)
+        invariants.require_candidate(c, 3, "")
+        with pytest.raises(NotCandidateError, match=r"^not a candidate: degree 2 < 3!$"):
+            invariants.require_candidate(c, 2, "!")
+        with pytest.raises(NotCandidateError) as info:
+            invariants.require_candidate(c, 4, "; x")
+        assert str(info.value) == "not a candidate: 2*delta = 2 != (d-1)(d-2) = 6; x"
 
     def test_degree_below_three_is_no_candidate(self):
         # (0-1)(0-2) = 2 = 2*delta of [2], so degree 0 passed as a candidate
