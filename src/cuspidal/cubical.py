@@ -22,19 +22,22 @@ arrays import it, so importing this module does not load it.  The grids are
 the per-axis tables H_i and coordinates broadcast against each other.  A
 cube's weight is np.maximum over shifted slices of its faces' weights, one
 slice pair per axis of the cube (the "V-construction" of Wagner-Chen-Vucini,
-2012).  Each dimension is put in filtration order by argsort: any order of
-equal weights gives the same ranks at every level, and the order over all
-cells (weight, then dimension) lists faces before cofaces, so every prefix
-is a subcomplex.  The face rows of all q-cubes come from slicing the inverse
-permutation of dimension q-1, and the oldest coface of every (q-1)-cube is
-np.minimum over the same slices of the q-cube positions.  All weights are
-small integers, so int64 arrays hold them exactly.
+2012); an axis of length 0 has no cubes, so only the axes of positive length
+are walked.  Each dimension is put in filtration order by argsort, equal
+weights by the cube's index in the doubled grid [0, 2m_1] x ... x [0, 2m_nu]:
+any order of equal weights gives the same ranks at every level, and the
+order over all cells (weight, then dimension) lists faces before cofaces, so
+every prefix is a subcomplex.  The face rows of the q-cubes (q >= 2) come
+from slicing the inverse permutation of dimension q-1, and the oldest
+coface of every (q-1)-cube is np.minimum over the same slices of the q-cube
+positions.  All weights are small integers, so int64 arrays hold them
+exactly.
 
 Rank computation is exact Python-int arithmetic: sparse column elimination
 with gcd normalization (cross-multiplication instead of fractions),
 processed in filtration order so that one pass yields the rank of every
 sublevel boundary matrix at once.  Only the columns that need it reach the
-Python loop.  The boundaries go top dimension first, down to the edges:
+Python loop.  The boundaries go top dimension first, down to the 2-boundary:
 - a column is apparent when its lowest row, its youngest face, has the
   column as its oldest coface (the apparent pairs of Bauer's Ripser, 2021).
   No earlier column meets that row, so numpy registers every apparent
@@ -44,10 +47,16 @@ Python loop.  The boundaries go top dimension first, down to the edges:
   equals filtration order;
 - of the rest, a column whose lowest row is not a pivot yet becomes a pivot
   as it is; only the others are reduced.
+The full box is contractible, so every q-cell with q >= 1 is either a pivot
+row of the (q+1)-boundary or a pivot column of the q-boundary, and no
+column that clearing leaves reduces to zero.  The edges are therefore never
+eliminated: the pivot columns of the 1-boundary are the edges that the
+2-boundary's pivot rows do not clear.
 
 The top boundary is eliminated too, although btilde_nu(S_n) = 0 holds for
 every subcomplex of R^nu: a zero last column is a self-test of the
-elimination, which `check_vanishing` reads.
+elimination, which `check_vanishing` reads.  For nu = 1 the top boundary is
+the edges', read off clearing, and the self-test is vacuous.
 """
 
 from __future__ import annotations
@@ -189,57 +198,78 @@ def _shifted(a, axis: int, k: int):
 
 
 def _cell_filtration(rect: WeightedRectangle):
-    """Cell weights, face rows and oldest cofaces of every dimension, in filtration order.
+    """Cell weights of every dimension in filtration order, with the rows the elimination reads.
 
     Returns (weights, faces, cofaces): weights[q] is the nondecreasing int64
-    array of the weights of all q-cubes, faces[q] (q >= 1) the (n_q, 2q)
+    array of the weights of all q-cubes, faces[q] (q >= 2) the (n_q, 2q)
     array whose row k holds the positions, within dimension q-1, of the faces
     of the k-th q-cube, ordered as `_face_signs(q)`, and cofaces[q]
-    (0 <= q < nu) the position, within dimension q+1, of the oldest coface
-    of the k-th q-cube.  Only faces[0] and cofaces[nu] are None.
+    (1 <= q < nu) the position, within dimension q+1, of the oldest coface
+    of the k-th q-cube (n_{q+1} if it has none).  Equal weights go by the
+    cube's index in the doubled grid, so the order is total.  The edges'
+    pivots come from clearing, so nothing reads their face rows or the
+    vertices' positions: faces[0], faces[1], cofaces[0] and cofaces[nu] are
+    None.  An axis of length 0 has no cubes, so the dimensions above the
+    number of axes of positive length have empty arrays.
     """
     import numpy as np
 
     nu = rect.nu
-    # cube weights per axis mask: np.maximum over the two faces along the
-    # highest axis, whose weights are already the max over their vertices;
-    # corner[mask] is the flat index of each cube's lowest vertex
     shape = [m + 1 for m in rect.dims]
+    # the doubled grid [0, 2m_1] x ... x [0, 2m_nu] holds every cube once:
+    # the cube at lowest vertex x along the axes of mask b has the index
+    # sum_i (2 x_i + b_i) * stride[i]
+    stride = [1] * nu
+    for i in range(nu - 1, 0, -1):
+        stride[i - 1] = stride[i] * (2 * rect.dims[i] + 1)
+    cells = stride[0] * (2 * rect.dims[0] + 1)
+    # cube weights per axis mask, over the submasks of the axes of positive
+    # length: np.maximum over the two faces along the highest axis, whose
+    # weights are already the max over their vertices; index[mask] is twice
+    # the lowest vertex's index plus one stride per axis of the mask
     cube = {0: np.array(rect.weights, dtype=np.int64).reshape(shape)}
-    corner = {0: np.arange(cube[0].size, dtype=np.int64).reshape(shape)}
-    for mask in range(1, 1 << nu):
-        i = mask.bit_length() - 1
-        w = cube[mask ^ 1 << i]
-        cube[mask] = np.maximum(_shifted(w, i, 0), _shifted(w, i, 1))
-        corner[mask] = _shifted(corner[mask ^ 1 << i], i, 0)
-    min_w = int(cube[0].min())
+    index = {0: np.zeros(shape, dtype=np.int64)}
+    for i, m in enumerate(rect.dims):
+        index[0] += np.arange(0, 2 * m + 1, 2, dtype=np.int64).reshape(
+            [-1 if t == i else 1 for t in range(nu)]) * stride[i]
+    masks = [0]
+    for i, m in enumerate(rect.dims):
+        if m:
+            for base in masks[:]:
+                w = cube[base]
+                cube[base | 1 << i] = np.maximum(_shifted(w, i, 0), _shifted(w, i, 1))
+                index[base | 1 << i] = _shifted(index[base], i, 0) + stride[i]
+                masks.append(base | 1 << i)
+    live = sum(m > 0 for m in rect.dims)
 
-    weights, faces, cofaces = [], [], [None] * (nu + 1)
-    below: dict[int, np.ndarray] = {}
-    for q in range(nu + 1):
-        masks = [m for m in range(1 << nu) if m.bit_count() == q]
-        flat = np.concatenate([cube[m].ravel() for m in masks])
-        # ties in weight go by lowest vertex: any order gives the same ranks,
-        # this one leaves the fewest columns to reduce.  The key stays below
-        # 3 * points**2, far inside int64 for any box that fits in memory.
-        key = (flat - min_w) * cube[0].size
-        key += np.concatenate([corner[m].ravel() for m in masks])
+    weights = [np.sort(cube[0], axis=None)]
+    min_w = int(weights[0][0])
+    faces, cofaces = [None] * (nu + 1), [None] * (nu + 1)
+    for q in range(1, live + 1):
+        group = [m for m in masks if m.bit_count() == q]
+        flat = np.concatenate([cube[m].ravel() for m in group])
+        # ties in weight go by doubled-grid index: any order gives the same
+        # ranks, and this one leaves fewer columns to reduce than the lowest
+        # vertex or the weight alone.  key < (weight spread + 1) * cells,
+        # inside int64 for any box that fits in memory
+        key = (flat - min_w) * cells
+        key += np.concatenate([index[m].ravel() for m in group])
         order = np.argsort(key)
         weights.append(flat[order])
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
         grids, start = {}, 0
-        for m in masks:
+        for m in group:
             grids[m] = position[start:start + cube[m].size].reshape(cube[m].shape)
             start += cube[m].size
-        if q:
+        if q > 1:
             # the q-cube at x with axis i added to the mask has the one at x
             # (lower) and at x + e_i (upper) as faces; read the other way, the
             # oldest coface of a (q-1)-cube is the np.minimum of the positions
             # of the q-cubes it is a face of, and the number of q-cubes if none
             oldest = {m: np.full_like(g, order.size) for m, g in below.items()}
             blocks = []
-            for m in masks:
+            for m in group:
                 rows = []
                 for i in range(nu):
                     if m >> i & 1:
@@ -248,11 +278,15 @@ def _cell_filtration(rect: WeightedRectangle):
                             view = _shifted(oldest[m ^ 1 << i], i, k)
                             np.minimum(view, grids[m], out=view)
                 blocks.append(np.stack(rows, axis=1))
-            faces.append(np.concatenate(blocks)[order])
+            faces[q] = np.concatenate(blocks)[order]
             cofaces[q - 1] = np.concatenate([o.ravel() for o in oldest.values()])[below_order]
-        else:
-            faces.append(None)
         below, below_order = grids, order
+    for q in range(live + 1, nu + 1):
+        weights.append(np.empty(0, dtype=np.int64))
+        if q > 1:
+            faces[q] = np.empty((0, 2 * q), dtype=np.int64)
+    for q in range(max(live, 1), nu):
+        cofaces[q] = np.zeros(len(weights[q]), dtype=np.int64)
     return weights, faces, cofaces
 
 
@@ -321,6 +355,11 @@ def _rank_profile(rect: WeightedRectangle):
     weights of all q-cells in increasing order and pivot_weights[q] the
     weights of the columns of the q-boundary that carry a pivot, i.e. rank
     of the q-boundary restricted to S_n is the number of entries <= n.
+
+    The full box is contractible, so every q-cell with q >= 1 is either a
+    pivot row of the (q+1)-boundary, cleared, or a pivot column of the
+    q-boundary.  The elimination therefore stops at the 2-boundary: the
+    pivot columns of the 1-boundary are the edges it does not clear.
     """
     import numpy as np
 
@@ -328,12 +367,12 @@ def _rank_profile(rect: WeightedRectangle):
     cell_weights, faces, cofaces = _cell_filtration(rect)
     pivot_weights = [np.empty(0, dtype=np.int64)] * (nu + 2)
 
-    # boundaries top dimension first, so that pivot rows clear the matching
-    # columns one dimension down.  Apparent columns are pivots as they
-    # stand, kept by row in a numpy array; only the other columns reach the
-    # loop, and the pivots it finds go into a dict
+    # boundaries top dimension first, down to the 2-boundary, so that pivot
+    # rows clear the matching columns one dimension down.  Apparent columns
+    # are pivots as they stand, kept by row in a numpy array; only the other
+    # columns reach the loop, and the pivots it finds go into a dict
     cleared = np.zeros(len(cell_weights[nu]), dtype=bool)
-    for q in range(nu, 0, -1):
+    for q in range(nu, 1, -1):
         f = faces[q]
         low, pivot = _apparent(f, cofaces[q - 1])
         apparent = np.full(len(cell_weights[q - 1]), -1)
@@ -346,6 +385,7 @@ def _rank_profile(rect: WeightedRectangle):
         pivot_weights[q] = cell_weights[q][pivot]
         cleared = apparent >= 0
         cleared[list(pivots)] = True
+    pivot_weights[1] = cell_weights[1][~cleared]
     return cell_weights, pivot_weights
 
 

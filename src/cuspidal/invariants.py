@@ -84,12 +84,12 @@ class CuspCollection(Frozen):
         for cusp in cusps:
             try:
                 s = resolve_semigroup(cusp)
+                if not s.gaps:
+                    raise SemigroupError("smooth point is not a cusp")
+                seqs.append(cusp if isinstance(cusp, MultSeq) else multseq_from_semigroup(s))
             except SemigroupError as exc:
                 raise type(exc)(f"bad cusp {cusp.literal()!r}: {exc}") from exc
-            if not s.gaps:
-                raise SemigroupError("smooth point is not a cusp")
             semigroups.append(s)
-            seqs.append(cusp if isinstance(cusp, MultSeq) else multseq_from_semigroup(s))
         if not semigroups:
             raise SemigroupError("a cusp collection needs at least one cusp")
         super().__init__(tuple(semigroups), tuple(seqs))

@@ -315,8 +315,7 @@ def blowup(s: Semigroup) -> Semigroup:
     b = apery_set(s, m)
     a = tuple(bj - j * m for j, bj in enumerate(b))
     if any(x >= y for x, y in zip(a, a[1:])):
-        raise NotPlaneBranchError(
-            "blowup does not preserve the Apery order; not a plane-branch semigroup")
+        raise NotPlaneBranchError("blowup does not preserve the Apery order")
     return _from_apery_layers(a, m, "blowup is not a semigroup")
 
 

@@ -6,11 +6,12 @@ values by direct enumeration or by bisecting the gap list, Alexander
 polynomials by a membership loop over the gaps instead of the Apery set,
 min-plus convolutions by scanning every split, F by sequence calculus
 instead of reversing q, regroupings by sorting the full set of multiset
-partitions, and cubical Betti tables from per-cube tuples with dict-keyed
-elimination.  The semigroup closure check, the minimal generators, the
-counting heads, the Alexander polynomials and the min-plus window are also
-kept in their per-element or quadratic forms, which the Apery-set and
-blocked production kernels replaced.  Golden rows are transcriptions of the published tables for the
+partitions, cubical Betti tables from per-cube tuples with dict-keyed
+elimination, and the cell filtration by sorting those tuples.  The
+semigroup closure check, the minimal generators, the counting heads, the
+Alexander polynomials and the min-plus window are also kept in their
+per-element or quadratic forms, which the Apery-set and blocked production
+kernels replaced.  Golden rows are transcriptions of the published tables for the
 curves they describe.
 """
 
@@ -374,25 +375,62 @@ def reference_betti_table(rect):
     return BettiTable(min_w, tuple(out))
 
 
+def reference_filtration(rect):
+    """Cell weights, face rows and oldest cofaces of every dimension, by definition.
+
+    Orders the cubes of `enumerate_cells` in each dimension by weight, then
+    by their index in the doubled grid [0, 2m_1] x ... x [0, 2m_nu]: the
+    cube at lowest vertex x along the axes of mask b sits at
+    sum_i (2 x_i + b_i) * stride_i.  Returns (weights, faces, cofaces) as
+    lists: faces[q] (q >= 1) holds the positions, within dimension q-1, of
+    each q-cube's faces in `cube_boundary` order, which is the order of
+    `_face_signs(q)`, and cofaces[q] (q < nu) the position, within dimension
+    q+1, of each q-cube's oldest coface (the number of (q+1)-cubes if none).
+    faces[0] and cofaces[nu] are None.
+    """
+    nu = rect.nu
+    strides = rect.strides()
+    doubled = [1] * nu
+    for i in range(nu - 1, 0, -1):
+        doubled[i - 1] = doubled[i] * (2 * rect.dims[i] + 1)
+    by_dim = [[] for _ in range(nu + 1)]
+    for w, dim, p, mask in enumerate_cells(rect):
+        index = sum((2 * (p // s % (m + 1)) + (mask >> i & 1)) * d
+                    for i, (s, m, d) in enumerate(zip(strides, rect.dims, doubled)))
+        by_dim[dim].append((w, index, p, mask))
+    for group in by_dim:
+        group.sort()
+    pos = [{(p, mask): k for k, (_, _, p, mask) in enumerate(group)} for group in by_dim]
+    faces = [None] + [[[pos[q - 1][fp, fmask] for fp, fmask, _ in cube_boundary(p, mask, strides)]
+                       for _, _, p, mask in by_dim[q]]
+                      for q in range(1, nu + 1)]
+    cofaces = [[len(by_dim[q + 1])] * len(by_dim[q]) for q in range(nu)] + [None]
+    for q in range(1, nu + 1):
+        for k, row in enumerate(faces[q]):
+            for r in row:
+                cofaces[q - 1][r] = min(cofaces[q - 1][r], k)
+    return [[w for w, *_ in group] for group in by_dim], faces, cofaces
+
+
 def reference_rank_profile(rect):
     """Pivot weights of every boundary by the loop that preceded apparent pairs.
 
-    Every column that clearing leaves goes through the first-low shortcut or
-    `_reference_reduce` in filtration order, and the union-find visits every
-    edge.  It shares only `_cell_filtration` and `_face_signs` with the
-    production route.
+    A union-find visits every edge, and every column of the higher
+    boundaries that clearing leaves goes through `_reference_reduce` in
+    filtration order.  It reads the cells of `reference_filtration` and
+    shares only `_face_signs` with the production route.
     """
     import numpy as np
 
-    from cuspidal.cubical import _cell_filtration, _face_signs
+    from cuspidal.cubical import _face_signs
 
     nu = rect.nu
-    cell_weights, faces, _ = _cell_filtration(rect)
+    weights, faces, _ = reference_filtration(rect)
     pivot_cols = [[] for _ in range(nu + 2)]
 
-    parent = list(range(len(cell_weights[0])))
+    parent = list(range(len(weights[0])))
     tree = pivot_cols[1]
-    for idx, (u, v) in enumerate(faces[1].tolist()):
+    for idx, (u, v) in enumerate(faces[1]):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -403,70 +441,27 @@ def reference_rank_profile(rect):
 
     cleared = ()
     for q in range(nu, 1, -1):
-        f = faces[q]
-        keep = np.ones(len(f), dtype=bool)
-        keep[list(cleared)] = False
-        todo = np.flatnonzero(keep)
         signs = _face_signs(q)
         pivots = {}
-        found = pivot_cols[q]
-        for idx, r in zip(todo.tolist(), f[todo].max(axis=1).tolist()):
-            col = dict(zip(f[idx].tolist(), signs))
-            if r not in pivots:
-                pivots[r] = col
-                found.append(idx)
-            elif _reference_reduce(col, pivots):
-                found.append(idx)
+        for idx, row in enumerate(faces[q]):
+            if idx not in cleared and _reference_reduce(dict(zip(row, signs)), pivots):
+                pivot_cols[q].append(idx)
         cleared = pivots
+    cell_weights = [np.array(ws, dtype=np.int64) for ws in weights]
     pivot_weights = [ws[cols] for ws, cols in zip(cell_weights, pivot_cols)]
     pivot_weights.append(np.empty(0, dtype=np.int64))
     return cell_weights, pivot_weights
 
 
-def reference_apparent(rect, faces):
-    """Per dimension q >= 1, oldest cofaces and apparent columns by their definition.
+def reference_apparent(rect):
+    """Per dimension q >= 1, whether each q-cube is the oldest coface of its youngest face.
 
-    Returns {q: (oldest, apparent)}: oldest[r] is the position of the oldest
-    q-coface of the (q-1)-cube at position r (the number of q-cubes if it
-    has none), and apparent[k] whether the q-cube at position k is the
-    oldest coface of its youngest face.
-
-    Each filtration position is matched to its cube (point, axis mask) of
-    `enumerate_cells` through its vertex set: vertices are ordered by weight,
-    then by flat index, and a cube's vertex set is the union of its faces'.
-    The youngest face and the oldest coface are then read from
-    `cube_boundary`, by brute force over all cubes.
+    Read from `reference_filtration`: a cube's youngest face is the face
+    row entry of the highest position.
     """
-    nu = rect.nu
-    strides = rect.strides()
-    cells = enumerate_cells(rect)
-    vertex_pos = {p: k for k, (_, p) in enumerate(
-        sorted((w, p) for w, dim, p, _ in cells if dim == 0))}
-    verts = [[frozenset((k,)) for k in range(len(vertex_pos))]]
-    for q in range(1, nu + 1):
-        verts.append([frozenset().union(*(verts[q - 1][f] for f in row))
-                      for row in faces[q].tolist()])
-    position = [{v: k for k, v in enumerate(vs)} for vs in verts]
-    pos = {}
-    for _, dim, p, mask in cells:
-        offsets = [0]
-        for i in range(nu):
-            if mask >> i & 1:
-                offsets += [o + strides[i] for o in offsets]
-        pos[p, mask] = position[dim][frozenset(vertex_pos[p + o] for o in offsets)]
-    out = {}
-    for q in range(1, nu + 1):
-        youngest = [None] * len(verts[q])
-        oldest = [len(verts[q])] * len(verts[q - 1])
-        for _, dim, p, mask in cells:
-            if dim == q:
-                k = pos[p, mask]
-                rows = [pos[fp, fmask] for fp, fmask, _ in cube_boundary(p, mask, strides)]
-                youngest[k] = max(rows)
-                for r in rows:
-                    oldest[r] = min(oldest[r], k)
-        out[q] = oldest, [oldest[r] == k for k, r in enumerate(youngest)]
-    return out
+    _, faces, cofaces = reference_filtration(rect)
+    return {q: [cofaces[q - 1][max(row)] == k for k, row in enumerate(faces[q])]
+            for q in range(1, rect.nu + 1)}
 
 
 def random_admissible(rng: random.Random, max_len=5, max_entry=9) -> MultSeq:

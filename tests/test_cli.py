@@ -31,6 +31,11 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+# every command that resolves a candidate file's cusps, with its options
+REFUSING_COMMANDS = (("stability",), ("invariants",), ("oracle", "--j", "1"),
+                     ("check", "--d", "5"))
+
+
 def run_machine(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--format", "machine")
     return code, json.loads(out), err
@@ -587,6 +592,18 @@ class TestOracle:
         assert code == 3 and not out
         assert "799 runs of 161604 lattice points exceed cap 2000000" in err
 
+    def test_zero_length_axes_cost_nothing(self, tmp_path, capsys):
+        # an axis of length 0 has no cubes; walking all 2^22 axis masks for
+        # this one-point box ran past 30 s
+        path = tmp_path / "many.txt"
+        path.write_text(" ".join(["[2]"] * 22) + "\n")
+        start = time.perf_counter()
+        code, doc, _ = run_machine(capsys, "oracle", str(path), "--j", "0",
+                                   "--box", ",".join(["0"] * 22))
+        assert time.perf_counter() - start < 10
+        assert code == 1  # the formulas need a larger box
+        assert doc["runs"][0]["betti_rows"] == [[0] * 24]
+
     def test_tsv_rows_in_text(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
         path.write_text("[2]\n")
@@ -698,9 +715,19 @@ class TestStability:
     def test_smooth_point_refused(self, tmp_path, capsys):
         path = tmp_path / "smooth.txt"
         path.write_text("<1,5> [2]\n")
-        code, out, err = run_cli(capsys, "stability", str(path))
-        assert code == 2 and not out
-        assert "smooth point is not a cusp" in err
+        for command in REFUSING_COMMANDS:
+            code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+            assert code == 2 and not out
+            assert err == "error: bad cusp '<1>': smooth point is not a cusp\n"
+
+    def test_non_plane_branch_refused(self, tmp_path, capsys):
+        path = tmp_path / "apery.txt"
+        path.write_text("<3,4,5>\n")
+        for command in REFUSING_COMMANDS:
+            code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+            assert code == 2 and not out
+            assert err == ("error: bad cusp '<3,4,5>': not a plane-branch semigroup: "
+                           "blowup does not preserve the Apery order\n")
 
     @pytest.mark.parametrize("text, entries", [
         ("[3,2_300]\n", 301),         # inadmissible itself

@@ -11,6 +11,7 @@ from conftest import (
     random_admissible,
     reference_apparent,
     reference_betti_table,
+    reference_filtration,
     reference_rank_profile,
 )
 from cuspidal import (
@@ -29,6 +30,7 @@ from cuspidal import (
 )
 from cuspidal import cubical
 from cuspidal.cubical import (
+    WeightedRectangle,
     _apparent,
     _cell_filtration,
     _face_signs,
@@ -74,6 +76,10 @@ class TestBuildRectangle:
         assert build_rectangle(SINGLE, -(1 << 62)).min_weight == -(1 << 62)
         with pytest.raises(ValueError):
             build_rectangle(SINGLE, -(1 << 63))
+        # the filtration key is taken from the weights less their minimum,
+        # so such weights do not wrap it
+        rect = build_rectangle(collection("[2]", "[2]"), -(1 << 62))
+        assert betti_table(rect) == reference_betti_table(rect)
 
     def test_explicit_dims(self):
         rect = build_rectangle(QUARTIC, 0, dims=(4, 5, 6))
@@ -82,17 +88,23 @@ class TestBuildRectangle:
             build_rectangle(QUARTIC, 0, dims=(4, 5))
 
 
+def face_rows(rect):
+    """Face rows of every dimension: the edges' by definition, the rest as built."""
+    _, faces, _ = _cell_filtration(rect)
+    return reference_filtration(rect)[1][:2] + [f.tolist() for f in faces[2:]]
+
+
 class TestBoundaryOperator:
     def test_boundary_of_boundary_vanishes(self):
         for rect in (build_rectangle(collection("[2]", "[2]"), 1),
                      build_rectangle(QUARTIC, 2, dims=(2, 3, 4))):
-            _, faces, _ = _cell_filtration(rect)
+            faces = face_rows(rect)
             for q in range(2, rect.nu + 1):
-                for row in faces[q].tolist():
+                for row in faces[q]:
                     assert len(set(row)) == 2 * q
                     total = {}
                     for f, sign in zip(row, _face_signs(q)):
-                        for g, gsign in zip(faces[q - 1][f].tolist(), _face_signs(q - 1)):
+                        for g, gsign in zip(faces[q - 1][f], _face_signs(q - 1)):
                             total[g] = total.get(g, 0) + sign * gsign
                     assert all(v == 0 for v in total.values())
 
@@ -158,13 +170,14 @@ class TestLevelBetti:
         # cells come in weight order and no face outweighs its cube, so every
         # sublevel set is a subcomplex
         rect = build_rectangle(QUARTIC, 1)
-        cell_weights, faces, _ = _cell_filtration(rect)
+        cell_weights, _, _ = _cell_filtration(rect)
+        faces = face_rows(rect)
         assert [len(ws) for ws in cell_weights] == [64, 144, 108, 27]
         for q, ws in enumerate(cell_weights):
             ws = ws.tolist()
             assert ws == sorted(ws)
             if q:
-                for w, row in zip(ws, faces[q].tolist()):
+                for w, row in zip(ws, faces[q]):
                     assert all(cell_weights[q - 1][f] <= w for f in row)
 
 
@@ -269,6 +282,18 @@ class TestVanishing:
             assert check_vanishing(table, rect.nu)
 
 
+def test_zero_length_axes_add_zero_columns():
+    # an axis of length 0 has no cubes, so a box with such axes has the
+    # table of the box without them, with zeros in the dimensions above
+    weights = (0, 3, 0, 1, 2, 4, 5, 0, 1, 3, 0, 2)
+    table = betti_table(WeightedRectangle((2, 3), weights))
+    assert table.rows[0] == (3, 0, 0) and table.rows[3] == (0, 1, 0)
+    for dims in ((0, 2, 0, 3), (2, 0, 0, 0, 3)):
+        padded = betti_table(WeightedRectangle(dims, weights))
+        assert padded.min_level == table.min_level
+        assert padded.rows == tuple(row + (0,) * (len(dims) - 2) for row in table.rows)
+
+
 def test_oracle_respects_cap():
     with pytest.raises(RectangleTooLarge):
         oracle_eu(QUARTIC, 0, cap=10)
@@ -286,12 +311,46 @@ def random_box(rng, nu, data):
 
 @given(rng=st.randoms(use_true_random=False), nu=st.integers(1, 4), data=st.data())
 def test_betti_table_matches_reference(rng, nu, data):
-    # at nu = 4 apparent pairs and clearing run through every boundary,
-    # from dimension 4 down to the edges
+    # at nu = 4 apparent pairs and clearing run through every boundary from
+    # dimension 4 down to the 2-cells, and clearing gives the edges' pivots
     rect = random_box(rng, nu, data)
     table = betti_table(rect)
     assert table == reference_betti_table(rect)
     assert all(row[-1] == 0 for row in table.rows)
+
+
+@settings(max_examples=100)
+@given(nu=st.integers(1, 4), data=st.data())
+def test_betti_table_matches_reference_on_any_weights(nu, data):
+    # the route holds for any integer vertex weights, not only surgery ones
+    top = (8, 5, 3, 2)[nu - 1]
+    dims = tuple(data.draw(st.lists(st.integers(0, top), min_size=nu, max_size=nu)))
+    points = 1
+    for m in dims:
+        points *= m + 1
+    weights = data.draw(st.lists(st.integers(-4, 4), min_size=points, max_size=points))
+    rect = WeightedRectangle(dims, tuple(weights))
+    assert betti_table(rect) == reference_betti_table(rect)
+
+
+@settings(max_examples=80)
+@given(rng=st.randoms(use_true_random=False), nu=st.integers(1, 4), data=st.data())
+def test_filtration_matches_definition(rng, nu, data):
+    # ties in weight go by doubled-grid index, a total order, so every
+    # position is fixed: the face rows above the edges and the oldest cofaces
+    # above the vertices equal their definition exactly, and the edge rows
+    # and vertex cofaces, which nothing reads, are not built
+    rect = random_box(rng, nu, data)
+    cell_weights, faces, cofaces = _cell_filtration(rect)
+    ref_weights, ref_faces, ref_cofaces = reference_filtration(rect)
+    assert len(faces) == len(cofaces) == nu + 1
+    assert [ws.tolist() for ws in cell_weights] == ref_weights
+    assert faces[0] is faces[1] is cofaces[0] is cofaces[nu] is None
+    for q in range(2, nu + 1):
+        assert faces[q].shape == (len(ref_faces[q]), 2 * q)
+        assert faces[q].tolist() == ref_faces[q]
+    for q in range(1, nu):
+        assert cofaces[q].tolist() == ref_cofaces[q]
 
 
 @given(rng=st.randoms(use_true_random=False), nu=st.integers(1, 3), data=st.data())
@@ -313,33 +372,38 @@ def test_min_w_over_diagonal_matches_enumeration(rng, nu, data):
 @settings(max_examples=80)
 @given(rng=st.randoms(use_true_random=False), nu=st.integers(1, 4), data=st.data())
 def test_apparent_columns_and_pivots(rng, nu, data):
-    # the oldest cofaces and the apparent mask against their per-cube
-    # definitions, and the pivot weights against the loop without them
+    # the apparent mask against its per-cube definition, and the pivot
+    # weights against the loop without apparent pairs and a union-find
     rect = random_box(rng, nu, data)
     _, faces, cofaces = _cell_filtration(rect)
-    reference = reference_apparent(rect, faces)
-    for q, (oldest, apparent) in reference.items():
-        assert cofaces[q - 1].tolist() == oldest
+    apparent = reference_apparent(rect)
+    for q in range(2, nu + 1):
         low, mask = _apparent(faces[q], cofaces[q - 1])
         assert low.tolist() == faces[q].max(axis=1).tolist()
-        assert mask.tolist() == apparent
+        assert mask.tolist() == apparent[q]
     with patch.object(cubical, "_reduce_column", wraps=cubical._reduce_column) as reduce:
         cells, pivots = _rank_profile(rect)
     ref_cells, ref_pivots = reference_rank_profile(rect)
     assert [ws.tolist() for ws in cells] == [ws.tolist() for ws in ref_cells]
     assert [ws.tolist() for ws in pivots] == [ws.tolist() for ws in ref_pivots]
-    # the loop visits only the columns that are neither apparent nor cleared
-    # by one of the rank(d_{q+1}) pivot rows one dimension up
-    assert reduce.call_count == sum(len(faces[q]) - sum(apparent) - len(ref_pivots[q + 1])
-                                    for q, (_, apparent) in reference.items())
+    # the box is contractible: every q-cell (q >= 1) is a pivot row of
+    # d_{q+1} or a pivot column of d_q, which is what gives the edges'
+    # pivots without eliminating d_1
+    for q in range(1, nu + 1):
+        assert len(ref_cells[q]) == len(ref_pivots[q]) + len(ref_pivots[q + 1])
+    # the loop visits only the columns of d_q (q >= 2) that are neither
+    # apparent nor cleared by one of the rank(d_{q+1}) pivot rows one
+    # dimension up
+    assert reduce.call_count == sum(len(faces[q]) - sum(apparent[q]) - len(ref_pivots[q + 1])
+                                    for q in range(2, nu + 1))
 
 
-@pytest.mark.parametrize("j,reduced", [(2, 31), (5, 17), (8, 8)])
-def test_ties_by_lowest_vertex_keep_the_loop_short(j, reduced):
+@pytest.mark.parametrize("j,reduced", [(2, 18), (5, 9), (8, 5)])
+def test_ties_by_grid_index_keep_the_loop_short(j, reduced):
     # any order of equal weights gives the same tables, so only the count of
     # reduced columns sees the tie-break.  Ordered by weight alone, these
-    # boxes reduce 415, 357 and 232 columns, and one pass over the 201
-    # seed-7 `oracle` benchmark boxes runs about twice as long
+    # boxes reduce 415, 357 and 232 columns, and by weight and lowest vertex,
+    # with the edges eliminated too, 31, 17 and 8
     rect = build_rectangle(collection("[3,2]", "[2]", "[2]"), j, box_margin=2)
     assert len(rect.weights) == 432
     with patch.object(cubical, "_reduce_column", wraps=cubical._reduce_column) as reduce:

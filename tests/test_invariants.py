@@ -29,6 +29,7 @@ from cuspidal import (
     InadmissibleSequenceError,
     MultSeq,
     NotCandidateError,
+    NotPlaneBranchError,
     SemigroupError,
     alexander,
     catalog,
@@ -106,6 +107,14 @@ class TestCuspCollection:
             CuspCollection([MultSeq((6, 4))])
         assert str(info.value).startswith(
             "bad cusp '[6,4]': inadmissible multiplicity sequence")
+        # a semigroup that is no plane branch, and a smooth point, alike
+        with pytest.raises(NotPlaneBranchError) as info:
+            CuspCollection([semigroup_from_generators((3, 4, 5))])
+        assert str(info.value) == ("bad cusp '<3,4,5>': not a plane-branch semigroup: "
+                                   "blowup does not preserve the Apery order")
+        with pytest.raises(SemigroupError) as info:
+            CuspCollection([MultSeq((2,)), SMOOTH])
+        assert str(info.value) == "bad cusp '<1>': smooth point is not a cusp"
 
 
 class TestAlexander:

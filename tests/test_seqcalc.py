@@ -325,15 +325,21 @@ def test_both_evaluators_on_heads_past_twice_the_offset(f_steps, g_steps):
 
 
 def test_min_convolve_memory_linear_in_cutoff():
-    # a (cut + 1) x (cutoff + 1) window for H of [60] [60] would take ~200 MiB
+    # a (cut + 1) x (cutoff + 1) window for H of [60] [60] would take ~200 MiB.
+    # The child reads its own peak, VmHWM: on Linux ru_maxrss starts from the
+    # parent's peak across fork and exec, so it would measure pytest itself
     code = ("import resource\n"
             "from cuspidal import CuspCollection, MultSeq, semigroup_from_multseq\n"
             "s = semigroup_from_multseq(MultSeq((60,)))\n"
             "CuspCollection((s, s)).h\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "try:\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+            "except (OSError, StopIteration):  # no procfs, or no VmHWM in it\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) / 1024 < 120  # ru_maxrss is in KiB
+    assert int(proc.stdout) / 1024 < 120  # VmHWM and ru_maxrss are in KiB
 
 
 @settings(max_examples=50)
