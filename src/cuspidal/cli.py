@@ -28,7 +28,7 @@ from itertools import chain
 
 from . import criteria, cubical, invariants
 from .invariants import CapExceeded, CuspCollection
-from .semigroup import Cusp, MultSeq, NewtonPairs, Semigroup, SemigroupError, parse_cusp, resolve_semigroup
+from .semigroup import SMOOTH, Cusp, MultSeq, SemigroupError, parse_cusp
 
 SCHEMA_VERSION = 1
 
@@ -98,24 +98,13 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
             parsed.append(parse_cusp(lit))
         except SemigroupError as exc:
             raise InputError(f"{where}: {exc}") from exc
+        if parsed[-1] == SMOOTH:  # a generator literal such as <1,5>
+            raise InputError(f"{where}: bad cusp {lit!r}: smooth point is not a cusp")
     return [lit for _, lit in located], parsed, degree
 
 
 def build_collection(cusps: list[Cusp]) -> CuspCollection:
     return CuspCollection(cusps)
-
-
-def _entries_at_least(cusp: MultSeq | Semigroup) -> int:
-    """A lower bound on the multiplicity-sequence entries of a cusp, unbuilt.
-
-    A multiplicity sequence has its own.  For a semigroup of multiplicity m
-    every entry n is at most m and adds n(n-1)/2 to delta, so there are at
-    least ceil(2*delta / (m(m-1))) of them.
-    """
-    if isinstance(cusp, MultSeq):
-        return len(cusp.entries)
-    m = cusp.multiplicity
-    return -(-2 * cusp.delta // (m * (m - 1))) if m > 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +346,10 @@ def cmd_oracle(args) -> tuple[dict, int]:
 def cmd_stability(args) -> tuple[dict, int]:
     if args.max_parts is not None and args.max_parts < 1:  # no regrouping would be compared
         raise InputError(f"--max-parts must be at least 1, got {args.max_parts}")
-    # the un-blowup chain of a multiplicity sequence and the blowup chain of
-    # a semigroup cost time quadratic in their entries, so a multiset too
-    # long to regroup is refused before either runs.  Newton pairs are read as
-    # semigroups first, which never fails: valid pairs give generators of gcd 1
+    # the entries that the multiplicity-sequence literals spell are counted
+    # before any is found inadmissible; regroupings counts the rest once built
     literals, cusps, file_degree = load_candidate_file(args.file)
-    cusps = [resolve_semigroup(c) if isinstance(c, NewtonPairs) else c for c in cusps]
-    criteria.require_entries(sum(map(_entries_at_least, cusps)))
+    criteria.require_entries(sum(len(c.entries) for c in cusps if isinstance(c, MultSeq)))
     literals, c, d = _load(args, (literals, cusps, file_degree))
     ms = criteria.multiplicity_multiset(c)
     # each row computes H on its window [0, 2*delta]; at least one row is compared

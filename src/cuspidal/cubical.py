@@ -61,7 +61,7 @@ the edges', read off clearing, and the self-test is vacuous.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from ._frozen import Frozen
 from .invariants import CapExceeded, CuspCollection
@@ -70,10 +70,9 @@ from .invariants import CapExceeded, CuspCollection
 class RectangleTooLarge(CapExceeded):
     """Predicted rectangle size exceeds the configured cap."""
 
-    def __init__(self, points: int, cap: int):
-        super().__init__(
-            f"rectangle too large: {points} lattice points exceed cap {cap}")
-        self.points = points
+    def __init__(self, size: int, cap: int, what: str = "lattice points"):
+        super().__init__(f"rectangle too large: {size} {what} exceed cap {cap}")
+        self.size = size
         self.cap = cap
 
 
@@ -164,11 +163,14 @@ def build_rectangle(
 ) -> WeightedRectangle:
     """Evaluate the surgery weight w_a with index a = j on every lattice point."""
     dims = _box(c, box_margin, dims)
-    points = 1
-    for m in dims:
-        points *= m + 1
+    points = prod(m + 1 for m in dims)
     if points > cap:
         raise RectangleTooLarge(points, cap)
+    # the cells, prod(2m_i + 1), are fewer than 2**nu times the points, so
+    # only a box of three cusps or more can pass the one cap and not this one
+    cells = prod(2 * m + 1 for m in dims)
+    if cells > 4 * cap:
+        raise RectangleTooLarge(cells, 4 * cap, "cells")
     if j < _MIN_INDEX:
         raise ValueError(f"index {j} below {_MIN_INDEX}")
     import numpy as np

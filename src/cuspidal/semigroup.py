@@ -6,6 +6,9 @@ like ``<4,6,13>``.  This module converts between the three descriptions:
 multiplicity sequences are folded into semigroups through the Apery-set
 un-blowup step (append a multiplicity m by shifting the j-th smallest Apery
 representative up by j*m), and recovered by running the shift backwards.
+Each step of either chain passes on only the Apery set, checked by the Kunz
+inequalities in O(m^2) for multiplicity m, and a chain builds one Semigroup,
+at its end: no step lists the gaps, which cost delta a step.
 
 A semigroup is stored by its finite gap set; membership above the conductor
 is implicit.  The constructor validates the gap set through the Apery set of
@@ -34,7 +37,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from math import gcd, prod
 from operator import ge, index
 
@@ -196,22 +199,14 @@ class Semigroup(Frozen):
         return self.literal()
 
 
-def _apery_by_residue(gaps: tuple[int, ...], m: int) -> tuple[int, ...]:
-    # w_r is m plus the largest gap of residue r, or r if there is none: for a
-    # gap set closed under -m the gaps of residue r are r, r + m, ..., w_r - m
-    top = dict(zip(map(m.__rmod__, gaps), gaps))
-    return tuple(top[r] + m if r in top else r for r in range(m))
-
-
 def _checked_apery(gaps: tuple[int, ...]) -> tuple[int, ...]:
     """Apery set w of the multiplicity m, by residue, of the complement of `gaps`.
 
     Raises SemigroupError unless the complement is closed under addition,
-    in O(c + m^2) for conductor c: the gap set must be closed under -m,
-    then the Kunz inequalities w_i + w_j >= w_{(i+j) mod m} must hold.  A
-    failure names the pair s <= t, least in (s, t) order, with s + t a gap:
-    if some s + t is a gap then so is m + t' or w_i + w_j for a pair that
-    comes no later.
+    in O(c + m^2) for conductor c: the gap set must be closed under -m, then
+    w must pass _kunz.  A failure names the least pair s <= t of elements
+    with s + t a gap: if some s + t is a gap then so is m + t' or w_i + w_j
+    for a pair that comes no later.
     """
     if not gaps:
         return (0,)
@@ -223,19 +218,73 @@ def _checked_apery(gaps: tuple[int, ...]) -> tuple[int, ...]:
     m = 1
     while m <= len(gaps) and gaps[m - 1] == m:
         m += 1
-    w = _apery_by_residue(gaps, m)
+    # w_r is m plus the largest gap of residue r, or r if there is none: for a
+    # gap set closed under -m the gaps of residue r are r, r + m, ..., w_r - m
+    top = dict(zip(map(m.__rmod__, gaps), gaps))
+    w = tuple(top[r] + m if r in top else r for r in range(m))
     # residue class r holds at most (w_r - r) / m gaps, all of them iff the
     # gap set is closed under -m
     if sum((x - r) // m for r, x in enumerate(w)) != len(gaps):
         gapset = set(gaps)
         u = next(u for u in gaps[m - 1:] if u - m not in gapset)
         raise SemigroupError(f"not a semigroup: {m} + {u - m} = {u} is a gap")
+    return _kunz(w)
+
+
+def _kunz(w: tuple[int, ...], context: str = "") -> tuple[int, ...]:
+    """w, if the progressions w_r + m*Z>=0 (m = len(w), w_r = r mod m) add up to a semigroup.
+
+    The Kunz inequalities w_i + w_j >= w_{(i+j) mod m} decide it; tried in
+    increasing (s, t) order, the first to fail is the least pair of elements
+    whose sum is missing.
+    """
+    m = len(w)
     ws = sorted(w[1:])
     for i, s in enumerate(ws):
         for t in ws[i:]:
             if s + t < w[(s + t) % m]:
-                raise SemigroupError(f"not a semigroup: {s} + {t} = {s + t} is a gap")
+                raise SemigroupError(f"{context}not a semigroup: {s} + {t} = {s + t} is a gap")
     return w
+
+
+def _rebase(w: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Ap(S, m) by residue from Ap(S, n) by residue (n = len(w)), for m in S.
+
+    A progression w_r + n*Z>=0 meets all the residues mod m it ever meets in
+    its first m / gcd(m, n) terms, so the walk takes O(m*n) steps.
+    """
+    n = len(w)
+    if m == n:
+        return w
+    least: dict = {}
+    for y in sorted(chain.from_iterable(range(x, x + m * n // gcd(m, n), n) for x in w)):
+        least.setdefault(y % m, y)
+    return tuple(map(least.__getitem__, range(m)))
+
+
+def _unblowup(w: tuple[int, ...], m: int) -> tuple[int, ...]:
+    # Ap(S, m) = {a_0 < ... < a_{m-1}} becomes {a_j + j*m}, by residue
+    if m < 1 or m < w[m % len(w)]:
+        raise SemigroupError(f"invalid multiplicity: {m} not in semigroup")
+    b = (aj + j * m for j, aj in enumerate(sorted(_rebase(w, m))))
+    return _kunz(tuple(sorted(b, key=m.__rmod__)), "un-blowup is not a semigroup: ")
+
+
+def _blowup(w: tuple[int, ...]) -> tuple[int, ...]:
+    # for multiplicity m = len(w) > 1, {b_0 < ... < b_{m-1}} becomes {b_j - j*m},
+    # whose least nonzero element, if below m, is the new multiplicity
+    m = len(w)
+    a = [bj - j * m for j, bj in enumerate(sorted(w))]
+    if any(map(ge, a, a[1:])):
+        raise NotPlaneBranchError("blowup does not preserve the Apery order")
+    w = _kunz(tuple(sorted(a, key=m.__rmod__)), "blowup is not a semigroup: ")
+    return _rebase(w, min(m, a[1]))
+
+
+def _semigroup(w: tuple[int, ...]) -> Semigroup:
+    # the one Semigroup a chain builds: residue r holds the gaps r, r + m, ..., w_r - m
+    m = len(w)
+    return Semigroup(sorted(chain.from_iterable(range(r, x, m) for r, x in enumerate(w))))
 
 
 #: The full semigroup of all nonnegative integers (a smooth point).
@@ -272,63 +321,36 @@ def apery_set(s: Semigroup, m: int) -> tuple[int, ...]:
     """Apery set of `s` for an element m of `s`: the least element per residue mod m, sorted."""
     if m < 1 or m not in s:
         raise SemigroupError(f"modulus {m} not in semigroup")
-    w = s._apery if m == len(s._apery) else _apery_by_residue(s.gaps, m)
-    return tuple(sorted(w))
-
-
-def _from_apery_layers(b: tuple[int, ...], m: int, context: str) -> Semigroup:
-    # the set union of the arithmetic progressions b_j + m*Z>=0
-    gaps = []
-    for bj in b:
-        g = bj - m
-        while g >= 0:
-            gaps.append(g)
-            g -= m
-    try:
-        return Semigroup(tuple(sorted(gaps)))
-    except SemigroupError as exc:
-        raise SemigroupError(f"{context}: {exc}") from exc
+    return tuple(sorted(_rebase(s._apery, m)))
 
 
 def unblowup(s: Semigroup, m: int) -> Semigroup:
     """Inverse blowup: the semigroup whose blowup is `s` and whose multiplicity is m.
 
     With Ap(m, s) = {a_0 < ... < a_{m-1}}, the result has Apery set
-    {a_j + j*m}.  Fails if m is not in `s`, if m is below the multiplicity
-    of `s`, or if the shifted layers are not closed under addition.
+    {a_j + j*m}.  Fails if m is not in `s` (so if m is below its
+    multiplicity), or if the shifted layers are not closed under addition.
     """
-    if m < 1 or m not in s:
-        raise SemigroupError(f"invalid multiplicity: {m} not in semigroup")
-    if s.gaps and m < s.multiplicity:
-        raise SemigroupError(
-            f"invalid multiplicity: {m} < multiplicity {s.multiplicity}")
-    a = apery_set(s, m)
-    b = tuple(aj + j * m for j, aj in enumerate(a))
-    return _from_apery_layers(b, m, "un-blowup is not a semigroup")
+    return _semigroup(_unblowup(s._apery, m))
 
 
 def blowup(s: Semigroup) -> Semigroup:
     """Blowup of a plane-branch semigroup: shift the j-th Apery element down by j*m."""
     if not s.gaps:
         raise SemigroupError("already smooth")
-    m = s.multiplicity
-    b = apery_set(s, m)
-    a = tuple(bj - j * m for j, bj in enumerate(b))
-    if any(x >= y for x, y in zip(a, a[1:])):
-        raise NotPlaneBranchError("blowup does not preserve the Apery order")
-    return _from_apery_layers(a, m, "blowup is not a semigroup")
+    return _semigroup(_blowup(s._apery))
 
 
 @lru_cache(maxsize=_ENTRIES_CACHE)
 def _semigroup_from_entries(entries: tuple[int, ...]) -> Semigroup:
-    s = SMOOTH
+    w = (0,)
     for m in reversed(entries):
         try:
-            s = unblowup(s, m)
+            w = _unblowup(w, m)
         except SemigroupError as exc:
             raise InadmissibleSequenceError(
                 f"inadmissible multiplicity sequence {list(entries)}: {exc}") from exc
-    return s
+    return _semigroup(w)
 
 
 def semigroup_from_multseq(ms: MultSeq) -> Semigroup:
@@ -344,11 +366,12 @@ def semigroup_from_multseq(ms: MultSeq) -> Semigroup:
 
 def multseq_from_semigroup(s: Semigroup) -> MultSeq:
     """Record multiplicities along the blowup chain down to the full semigroup."""
+    w = s._apery
     entries = []
-    while s.gaps:
-        entries.append(s.multiplicity)
+    while len(w) > 1:
+        entries.append(len(w))
         try:
-            s = blowup(s)
+            w = _blowup(w)
         except SemigroupError as exc:
             raise NotPlaneBranchError(f"not a plane-branch semigroup: {exc}") from exc
     return MultSeq(tuple(entries))

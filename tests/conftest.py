@@ -11,8 +11,9 @@ elimination, and the cell filtration by sorting those tuples.  The
 semigroup closure check, the minimal generators, the counting heads, the
 Alexander polynomials and the min-plus window are also kept in their
 per-element or quadratic forms, which the Apery-set and blocked production
-kernels replaced.  Golden rows are transcriptions of the published tables for the
-curves they describe.
+kernels replaced, and the blowup and un-blowup chains in their gap-list
+form, which builds and validates a Semigroup at every step.  Golden rows
+are transcriptions of the published tables for the curves they describe.
 """
 
 from __future__ import annotations
@@ -36,9 +37,13 @@ from cuspidal import (
     BettiTable,
     CountingFn,
     CuspCollection,
+    InadmissibleSequenceError,
     IntSeq,
     MultSeq,
+    NotPlaneBranchError,
     SMOOTH,
+    Semigroup,
+    SemigroupError,
     convolve,
     diff,
     is_admissible,
@@ -462,6 +467,69 @@ def reference_apparent(rect):
     _, faces, cofaces = reference_filtration(rect)
     return {q: [cofaces[q - 1][max(row)] == k for k, row in enumerate(faces[q])]
             for q in range(1, rect.nu + 1)}
+
+
+def reference_apery_set(s, m):
+    """The least element of each residue mod m, read from the gap list, sorted."""
+    gapset = set(s.gaps)
+    return tuple(sorted(next(k for k in range(r, s.conductor + m, m) if k not in gapset)
+                        for r in range(m)))
+
+
+def _reference_layers(b, m, context):
+    # the gap list of the union of the progressions b_j + m*Z>=0, validated
+    # by the Semigroup constructor
+    gaps = sorted(g for bj in b for g in range(bj - m, -1, -m))
+    try:
+        return Semigroup(tuple(gaps))
+    except SemigroupError as exc:
+        raise SemigroupError(f"{context}: {exc}") from exc
+
+
+def reference_unblowup(s, m):
+    """unblowup through the gap list: shift the j-th Apery element up by j*m."""
+    if m < 1 or m in s.gaps:
+        raise SemigroupError(f"invalid multiplicity: {m} not in semigroup")
+    if s.gaps and m < s.multiplicity:
+        raise SemigroupError(f"invalid multiplicity: {m} < multiplicity {s.multiplicity}")
+    a = reference_apery_set(s, m)
+    return _reference_layers([aj + j * m for j, aj in enumerate(a)], m,
+                             "un-blowup is not a semigroup")
+
+
+def reference_blowup(s):
+    """blowup through the gap list: shift the j-th Apery element down by j*m."""
+    if not s.gaps:
+        raise SemigroupError("already smooth")
+    m = s.multiplicity
+    a = [bj - j * m for j, bj in enumerate(reference_apery_set(s, m))]
+    if any(x >= y for x, y in zip(a, a[1:])):
+        raise NotPlaneBranchError("blowup does not preserve the Apery order")
+    return _reference_layers(a, m, "blowup is not a semigroup")
+
+
+def reference_semigroup_from_entries(entries):
+    """The un-blowup chain of an entry tuple, one Semigroup per step."""
+    s = SMOOTH
+    for m in reversed(entries):
+        try:
+            s = reference_unblowup(s, m)
+        except SemigroupError as exc:
+            raise InadmissibleSequenceError(
+                f"inadmissible multiplicity sequence {list(entries)}: {exc}") from exc
+    return s
+
+
+def reference_multseq_from_semigroup(s):
+    """The blowup chain of a semigroup, one Semigroup per step."""
+    entries = []
+    while s.gaps:
+        entries.append(s.multiplicity)
+        try:
+            s = reference_blowup(s)
+        except SemigroupError as exc:
+            raise NotPlaneBranchError(f"not a plane-branch semigroup: {exc}") from exc
+    return MultSeq(tuple(entries))
 
 
 def random_admissible(rng: random.Random, max_len=5, max_entry=9) -> MultSeq:

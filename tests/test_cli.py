@@ -1,13 +1,12 @@
 import hashlib
 import json
-import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from conftest import child_env, fresh_python, random_admissible
+from conftest import child_env, fresh_python
 from cuspidal import cli, criteria, cubical, invariants, semigroup
 
 
@@ -177,6 +176,20 @@ class TestInvariants:
         code, out, err = run_cli(capsys, "invariants", str(path))
         assert code == 2 and not out
         assert err.startswith("error: bad cusp '[6,4]': inadmissible multiplicity sequence")
+
+    @pytest.mark.parametrize("literal", ["[2_20000]", "<2,40001>"])
+    def test_long_chains_are_linear(self, tmp_path, capsys, literal):
+        # the chains on Apery sets cost O(m^2) a step; the gap-list chains,
+        # which listed every gap at every step, took 44-56 s here
+        semigroup._semigroup_from_entries.cache_clear()
+        path = tmp_path / "long.txt"
+        path.write_text(literal + "\n")
+        start = time.perf_counter()
+        code, doc, _ = run_machine(capsys, "invariants", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 0 and doc["delta"] == 20000
+        assert (semigroup.semigroup_from_multseq(semigroup.MultSeq((2,) * 20000))
+                == semigroup.semigroup_from_generators([2, 40001]))
 
     def test_quartic_table(self, quartic_file, capsys):
         code, doc, _ = run_machine(capsys, "invariants", quartic_file)
@@ -522,6 +535,16 @@ class TestOracle:
                                "--cap", "10")
         assert code == 3 and "cap" in err
 
+    def test_cell_cap_fires_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # nine [2]: 262,144 points fit the default cap, 40,353,607 cells do
+        # not; numpy failed to allocate them after 4 s under a 2 GB limit
+        monkeypatch.setattr(cubical, "_grids", None)
+        path = tmp_path / "nine.txt"
+        path.write_text("[2] " * 9 + "\n")
+        code, out, err = run_cli(capsys, "oracle", str(path), "--j", "0")
+        assert code == 3 and not out
+        assert err == "error: rectangle too large: 40353607 cells exceed cap 8000000\n"
+
     def test_negative_j(self, quartic_file, capsys):
         code, doc, _ = run_machine(capsys, "oracle", quartic_file, "--j", "-1")
         assert code == 0 and doc["all_agree"]
@@ -669,11 +692,9 @@ class TestStability:
         assert "multiset too large: 1200 entries exceed cap 256" in err
 
     @pytest.mark.parametrize("literal", ["<2,2401>", "(2,2401)"])
-    def test_long_semigroup_refused_before_build(self, tmp_path, capsys, monkeypatch,
-                                                 literal):
-        # delta = 1,200 at multiplicity 2 takes at least 1,200 entries; the
-        # blowup chain of <2,2401> took 0.25 s before the refusal
-        monkeypatch.setattr(invariants, "multseq_from_semigroup", None)
+    def test_long_semigroup_refused_before_build(self, tmp_path, capsys, literal):
+        # the blowup chain, linear in its 1,200 entries, reads the multiset
+        # that regroupings refuses before any H is built
         path = tmp_path / "long.txt"
         path.write_text(literal + "\n")
         code, out, err = run_cli(capsys, "stability", str(path))
@@ -700,25 +721,13 @@ class TestStability:
         assert run_cli(capsys, "catalog", "--family", "C", "--d", "9", "--u", "2",
                        "--check")[::2] == (0, "")
 
-    def test_entry_bound_never_exceeds_the_entries(self):
-        rng = random.Random(14)
-        for _ in range(200):
-            ms = random_admissible(rng, max_len=8)
-            s = semigroup.semigroup_from_multseq(ms)
-            assert cli._entries_at_least(ms) == len(ms.entries)
-            assert cli._entries_at_least(s) <= len(ms.entries)
-        # exact when every entry equals the multiplicity
-        s = semigroup.semigroup_from_multseq(semigroup.MultSeq((5,) * 7))
-        assert cli._entries_at_least(s) == 7
-        assert cli._entries_at_least(semigroup.SMOOTH) == 0
-
     def test_smooth_point_refused(self, tmp_path, capsys):
         path = tmp_path / "smooth.txt"
         path.write_text("<1,5> [2]\n")
         for command in REFUSING_COMMANDS:
             code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
             assert code == 2 and not out
-            assert err == "error: bad cusp '<1>': smooth point is not a cusp\n"
+            assert err == f"error: {path}:1: token 1: bad cusp '<1,5>': smooth point is not a cusp\n"
 
     def test_non_plane_branch_refused(self, tmp_path, capsys):
         path = tmp_path / "apery.txt"

@@ -168,7 +168,7 @@ class TestRegroupings:
                      for ms in combinations_with_replacement(range(2, 12), n))
         while not all(c.cache_info().misses > c.cache_info().maxsize for c in caches):
             for parts in regroupings(next(multisets), cap=50).collections:
-                CuspCollection(tuple(map(semigroup_from_multseq, parts)))
+                CuspCollection(parts)
             for cache in caches:
                 info = cache.cache_info()
                 assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -69,6 +69,13 @@ class TestBuildRectangle:
         with pytest.raises(RectangleTooLarge):
             build_rectangle(QUARTIC, 0, cap=63)
 
+    def test_cell_cap(self):
+        # 27 points fit the cap of 31, but their 125 cells exceed 4 * 31
+        with pytest.raises(RectangleTooLarge) as exc:
+            build_rectangle(QUARTIC, 0, dims=(2, 2, 2), cap=31)
+        assert str(exc.value) == "rectangle too large: 125 cells exceed cap 124"
+        assert build_rectangle(QUARTIC, 0, dims=(2, 2, 2), cap=32).dims == (2, 2, 2)
+
     def test_extreme_index(self):
         # weights stay exact int64: a huge j is clamped where it no longer
         # changes w_a, and a j whose weights would wrap is refused

@@ -8,8 +8,14 @@ from conftest import (
     brute_count,
     naive_gaps,
     random_admissible,
+    reference_apery_set,
+    reference_blowup,
     reference_closure_violation,
     reference_min_generators,
+    reference_multseq_from_semigroup,
+    reference_semigroup_from_entries,
+    reference_unblowup,
+    semigroups,
 )
 from cuspidal import (
     SMOOTH,
@@ -31,6 +37,7 @@ from cuspidal import (
     semigroup_from_newton_pairs,
     unblowup,
 )
+from cuspidal.semigroup import _semigroup_from_entries
 
 
 def S(*gens):
@@ -142,6 +149,22 @@ class TestSemigroupType:
             s, t, u = violation
             assert str(exc.value) == f"not a semigroup: {s} + {t} = {u} is a gap"
 
+    @given(ks=st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    def test_layers_closed_under_m_are_decided_by_kunz(self, ks):
+        # residue r of m = len(ks) + 1 holds the gaps r, r + m, ..., below
+        # r + k*m: the gap set is closed under -m, so only the Kunz
+        # inequalities can refuse it
+        m = len(ks) + 1
+        gaps = tuple(sorted(g for r, k in enumerate(ks, 1) for g in range(r, r + k * m, m)))
+        violation = reference_closure_violation(gaps)
+        if violation is None:
+            assert Semigroup(gaps).multiplicity == m
+        else:
+            with pytest.raises(SemigroupError) as exc:
+                Semigroup(gaps)
+            s, t, u = violation
+            assert str(exc.value) == f"not a semigroup: {s} + {t} = {u} is a gap"
+
     def test_gap_order_validated(self):
         with pytest.raises(SemigroupError):
             Semigroup((3, 1))
@@ -156,8 +179,9 @@ class TestAperySet:
         assert apery_set(SMOOTH, 1) == (0,)
 
     def test_modulus_not_in_semigroup(self):
-        with pytest.raises(SemigroupError, match="not in semigroup"):
-            apery_set(S(2, 3), 1)
+        for m in (1, 0, -3):
+            with pytest.raises(SemigroupError, match=f"^modulus {m} not in semigroup$"):
+                apery_set(S(2, 3), m)
 
     def test_reconstruction(self, rng):
         # residues are a permutation of 0..m-1 and the layers recover the
@@ -229,6 +253,59 @@ class TestBlowupCalculus:
             b = apery_set(s, m)
             a = [bj - j * m for j, bj in enumerate(b)]
             assert all(x < y for x, y in zip(a, a[1:]))
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the SemigroupError it raises."""
+    try:
+        return fn(*args)
+    except SemigroupError as exc:
+        return type(exc), str(exc)
+
+
+# entry tuples in any order, inadmissible ones and entries below 2 among them,
+# half of them sorted non-increasing so that more chains run to the end
+entry_tuples = st.lists(st.integers(-1, 9), max_size=6).flatmap(
+    lambda e: st.sampled_from((tuple(e), tuple(sorted(e, reverse=True)))))
+
+
+class TestAperyFold:
+    """The chains step on Apery sets; the reference is the gap-list chain.
+
+    conftest's chain builds and validates a Semigroup at every step, as the
+    chains did before they carried Apery sets: values, error types and
+    messages must agree.
+    """
+
+    @given(entries=entry_tuples)
+    def test_un_blowup_chain_matches_gap_list_chain(self, entries):
+        # __wrapped__ runs the fold itself, past its cache
+        assert (_outcome(_semigroup_from_entries.__wrapped__, entries)
+                == _outcome(reference_semigroup_from_entries, entries))
+
+    @given(s=semigroups, m=st.integers(-1, 40))
+    def test_steps_match_gap_list_steps(self, s, m):
+        assert _outcome(multseq_from_semigroup, s) == _outcome(reference_multseq_from_semigroup, s)
+        assert _outcome(blowup, s) == _outcome(reference_blowup, s)
+        assert _outcome(unblowup, s, m) == _outcome(reference_unblowup, s, m)
+        if m >= 1 and m in s:
+            assert apery_set(s, m) == reference_apery_set(s, m)
+
+    def test_each_chain_builds_one_semigroup(self, monkeypatch):
+        # the gap-list chain built one Semigroup per entry: 1,000 on [2_1000]
+        built = []
+        post_init = Semigroup.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Semigroup, "__post_init__", counted)
+        s = _semigroup_from_entries.__wrapped__((2,) * 1000)
+        assert built == [s] and s == S(2, 2001)
+        built.clear()
+        assert multseq_from_semigroup(s) == MultSeq((2,) * 1000)
+        assert not built
 
 
 class TestMultSeqConversion:
