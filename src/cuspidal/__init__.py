@@ -9,7 +9,6 @@ verifies the closed-form Euler-characteristic formulas.
 
 from .criteria import (
     ALL_CRITERIA,
-    Candidate,
     CatalogEntry,
     CriterionReport,
     CriterionRow,

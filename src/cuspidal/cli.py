@@ -190,17 +190,17 @@ def cmd_check(args) -> tuple[dict, int]:
         raise InputError(
             "no degree: 2*delta has no candidate solution; pass --d "
             "(with --force to compute for a non-candidate degree)")
-    cand = criteria.Candidate(c, d)
-    if not args.force:
+    # the criteria refuse a degree below 3 themselves, forced or not
+    if not args.force and d >= 3:
         invariants.require_candidate(c, d, "; pass --force to compute anyway")
     names = args.only.split(",") if args.only else list(criteria.ALL_CRITERIA)
-    reports = [criteria.run_criterion(name.strip(), cand, force=args.force)
-               for name in names]
+    reports = [criteria.run_criterion(name.strip(), c, d) for name in names]
     doc = {
         "cusps": literals,
         "delta": c.delta,
         "degree": d,
-        "is_candidate": invariants.is_candidate(c, d),
+        # unforced, only a candidate gets this far
+        "is_candidate": not args.force or invariants.is_candidate(c, d),
         "forced": bool(args.force),
         "criteria": _criteria_doc(reports),
         "all_passed": all(rep.passed for rep in reports),
@@ -238,10 +238,7 @@ def cmd_cohomology(args) -> tuple[dict, int]:
 
 
 def cmd_catalog(args) -> tuple[dict, int]:
-    # the entry's degree, from its series parameter, before its
-    # multiplicity sequences are built
-    l = args.l if args.l is not None else 0
-    _cap_degree({"C": args.d, "D": 2 * l + 3, "E": 3 * l + 4}.get(args.family))
+    _cap_degree(criteria.catalog_degree(args.family, d=args.d, l=args.l))
     try:
         entry = criteria.catalog(args.family, d=args.d, u=args.u, l=args.l)
     except ValueError as exc:
@@ -258,8 +255,7 @@ def cmd_catalog(args) -> tuple[dict, int]:
     if not args.check:
         return doc, 0
     c = entry.collection()
-    cand = criteria.Candidate(c, entry.d)
-    reports = [criteria.run_criterion(name, cand) for name in criteria.ALL_CRITERIA]
+    reports = [criteria.run_criterion(name, c, entry.d) for name in criteria.ALL_CRITERIA]
     e0, es = invariants.eu_canonical(c, entry.d)
     try:
         expected = criteria.expected_eu_difference(entry)
@@ -370,7 +366,7 @@ def cmd_stability(args) -> tuple[dict, int]:
             "h_matches": coll.h == c.h,
         }
         if d is not None:
-            row["bl_passed"] = criteria.check_bl(criteria.Candidate(coll, d), force=True).passed
+            row["bl_passed"] = criteria.check_bl(coll, d).passed
             if candidate:
                 e0, es = invariants.eu_canonical(coll, d)
                 row.update(eu_h0=e0, eu_hstar=es, difference=e0 - es)

@@ -1,8 +1,9 @@
-"""Candidate tests, existence criteria and the known-curve catalog.
+"""Candidate degrees, existence criteria and the known-curve catalog.
 
 A collection of cusp types is a *candidate* of degree d when twice its total
-gap count equals (d-1)(d-2).  The four decision procedures compare values of
-H and F at multiples of d against triangular numbers:
+gap count equals (d-1)(d-2).  The four decision procedures, each a function
+of (c, d) that refuses d < 3 with ValueError, compare values of H and F at
+multiples of d against triangular numbers:
 
 * bezout:         H(jd+1) >= (j+1)(j+2)/2  for j = 0..d-3  (necessary);
 * bl:             H(jd+1)  = (j+1)(j+2)/2  (the sharper necessary condition);
@@ -27,7 +28,6 @@ from .invariants import (
     CapExceeded,
     CuspCollection,
     h_function,
-    require_candidate,
 )
 from .semigroup import (
     MultSeq,
@@ -39,17 +39,6 @@ from .semigroup import (
 from .seqcalc import CountingFn, min_convolve_all
 
 
-class Candidate(Frozen):
-    """A cusp collection together with a proposed curve degree."""
-
-    __slots__ = _fields = ("collection", "d")
-
-    def __init__(self, collection: CuspCollection, d: int):
-        if d < 3:
-            raise ValueError(f"degree {d} < 3")
-        super().__init__(collection, d)
-
-
 class CriterionRow(Frozen):
     __slots__ = _fields = ("j", "lhs", "rhs", "ok")
 
@@ -58,10 +47,6 @@ class CriterionReport(Frozen):
     """Per-j comparison rows plus the aggregate verdict for one criterion."""
 
     __slots__ = _fields = ("criterion", "rows", "passed", "difference")
-
-    def __init__(self, criterion: str, rows: tuple[CriterionRow, ...], passed: bool,
-                 difference: int | None = None):
-        super().__init__(criterion, rows, passed, difference)
 
 
 def candidate_degree(c: CuspCollection) -> int | None:
@@ -73,55 +58,54 @@ def candidate_degree(c: CuspCollection) -> int | None:
     return d if (d - 1) * (d - 2) == target else None
 
 
-def _require_candidate(cand: Candidate, force: bool):
-    if not force:
-        require_candidate(cand.collection, cand.d,
-                          f" for d = {cand.d}; pass force to compute anyway")
-
-
 def _triangular(j: int) -> int:
     return (j + 1) * (j + 2) // 2
 
 
+def _multiples(d: int) -> range:
+    """The compared indices jd, j = 0..d-3; a degree below 3 is refused."""
+    if d < 3:
+        raise ValueError(f"degree {d} < 3")
+    return range(0, d * (d - 2), d)
+
+
 def _h_row(c: CuspCollection, d: int) -> list[int]:
     h = h_function(c)
-    return [h(j * d + 1) for j in range(d - 2)]
+    return [h(k + 1) for k in _multiples(d)]
 
 
 def _f_row(c: CuspCollection, d: int) -> list[int]:
-    return [c.f(j * d) for j in range(d - 2)]
+    return [c.f(k) for k in _multiples(d)]
 
 
-def _compare(name: str, cand: Candidate, force: bool,
+def _compare(name: str, c: CuspCollection, d: int,
              row: Callable[[CuspCollection, int], list[int]],
              holds: Callable[[int, int], bool]) -> CriterionReport:
     """Compare row(c, d)[j] with (j+1)(j+2)/2 for each j = 0..d-3."""
-    _require_candidate(cand, force)
     rows = tuple(CriterionRow(j, lhs, _triangular(j), holds(lhs, _triangular(j)))
-                 for j, lhs in enumerate(row(cand.collection, cand.d)))
-    return CriterionReport(name, rows, all(r.ok for r in rows))
+                 for j, lhs in enumerate(row(c, d)))
+    return CriterionReport(name, rows, all(r.ok for r in rows), None)
 
 
-def check_bezout(cand: Candidate, force: bool = False) -> CriterionReport:
+def check_bezout(c: CuspCollection, d: int) -> CriterionReport:
     """H(jd+1) >= (j+1)(j+2)/2 for each j = 0..d-3."""
-    return _compare("bezout", cand, force, _h_row, operator.ge)
+    return _compare("bezout", c, d, _h_row, operator.ge)
 
 
-def check_bl(cand: Candidate, force: bool = False) -> CriterionReport:
+def check_bl(c: CuspCollection, d: int) -> CriterionReport:
     """H(jd+1) = (j+1)(j+2)/2 for each j = 0..d-3."""
-    return _compare("bl", cand, force, _h_row, operator.eq)
+    return _compare("bl", c, d, _h_row, operator.eq)
 
 
-def check_conj_original(cand: Candidate, force: bool = False) -> CriterionReport:
+def check_conj_original(c: CuspCollection, d: int) -> CriterionReport:
     """F(jd) <= (j+1)(j+2)/2 for each j = 0..d-3."""
-    return _compare("conj_original", cand, force, _f_row, operator.le)
+    return _compare("conj_original", c, d, _f_row, operator.le)
 
 
-def check_conj_index(cand: Candidate, force: bool = False) -> CriterionReport:
+def check_conj_index(c: CuspCollection, d: int) -> CriterionReport:
     """Single verdict: canonical eu_hstar = sum_j F(jd) <= eu_h0 = sum_j H(jd+1)."""
-    _require_candidate(cand, force)
-    e0 = sum(_h_row(cand.collection, cand.d))
-    es = sum(_f_row(cand.collection, cand.d))
+    e0 = sum(_h_row(c, d))
+    es = sum(_f_row(c, d))
     row = CriterionRow(0, es, e0, es <= e0)
     return CriterionReport("conj_index", (row,), row.ok, e0 - es)
 
@@ -136,12 +120,13 @@ _CHECKS = {
 ALL_CRITERIA = tuple(_CHECKS)
 
 
-def run_criterion(name: str, cand: Candidate, force: bool = False) -> CriterionReport:
+def run_criterion(name: str, c: CuspCollection, d: int) -> CriterionReport:
+    """Criterion `name` on (c, d): d < 3 raises ValueError, a non-candidate is computed."""
     try:
         fn = _CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown criterion {name!r}") from None
-    return fn(cand, force)
+    return fn(c, d)
 
 
 def multiplicity_multiset(c: CuspCollection) -> Counter:
@@ -299,6 +284,19 @@ class CatalogEntry(Frozen):
         return CuspCollection(self.cusps)
 
 
+def catalog_degree(family: str, d: int | None = None, l: int | None = None) -> int | None:
+    """The degree of a catalog entry, from its series parameter, before it is built.
+
+    d for C(d, u), 2l + 3 for D(l) and 3l + 4 for E(l); None for the other
+    families, or when the parameter is missing.
+    """
+    if family == "C":
+        return d
+    if l is None:
+        return None
+    return {"D": 2 * l + 3, "E": 3 * l + 4}.get(family)
+
+
 def catalog(family: str, d: int | None = None, u: int | None = None,
             l: int | None = None) -> CatalogEntry:
     """Build one catalog entry; parameters are validated against the series ranges."""
@@ -320,16 +318,14 @@ def catalog(family: str, d: int | None = None, u: int | None = None,
     if family == "D":
         if l is None or l < 1:
             raise ValueError("family D needs l >= 1")
-        d_ = 2 * l + 3
         cusps = (MultSeq((2 * l,) + (2,) * l), MultSeq((3,) * l), MultSeq((2,)))
         # l = 1 degenerates: [2,2] is the one-pair cusp (2,5)
         first = NewtonPairs(((2, 5),)) if l == 1 else NewtonPairs(((l, l + 1), (2, 1)))
         newton = (first, NewtonPairs(((3, 3 * l + 1),)), NewtonPairs(((2, 3),)))
-        return CatalogEntry("D", f"D({l})", d_, (l,), cusps, newton)
+        return CatalogEntry("D", f"D({l})", catalog_degree("D", l=l), (l,), cusps, newton)
     if family == "E":
         if l is None or l < 1:
             raise ValueError("family E needs l >= 1")
-        d_ = 3 * l + 4
         cusps = (
             MultSeq((3 * l,) + (3,) * l),
             MultSeq((4,) * l + (2, 2)),
@@ -338,7 +334,7 @@ def catalog(family: str, d: int | None = None, u: int | None = None,
         # l = 1 degenerates: [3,3] is the one-pair cusp (3,7)
         first = NewtonPairs(((3, 7),)) if l == 1 else NewtonPairs(((l, l + 1), (3, 1)))
         newton = (first, NewtonPairs(((2, 2 * l + 1), (2, 1))), NewtonPairs(((2, 3),)))
-        return CatalogEntry("E", f"E({l})", d_, (l,), cusps, newton)
+        return CatalogEntry("E", f"E({l})", catalog_degree("E", l=l), (l,), cusps, newton)
     if family == "sporadic3":
         cusps = (MultSeq((2, 2)),) * 3
         newton = (NewtonPairs(((2, 5),)),) * 3
@@ -355,14 +351,11 @@ def catalog_entries(max_d: int) -> Iterator[CatalogEntry]:
     for d in range(4, max_d + 1):
         for u in range(1, d - 2):
             yield catalog("C", d=d, u=u)
-    l = 1
-    while 2 * l + 3 <= max_d:
-        yield catalog("D", l=l)
-        l += 1
-    l = 1
-    while 3 * l + 4 <= max_d:
-        yield catalog("E", l=l)
-        l += 1
+    for family in ("D", "E"):
+        l = 1
+        while catalog_degree(family, l=l) <= max_d:
+            yield catalog(family, l=l)
+            l += 1
     if max_d >= 5:
         yield catalog("sporadic3")
         yield catalog("sporadic4")

@@ -272,13 +272,19 @@ def _unblowup(w: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 def _blowup(w: tuple[int, ...]) -> tuple[int, ...]:
     # for multiplicity m = len(w) > 1, {b_0 < ... < b_{m-1}} becomes {b_j - j*m},
-    # whose least nonzero element, if below m, is the new multiplicity
+    # whose least nonzero element n, if below m, is the new multiplicity.
+    # Layers closed under +n as well as +m are decided by Kunz at n, in
+    # O(n^2) instead of O(m^2); layers that are not are no semigroup, and
+    # Kunz at m names the least pair whose sum is missing
     m = len(w)
     a = [bj - j * m for j, bj in enumerate(sorted(w))]
     if any(map(ge, a, a[1:])):
         raise NotPlaneBranchError("blowup does not preserve the Apery order")
-    w = _kunz(tuple(sorted(a, key=m.__rmod__)), "blowup is not a semigroup: ")
-    return _rebase(w, min(m, a[1]))
+    w = tuple(sorted(a, key=m.__rmod__))
+    n = a[1]
+    if n < m and all(x + n >= w[(x + n) % m] for x in w):
+        w = _rebase(w, n)
+    return _kunz(w, "blowup is not a semigroup: ")
 
 
 def _semigroup(w: tuple[int, ...]) -> Semigroup:

@@ -12,7 +12,8 @@ semigroup closure check, the minimal generators, the counting heads, the
 Alexander polynomials and the min-plus window are also kept in their
 per-element or quadratic forms, which the Apery-set and blocked production
 kernels replaced, and the blowup and un-blowup chains in their gap-list
-form, which builds and validates a Semigroup at every step.  Golden rows
+form, which builds and validates a Semigroup at every step; the blowup
+step on Apery sets is also kept with Kunz at the layer modulus.  Golden rows
 are transcriptions of the published tables for the curves they describe.
 """
 
@@ -53,6 +54,7 @@ from cuspidal import (
     semigroup_from_generators,
     semigroup_from_multseq,
 )
+from cuspidal.semigroup import _kunz, _rebase
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +532,50 @@ def reference_multseq_from_semigroup(s):
         except SemigroupError as exc:
             raise NotPlaneBranchError(f"not a plane-branch semigroup: {exc}") from exc
     return MultSeq(tuple(entries))
+
+
+def reference_kunz_blowup(w):
+    """One blowup step on an Apery tuple by residue, with Kunz at the layer modulus m.
+
+    The production step runs Kunz at the new multiplicity when it is below
+    m; values, error types and messages must agree with this one.
+    """
+    m = len(w)
+    a = [bj - j * m for j, bj in enumerate(sorted(w))]
+    if any(x >= y for x, y in zip(a, a[1:])):
+        raise NotPlaneBranchError("blowup does not preserve the Apery order")
+    w = _kunz(tuple(sorted(a, key=m.__rmod__)), "blowup is not a semigroup: ")
+    return _rebase(w, min(m, a[1]))
+
+
+def _nonincreasing(max_delta, top):
+    # entry tuples with entries in [2, top], non-increasing, of delta <= max_delta
+    yield ()
+    for m in range(2, top + 1):
+        if m * (m - 1) // 2 <= max_delta:
+            for rest in _nonincreasing(max_delta - m * (m - 1) // 2, m):
+                yield (m,) + rest
+
+
+def census(d):
+    """Every candidate of degree d, as a tuple of MultSeqs per collection.
+
+    The admissible multiplicity sequences of delta <= (d-1)(d-2)/2 (82 at
+    d = 8) are found by trying every non-increasing entry tuple; every
+    multiset of them with 2*delta = (d-1)(d-2) is a candidate.
+    """
+    target = (d - 1) * (d - 2) // 2
+    seqs = [MultSeq(e) for e in _nonincreasing(target, target + 1) if e and is_admissible(e)]
+
+    def multisets(i, left):
+        if not left:
+            yield ()
+        for j in range(i, len(seqs)):
+            if seqs[j].delta <= left:
+                for rest in multisets(j, left - seqs[j].delta):
+                    yield (seqs[j],) + rest
+
+    return multisets(0, target)
 
 
 def random_admissible(rng: random.Random, max_len=5, max_entry=9) -> MultSeq:

@@ -26,7 +26,6 @@ from conftest import (
     random_admissible,
 )
 from cuspidal import (
-    Candidate,
     CuspCollection,
     MultSeq,
     NewtonPairs,
@@ -118,12 +117,12 @@ def test_criterion_1_golden_tables():
 
 def test_criterion_2_counterexample_verdicts():
     with criterion(2, "counterexample verdicts"):
-        cand = Candidate(collection("[6]", "[2_4]", "[2_2]"), 8)
-        assert check_bl(cand).passed
-        conj = check_conj_original(cand)
+        c = collection("[6]", "[2_4]", "[2_2]")
+        assert check_bl(c, 8).passed
+        conj = check_conj_original(c, 8)
         assert not conj.passed
         assert [r.j for r in conj.rows if not r.ok] == [1, 4]
-        index = check_conj_index(cand)
+        index = check_conj_index(c, 8)
         assert index.passed and index.difference == 0
 
 

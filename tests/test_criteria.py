@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import C_SERIES_ROWS, collection, random_admissible, reference_regroupings
+from conftest import C_SERIES_ROWS, census, collection, random_admissible, reference_regroupings
 from cuspidal import (
-    Candidate,
+    ALL_CRITERIA,
     CatalogEntry,
+    CriterionRow,
     CuspCollection,
     MultSeq,
-    NotCandidateError,
     candidate_degree,
     catalog,
     catalog_entries,
@@ -37,10 +37,6 @@ from cuspidal import (
 OCTIC = ("[6]", "[2_4]", "[2_2]")
 
 
-def cand(literals, d):
-    return Candidate(collection(*literals), d)
-
-
 def entries(groups):
     return [tuple(ms.entries for ms in parts) for parts in groups.collections]
 
@@ -61,9 +57,9 @@ class TestCandidateDegree:
 
 def test_candidate_degree_at_least_three():
     c = collection("[2]")
-    assert Candidate(c, 3).d == 3
+    assert check_bezout(c, 3).passed
     with pytest.raises(ValueError, match="degree 2 < 3"):
-        Candidate(c, 2)
+        check_bezout(c, 2)
 
 
 def test_catalog_entry_checks_its_delta():
@@ -73,61 +69,58 @@ def test_catalog_entry_checks_its_delta():
 
 class TestBezout:
     def test_quintic_values(self):
-        rep = check_bezout(cand(("[3]", "[2_2]", "[2]"), 5))
+        rep = check_bezout(collection("[3]", "[2_2]", "[2]"), 5)
         assert rep.passed
         assert [(r.lhs, r.rhs) for r in rep.rows] == [(1, 1), (3, 3), (6, 6)]
 
     def test_ghost_quintic(self):
-        rep = check_bezout(cand(("[3,2]", "[2]", "[2]"), 5))
+        rep = check_bezout(collection("[3,2]", "[2]", "[2]"), 5)
         assert rep.passed
         assert [r.lhs for r in rep.rows] == [1, 3, 6]
 
     def test_octic(self):
-        rep = check_bezout(cand(OCTIC, 8))
+        rep = check_bezout(collection(*OCTIC), 8)
         assert rep.passed
         assert [r.lhs for r in rep.rows] == [1, 3, 6, 10, 15, 21]
-
-    def test_refuses_non_candidate(self):
-        with pytest.raises(NotCandidateError):
-            check_bezout(cand(("[2]",), 4))
 
 
 class TestBl:
     def test_catalog_passes(self):
         for entry in catalog_entries(12):
-            assert check_bl(Candidate(entry.collection(), entry.d)).passed, entry.label
+            assert check_bl(entry.collection(), entry.d).passed, entry.label
 
     def test_ghost_quintic_not_excluded(self):
-        assert check_bl(cand(("[3,2]", "[2]", "[2]"), 5)).passed
+        assert check_bl(collection("[3,2]", "[2]", "[2]"), 5).passed
 
     def test_broken_collection_fails_under_force(self):
-        rep = check_bl(cand(("[2]",), 4), force=True)
+        # a non-candidate is computed, as `check --force` asks
+        rep = check_bl(collection("[2]"), 4)
         assert not rep.passed
 
     def test_aggregate_matches_canonical_eu(self):
         for entry in catalog_entries(9):
             c = entry.collection()
-            rep = check_bl(Candidate(c, entry.d))
+            rep = check_bl(c, entry.d)
             expected = eu_canonical(c, entry.d)[0] == entry.d * (entry.d - 1) * (entry.d - 2) // 6
             assert rep.passed == expected
 
 
 class TestConjOriginal:
     def test_octic_fails_at_one_and_four(self):
-        rep = check_conj_original(cand(OCTIC, 8))
+        rep = check_conj_original(collection(*OCTIC), 8)
         assert not rep.passed
         assert [r.j for r in rep.rows if not r.ok] == [1, 4]
         assert rep.rows[1].lhs == 4 and rep.rows[1].rhs == 3
         assert rep.rows[4].lhs == 16 and rep.rows[4].rhs == 15
 
     def test_quintic_passes(self):
-        rep = check_conj_original(cand(("[3]", "[2_2]", "[2]"), 5))
+        rep = check_conj_original(collection("[3]", "[2_2]", "[2]"), 5)
         assert rep.passed
         assert [(r.lhs, r.rhs) for r in rep.rows] == [(1, 1), (1, 3), (6, 6)]
 
     def test_c82_failure_pattern(self):
         entry = catalog("C", d=8, u=2)
-        rep = check_conj_original(Candidate(entry.collection(), 8))
+        rep = check_conj_original(entry.collection(), 8)
         h = h_function(entry.collection())
         diffs = [h(r.j * 8 + 1) - r.lhs for r in rep.rows]
         assert diffs == [0, -1, 1, 1, -1, 0]
@@ -136,17 +129,71 @@ class TestConjOriginal:
 
 class TestConjIndex:
     def test_octic_equality(self):
-        rep = check_conj_index(cand(OCTIC, 8))
+        rep = check_conj_index(collection(*OCTIC), 8)
         assert rep.passed and rep.difference == 0
+        # one row at j = 0: sum_j F(jd) against sum_j H(jd+1) = 1 + 3 + ... + 21
+        assert rep.rows == (CriterionRow(0, 56, 56, True),)
 
     def test_ghost_quintic_fails(self):
-        rep = check_conj_index(cand(("[3,2]", "[2]", "[2]"), 5))
+        rep = check_conj_index(collection("[3,2]", "[2]", "[2]"), 5)
         assert not rep.passed
         assert rep.difference < 0
 
     def test_sporadic_four_cusp(self):
-        rep = check_conj_index(cand(("[2_3]", "[2]", "[2]", "[2]"), 5))
+        rep = check_conj_index(collection("[2_3]", "[2]", "[2]", "[2]"), 5)
         assert rep.passed and rep.difference == 8
+
+
+# d: (candidates, all four pass, then bezout, bl, conj_original, conj_index pass)
+CENSUS_COUNTS = {
+    3: (1, 1, 1, 1, 1, 1),
+    4: (4, 4, 4, 4, 4, 4),
+    5: (19, 16, 17, 17, 18, 18),
+    6: (110, 35, 106, 64, 39, 45),
+    7: (772, 91, 740, 215, 205, 565),
+}
+
+
+def verdicts(c, d):
+    return {name: criteria.run_criterion(name, c, d).passed for name in ALL_CRITERIA}
+
+
+class TestCensus:
+    """The four criteria on every candidate up to degree 7 (906 of them)."""
+
+    def test_counts_and_implications(self):
+        for d, counts in CENSUS_COUNTS.items():
+            found = Counter()
+            for parts in census(d):
+                c = CuspCollection(parts)
+                v = verdicts(c, d)
+                found.update(name for name in v if v[name])
+                found["candidates"] += 1
+                found["all"] += all(v.values())
+                # equality implies the bound
+                assert v["bezout"] or not v["bl"], parts
+                # with at most two cusps the original conjecture follows from bl
+                assert v["conj_original"] or not (c.nu <= 2 and v["bl"]), parts
+                # sum_j F(jd) <= sum_j (j+1)(j+2)/2 <= sum_j H(jd+1)
+                assert v["conj_index"] or not (v["bezout"] and v["conj_original"]), parts
+            assert tuple(found[k] for k in ("candidates", "all", *ALL_CRITERIA)) == counts, d
+
+    def test_holds_the_catalog(self):
+        def bag(cusps):
+            return tuple(sorted(ms.entries for ms in cusps))
+
+        for d in CENSUS_COUNTS:
+            bags = set(map(bag, census(d)))
+            for entry in catalog_entries(d):
+                if entry.d == d:
+                    assert bag(entry.cusps) in bags, entry.label
+
+    @pytest.mark.parametrize("literals", [("[2]", "[2_2]", "[6,3]"), ("[2]", "[3]", "[6,2_2]"),
+                                          ("[2_2]", "[4,2_3]", "[5]")])
+    def test_weak_conjecture_needs_bezout(self, literals):
+        # octics that pass conj_original and fail conj_index: all fail bezout
+        v = verdicts(collection(*literals), 8)
+        assert v["conj_original"] and not v["conj_index"] and not v["bezout"]
 
 
 class TestMultiset:
@@ -412,7 +459,7 @@ class TestStabilityProperties:
             d = candidate_degree(colls[0])
             if d is None:
                 d = 4 + sum(items) % 5  # force some degree; verdicts still agree
-            verdicts = {check_bl(Candidate(coll, d), force=True).passed
+            verdicts = {check_bl(coll, d).passed
                         for coll in colls}
             assert len(verdicts) == 1, items
 

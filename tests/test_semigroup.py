@@ -1,7 +1,8 @@
+import time
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -11,6 +12,7 @@ from conftest import (
     reference_apery_set,
     reference_blowup,
     reference_closure_violation,
+    reference_kunz_blowup,
     reference_min_generators,
     reference_multseq_from_semigroup,
     reference_semigroup_from_entries,
@@ -37,7 +39,7 @@ from cuspidal import (
     semigroup_from_newton_pairs,
     unblowup,
 )
-from cuspidal.semigroup import _semigroup_from_entries
+from cuspidal.semigroup import _blowup, _semigroup_from_entries
 
 
 def S(*gens):
@@ -269,6 +271,21 @@ entry_tuples = st.lists(st.integers(-1, 9), max_size=6).flatmap(
     lambda e: st.sampled_from((tuple(e), tuple(sorted(e, reverse=True)))))
 
 
+@st.composite
+def blowup_layers(draw):
+    """An Apery tuple w by residue of m (w_0 = 0, w_r = r mod m) whose blowup keeps the order.
+
+    The shifted layers a_0 = 0 < a_1 < ... take the residues in a drawn
+    order, each the least value above the last plus up to 3*m; most are no
+    semigroup, so every error path of the step is reached.
+    """
+    m = draw(st.integers(2, 9))
+    a = [0]
+    for r in draw(st.permutations(range(1, m))):
+        a.append(a[-1] + (r - a[-1]) % m + m * draw(st.integers(0, 3)))
+    return tuple(sorted((aj + j * m for j, aj in enumerate(a)), key=m.__rmod__))
+
+
 class TestAperyFold:
     """The chains step on Apery sets; the reference is the gap-list chain.
 
@@ -290,6 +307,21 @@ class TestAperyFold:
         assert _outcome(unblowup, s, m) == _outcome(reference_unblowup, s, m)
         if m >= 1 and m in s:
             assert apery_set(s, m) == reference_apery_set(s, m)
+
+    # layers closed under +m and +n that Kunz at n refuses, rare in the draws
+    @example(w=(0, 19, 44, 9, 28, 53))
+    @example(w=(0, 57, 37, 10, 18, 47, 27))
+    @given(w=blowup_layers())
+    def test_blowup_step_matches_kunz_at_the_layer_modulus(self, w):
+        assert _outcome(_blowup, w) == _outcome(reference_kunz_blowup, w)
+
+    def test_blowup_chain_checks_kunz_at_the_new_multiplicity(self):
+        # [1000] blows up to the smooth point: Kunz at m = 1000 tried about
+        # 500,000 pairs, Kunz at the new multiplicity 1 tries none
+        s = semigroup_from_multseq(MultSeq((1000,)))
+        start = time.perf_counter()
+        assert multseq_from_semigroup(s) == MultSeq((1000,))
+        assert time.perf_counter() - start < 0.01
 
     def test_each_chain_builds_one_semigroup(self, monkeypatch):
         # the gap-list chain built one Semigroup per entry: 1,000 on [2_1000]

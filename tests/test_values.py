@@ -15,7 +15,6 @@ import cuspidal
 from conftest import fresh_python
 from cuspidal import (
     BettiTable,
-    Candidate,
     CatalogEntry,
     CountingFn,
     CriterionReport,
@@ -52,7 +51,6 @@ def _values():
         (c, CUSPS),
         (EuReport(d=4, a=1, eu_h0=2, eu_hstar=-1, terms=((1, 2, 3),)),
          "EuReport(d=4, a=1, eu_h0=2, eu_hstar=-1, terms=((1, 2, 3),))"),
-        (Candidate(c, 3), f"Candidate(collection={CUSPS}, d=3)"),
         (row, "CriterionRow(j=0, lhs=1, rhs=1, ok=True)"),
         (CriterionReport("conj_index", (row,), True, difference=0),
          "CriterionReport(criterion='conj_index', rows=(CriterionRow(j=0, lhs=1, rhs=1, "
@@ -75,7 +73,7 @@ def _values():
 
 
 CLASSES = (IntSeq, CountingFn, MultSeq, NewtonPairs, Semigroup, IntPoly, CuspCollection,
-           EuReport, Candidate, CriterionRow, CriterionReport, Regroupings, CatalogEntry,
+           EuReport, CriterionRow, CriterionReport, Regroupings, CatalogEntry,
            WeightedRectangle, BettiTable, EuOracle)
 
 each_class = pytest.mark.parametrize("i", range(len(CLASSES)), ids=[c.__name__ for c in CLASSES])
@@ -161,7 +159,7 @@ def test_unequal_when_one_field_differs():
     assert IntSeq((1, 2)) != IntSeq((1, 3))
     assert CountingFn((0, 0, 1), 1) != CountingFn((0, 1, 2), 0)
     assert CriterionRow(0, 1, 1, True) != CriterionRow(0, 1, 1, False)
-    assert CriterionReport("bl", (), True) != CriterionReport("bl", (), True, difference=0)
+    assert CriterionReport("bl", (), True, None) != CriterionReport("bl", (), True, difference=0)
     assert MultSeq((3,)) != MultSeq((2,)) and MultSeq((2, 2)) != NewtonPairs(((2, 5),))
     assert len({IntSeq((1,)), IntSeq((1, 0)), IntSeq((2,))}) == 2
 
