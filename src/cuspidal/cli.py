@@ -190,8 +190,7 @@ def cmd_check(args) -> tuple[dict, int]:
         raise InputError(
             "no degree: 2*delta has no candidate solution; pass --d "
             "(with --force to compute for a non-candidate degree)")
-    # the criteria refuse a degree below 3 themselves, forced or not
-    if not args.force and d >= 3:
+    if not args.force:
         invariants.require_candidate(c, d, "; pass --force to compute anyway")
     names = args.only.split(",") if args.only else list(criteria.ALL_CRITERIA)
     reports = [criteria.run_criterion(name.strip(), c, d) for name in names]

@@ -2,8 +2,8 @@
 
 A collection of cusp types is a *candidate* of degree d when twice its total
 gap count equals (d-1)(d-2).  The four decision procedures, each a function
-of (c, d) that refuses d < 3 with ValueError, compare values of H and F at
-multiples of d against triangular numbers:
+of (c, d), compare values of H and F at the multiples jd that
+invariants._multiples reads (refusing d < 3) against triangular numbers:
 
 * bezout:         H(jd+1) >= (j+1)(j+2)/2  for j = 0..d-3  (necessary);
 * bl:             H(jd+1)  = (j+1)(j+2)/2  (the sharper necessary condition);
@@ -27,6 +27,8 @@ from ._frozen import Frozen
 from .invariants import (
     CapExceeded,
     CuspCollection,
+    _multiples,
+    _triangular,
     h_function,
 )
 from .semigroup import (
@@ -56,17 +58,6 @@ def candidate_degree(c: CuspCollection) -> int | None:
     while (d - 1) * (d - 2) < target:
         d += 1
     return d if (d - 1) * (d - 2) == target else None
-
-
-def _triangular(j: int) -> int:
-    return (j + 1) * (j + 2) // 2
-
-
-def _multiples(d: int) -> range:
-    """The compared indices jd, j = 0..d-3; a degree below 3 is refused."""
-    if d < 3:
-        raise ValueError(f"degree {d} < 3")
-    return range(0, d * (d - 2), d)
 
 
 def _h_row(c: CuspCollection, d: int) -> list[int]:
@@ -121,7 +112,7 @@ ALL_CRITERIA = tuple(_CHECKS)
 
 
 def run_criterion(name: str, c: CuspCollection, d: int) -> CriterionReport:
-    """Criterion `name` on (c, d): d < 3 raises ValueError, a non-candidate is computed."""
+    """Criterion `name` on (c, d): d < 3 raises NotCandidateError, a non-candidate is computed."""
     try:
         fn = _CHECKS[name]
     except KeyError:

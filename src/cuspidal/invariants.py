@@ -167,10 +167,20 @@ def is_candidate(c: CuspCollection, d: int) -> bool:
     return d >= 3 and 2 * c.delta == (d - 1) * (d - 2)
 
 
-def require_candidate(c: CuspCollection, d: int, remedy: str) -> None:
-    """Raise NotCandidateError, its message ending in `remedy`, unless is_candidate."""
+def _triangular(j: int) -> int:
+    return (j + 1) * (j + 2) // 2
+
+
+def _multiples(d: int) -> range:
+    """The indices jd, j = 0..d-3, of the criteria, R and eu_canonical; the one d < 3 refusal."""
     if d < 3:
-        raise NotCandidateError(f"not a candidate: degree {d} < 3{remedy}")
+        raise NotCandidateError(f"degree {d} < 3")
+    return range(0, d * (d - 2), d)
+
+
+def require_candidate(c: CuspCollection, d: int, remedy: str) -> None:
+    """Raise NotCandidateError unless is_candidate, its 2*delta message ending in `remedy`."""
+    _multiples(d)  # `degree d < 3`
     if not is_candidate(c, d):
         raise NotCandidateError(
             f"not a candidate: 2*delta = {2 * c.delta} != (d-1)(d-2) = "
@@ -254,20 +264,18 @@ def r_poly(c: CuspCollection, d: int) -> IntPoly:
     """Sparse polynomial comparing q at multiples of d with triangular numbers.
 
     R(t) = sum_{j=0}^{d-3} (q_{(d-3-j)d} - (j+1)(j+2)/2) t^{(d-3-j)d}, with
-    q read as 0 outside [0, 2*delta-2].
+    q read as 0 outside [0, 2*delta-2]; _r_terms refuses d < 3 before co is sized.
     """
-    if d < 3:
-        raise ValueError(f"invalid degree {d}: need d >= 3")
+    terms = _r_terms(c, d)
     co = [0] * (d * (d - 3) + 1)
-    for e, v in _r_terms(c, d):
+    for e, v in terms:
         co[e] = v
     return IntPoly(IntSeq(co))
 
 
 def _r_terms(c: CuspCollection, d: int) -> list[tuple[int, int]]:
     """R's d - 2 terms as (exponent, coefficient), j = 0..d-3 (see r_poly)."""
-    return [(e, c.q[e] - (j + 1) * (j + 2) // 2)
-            for j, e in enumerate(range((d - 3) * d, -1, -d))]
+    return [(e, c.q[e] - _triangular(j)) for j, e in enumerate(reversed(_multiples(d)))]
 
 
 def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
@@ -282,8 +290,6 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
     the tail cancels.  Reads the Alexander product, not q, so that it stays
     independent of r_poly.
     """
-    if d < 3:
-        raise ValueError(f"invalid degree {d}: need d >= 3")
     require_candidate(c, d, "; the series tail cancels only for candidates")
     top = d * (d - 3)
     n = top + d
@@ -292,7 +298,7 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
     co = [0] * (top + 1)
     for k in range(0, n + 1, d):
         i = k // d
-        value = g[k] - (i + 1) * (i + 2) // 2
+        value = g[k] - _triangular(i)
         if k <= top:
             co[k] = value
         elif value != 0:

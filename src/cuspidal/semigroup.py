@@ -8,18 +8,22 @@ un-blowup step (append a multiplicity m by shifting the j-th smallest Apery
 representative up by j*m), and recovered by running the shift backwards.
 Each step of either chain passes on only the Apery set, checked by the Kunz
 inequalities in O(m^2) for multiplicity m, and a chain builds one Semigroup,
-at its end: no step lists the gaps, which cost delta a step.
+at its end, from that Apery set without checking it again: no step lists
+the gaps, which cost delta a step.  Generators get their Apery set directly,
+by the round-robin walk in O(m*k) for k generators, and build their
+Semigroup the same way.
 
 A semigroup is stored by its finite gap set; membership above the conductor
-is implicit.  The constructor validates the gap set through the Apery set of
-the multiplicity m (Rosales and Garcia-Sanchez, *Numerical Semigroups*,
-2009, ch. 1-2): the gap set must be closed under -m, and the Apery elements
-must satisfy the Kunz inequalities w_i + w_j >= w_{(i+j) mod m}.  That is
-O(c + m^2) for conductor c instead of a scan of every pair of elements below
-c.  Membership, the minimal generators and the counting function are read
-from the same Apery set: the semigroup is the disjoint union of the
-progressions w + m*Z>=0, so the counting head marks each progression with
-one slice assignment and sums the marks.
+is implicit.  The constructor, the route for gap sets from outside,
+validates the gap set through the Apery set of the multiplicity m (Rosales
+and Garcia-Sanchez, *Numerical Semigroups*, 2009, ch. 1-2): the gap set must
+be closed under -m, and the Apery elements must satisfy the Kunz
+inequalities w_i + w_j >= w_{(i+j) mod m}.  That is O(c + m^2) for
+conductor c instead of a scan of every pair of elements below c.
+Membership, the minimal generators and the counting function are read from
+the same Apery set: the semigroup is the disjoint union of the progressions
+w + m*Z>=0, so the counting head marks each progression with one slice
+assignment and sums the marks.
 All values are immutable and all operations are pure, so everything here is
 safe to share across threads.  MultSeq, NewtonPairs and Semigroup are plain
 classes on the package's frozen base (_frozen.Frozen), each with a
@@ -38,7 +42,7 @@ import re
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate, chain, groupby
-from math import gcd, prod
+from math import gcd, inf, prod
 from operator import ge, index
 
 from ._frozen import Frozen
@@ -153,7 +157,7 @@ class Semigroup(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        # bench/tracer.py times Semigroup construction by wrapping this method
+        # bench/tracer.py wraps this method; _semigroup's values skip it
         gaps = tuple(map(index, self.gaps))
         object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "_apery", _checked_apery(gaps))
@@ -288,9 +292,14 @@ def _blowup(w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _semigroup(w: tuple[int, ...]) -> Semigroup:
-    # the one Semigroup a chain builds: residue r holds the gaps r, r + m, ..., w_r - m
+    # the one Semigroup a chain or the generator walk builds, from an Apery set
+    # known good, past the constructor's checks: residue r holds the gaps r, r + m, ..., w_r - m
     m = len(w)
-    return Semigroup(sorted(chain.from_iterable(range(r, x, m) for r, x in enumerate(w))))
+    gaps = sorted(chain.from_iterable(range(r, x, m) for r, x in enumerate(w)))
+    s = object.__new__(Semigroup)
+    object.__setattr__(s, "gaps", tuple(gaps))
+    object.__setattr__(s, "_apery", w)
+    return s
 
 
 #: The full semigroup of all nonnegative integers (a smooth point).
@@ -298,7 +307,7 @@ SMOOTH = Semigroup(())
 
 
 def semigroup_from_generators(gens) -> Semigroup:
-    """Semigroup generated by `gens`; requires gcd of the generators to be 1."""
+    """Semigroup generated by `gens`, whose gcd must be 1, built from the least one's Apery set."""
     gens = sorted(set(map(index, gens)))
     if not gens:
         raise SemigroupError("empty generator list")
@@ -309,18 +318,18 @@ def semigroup_from_generators(gens) -> Semigroup:
         g = gcd(g, x)
     if g != 1:
         raise SemigroupError(f"not numerical: gcd of generators is {g}")
-    if gens[0] == 1:
-        return SMOOTH
-    # Erdos-Graham bounds the Frobenius number below (largest)*(second largest).
-    bound = gens[-1] * gens[-2] + 1
-    reachable = bytearray(bound)
-    reachable[0] = 1
-    for k in range(1, bound):
-        for gen in gens:
-            if gen <= k and reachable[k - gen]:
-                reachable[k] = 1
-                break
-    return Semigroup(tuple(k for k in range(bound) if not reachable[k]))
+    # the round-robin walk (Boecker and Liptak, Algorithmica 2007): the Apery
+    # set of m = gens[0] is relaxed along each of the gcd(m, g) cycles
+    # x, x + g, ... (mod m) of each further generator g, twice round, so that
+    # the cycle's least entry reaches every residue of it; O(m*k) in all
+    m, *rest = gens
+    w = [0] + [inf] * (m - 1)
+    for g in rest:
+        n = gcd(m, g)
+        for x in range(n):
+            for y in range(x, x + 2 * m // n * g, g):
+                w[(y + g) % m] = min(w[(y + g) % m], w[y % m] + g)
+    return _semigroup(tuple(w))
 
 
 def apery_set(s: Semigroup, m: int) -> tuple[int, ...]:

@@ -26,6 +26,8 @@ from cuspidal import (
     h_function,
     min_convolve_all,
     multiplicity_multiset,
+    r_poly,
+    r_poly_series,
     regroupings,
     criteria,
     semigroup,
@@ -187,6 +189,21 @@ class TestCensus:
             for entry in catalog_entries(d):
                 if entry.d == d:
                     assert bag(entry.cusps) in bags, entry.label
+
+    def test_r_identities(self):
+        # R by both routes, palindromic in degree d(d-3); R(1) = eu_hstar -
+        # eu_h0 needs sum_j H(jd+1) = sum_j (j+1)(j+2)/2, i.e. bl
+        at_one = Counter()
+        for d in CENSUS_COUNTS:
+            for parts in census(d):
+                c = CuspCollection(parts)
+                r = r_poly(c, d)
+                assert r == r_poly_series(c, d), parts
+                co = r.coeffs.window(d * (d - 3))
+                assert co == co[::-1], parts
+                e0, es = eu_canonical(c, d)
+                at_one[check_bl(c, d).passed, sum(r.coeffs.values) == es - e0] += 1
+        assert at_one == {(True, True): 301, (False, False): 605}
 
     @pytest.mark.parametrize("literals", [("[2]", "[2_2]", "[6,3]"), ("[2]", "[3]", "[6,2_2]"),
                                           ("[2_2]", "[4,2_3]", "[5]")])

@@ -336,7 +336,7 @@ class TestRPoly:
         assert sum(r.coeffs.values) == 0
 
     def test_degree_validation(self):
-        with pytest.raises(ValueError, match="invalid degree"):
+        with pytest.raises(ValueError, match="^degree 2 < 3$"):
             r_poly(collection(*QUARTIC), 2)
 
     def test_series_route_agrees(self):
@@ -376,7 +376,7 @@ class TestRPoly:
     def test_series_route_from_degree_three(self):
         c = collection("[2]")
         assert r_poly_series(c, 3) == r_poly(c, 3)
-        with pytest.raises(ValueError, match="^invalid degree 2: need d >= 3$"):
+        with pytest.raises(ValueError, match="^degree 2 < 3$"):
             r_poly_series(c, 2)
 
     def test_series_tail_checked(self):
@@ -444,7 +444,7 @@ class TestEu:
         c = collection("[2]")
         assert invariants.is_candidate(c, 3)
         invariants.require_candidate(c, 3, "")
-        with pytest.raises(NotCandidateError, match=r"^not a candidate: degree 2 < 3!$"):
+        with pytest.raises(NotCandidateError, match=r"^degree 2 < 3$"):
             invariants.require_candidate(c, 2, "!")
         with pytest.raises(NotCandidateError) as info:
             invariants.require_candidate(c, 4, "; x")
@@ -454,7 +454,7 @@ class TestEu:
         # (0-1)(0-2) = 2 = 2*delta of [2], so degree 0 passed as a candidate
         c = collection("[2]")
         assert not any(invariants.is_candidate(c, d) for d in range(3))
-        with pytest.raises(NotCandidateError, match=r"^not a candidate: degree 0 < 3; "):
+        with pytest.raises(NotCandidateError, match=r"^degree 0 < 3$"):
             eu_canonical(c, 0)
 
     def test_r_at_one_is_eu_difference(self):

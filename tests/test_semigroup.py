@@ -34,6 +34,7 @@ from cuspidal import (
     multseq_from_semigroup,
     parse_cusp,
     resolve_semigroup,
+    semigroup,
     semigroup_from_generators,
     semigroup_from_multseq,
     semigroup_from_newton_pairs,
@@ -91,6 +92,14 @@ class TestSemigroupFromGenerators:
     def test_matches_naive_closure(self):
         for gens in [(2, 3), (3, 5), (6, 7), (4, 6, 13), (6, 9, 19), (5, 7, 11)]:
             assert list(semigroup_from_generators(gens).gaps) == naive_gaps(gens)
+
+    @given(gens=st.lists(st.integers(2, 40), min_size=1, max_size=4).filter(lambda g: gcd(*g) == 1))
+    def test_walk_matches_naive_closure(self, gens):
+        # the round-robin walk builds the Apery set without listing elements;
+        # the Frobenius number stays below (39 - 1) * 39, under the scan's 1,550
+        s = semigroup_from_generators(gens)
+        assert list(s.gaps) == naive_gaps(gens, bound=1600)
+        assert s._apery == Semigroup(s.gaps)._apery
 
     def test_not_numerical(self):
         with pytest.raises(SemigroupError, match="not numerical"):
@@ -265,6 +274,14 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _kept_apery(outcome):
+    """The outcome, once a Semigroup's kept Apery set equals the one its gaps give."""
+    if isinstance(outcome, Semigroup):
+        # _apery takes no part in equality, so the values alone would not see it
+        assert outcome._apery == Semigroup(outcome.gaps)._apery
+    return outcome
+
+
 # entry tuples in any order, inadmissible ones and entries below 2 among them,
 # half of them sorted non-increasing so that more chains run to the end
 entry_tuples = st.lists(st.integers(-1, 9), max_size=6).flatmap(
@@ -297,14 +314,14 @@ class TestAperyFold:
     @given(entries=entry_tuples)
     def test_un_blowup_chain_matches_gap_list_chain(self, entries):
         # __wrapped__ runs the fold itself, past its cache
-        assert (_outcome(_semigroup_from_entries.__wrapped__, entries)
+        assert (_kept_apery(_outcome(_semigroup_from_entries.__wrapped__, entries))
                 == _outcome(reference_semigroup_from_entries, entries))
 
     @given(s=semigroups, m=st.integers(-1, 40))
     def test_steps_match_gap_list_steps(self, s, m):
         assert _outcome(multseq_from_semigroup, s) == _outcome(reference_multseq_from_semigroup, s)
-        assert _outcome(blowup, s) == _outcome(reference_blowup, s)
-        assert _outcome(unblowup, s, m) == _outcome(reference_unblowup, s, m)
+        assert _kept_apery(_outcome(blowup, s)) == _outcome(reference_blowup, s)
+        assert _kept_apery(_outcome(unblowup, s, m)) == _outcome(reference_unblowup, s, m)
         if m >= 1 and m in s:
             assert apery_set(s, m) == reference_apery_set(s, m)
 
@@ -326,18 +343,36 @@ class TestAperyFold:
     def test_each_chain_builds_one_semigroup(self, monkeypatch):
         # the gap-list chain built one Semigroup per entry: 1,000 on [2_1000]
         built = []
-        post_init = Semigroup.__post_init__
+        build = semigroup._semigroup
 
-        def counted(self):
-            built.append(self)
-            post_init(self)
+        def counted(w):
+            built.append(build(w))
+            return built[-1]
 
-        monkeypatch.setattr(Semigroup, "__post_init__", counted)
+        monkeypatch.setattr(semigroup, "_semigroup", counted)
         s = _semigroup_from_entries.__wrapped__((2,) * 1000)
         assert built == [s] and s == S(2, 2001)
         built.clear()
         assert multseq_from_semigroup(s) == MultSeq((2,) * 1000)
         assert not built
+
+    def test_only_gaps_from_outside_are_checked(self, monkeypatch):
+        # a chain or a generator walk ends in an Apery set already checked;
+        # the constructor rebuilt it from the gaps and ran Kunz again
+        checked = []
+        check = semigroup._checked_apery
+
+        def counted(gaps):
+            checked.append(gaps)
+            return check(gaps)
+
+        monkeypatch.setattr(semigroup, "_checked_apery", counted)
+        _semigroup_from_entries.__wrapped__((2,) * 1000)
+        semigroup_from_generators([60, 61])
+        semigroup_from_newton_pairs(NewtonPairs(((2, 3), (2, 1))))
+        assert not checked
+        Semigroup((1,))
+        assert checked == [(1,)]
 
 
 class TestMultSeqConversion:
