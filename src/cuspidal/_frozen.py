@@ -11,8 +11,6 @@ generic binding, and so does ``Semigroup``.  The base compares and hashes
 instances by their fields, prints them as ``Name(field=value, ...)``, and
 refuses assignment and deletion, so a value never changes after its
 constructor returns.
-Attributes left out of ``_fields`` (the Apery set that ``Semigroup``
-keeps) take no part in equality, hashing or the repr.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ class CuspCollection(Frozen):
         for cusp in cusps:
             try:
                 s = resolve_semigroup(cusp)
-                if not s.gaps:
+                if s.multiplicity == 1:
                     raise SemigroupError("smooth point is not a cusp")
                 seqs.append(cusp if isinstance(cusp, MultSeq) else multseq_from_semigroup(s))
             except SemigroupError as exc:
@@ -98,7 +98,7 @@ class CuspCollection(Frozen):
     def nu(self) -> int:
         return len(self.cusps)
 
-    @property
+    @cached_property
     def deltas(self) -> tuple[int, ...]:
         return tuple(s.delta for s in self.cusps)
 

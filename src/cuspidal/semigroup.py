@@ -13,17 +13,17 @@ the gaps, which cost delta a step.  Generators get their Apery set directly,
 by the round-robin walk in O(m*k) for k generators, and build their
 Semigroup the same way.
 
-A semigroup is stored by its finite gap set; membership above the conductor
-is implicit.  The constructor, the route for gap sets from outside,
-validates the gap set through the Apery set of the multiplicity m (Rosales
-and Garcia-Sanchez, *Numerical Semigroups*, 2009, ch. 1-2): the gap set must
-be closed under -m, and the Apery elements must satisfy the Kunz
-inequalities w_i + w_j >= w_{(i+j) mod m}.  That is O(c + m^2) for
+A semigroup is stored by its Apery set of the multiplicity m, indexed by
+residue mod m (Rosales and Garcia-Sanchez, *Numerical Semigroups*, 2009,
+ch. 1-2): the semigroup is the disjoint union of the progressions
+w + m*Z>=0.  Membership, the minimal generators, the counting function,
+the gaps, delta (Selmer's sum of (w_r - r) / m) and the conductor
+(max w - m + 1) are read from it; the counting head marks each progression
+with one slice assignment and sums the marks.  The constructor, the route
+for gap sets from outside, validates the gap set through the Apery set: the
+gap set must be closed under -m, and the Apery elements must satisfy the
+Kunz inequalities w_i + w_j >= w_{(i+j) mod m}.  That is O(c + m^2) for
 conductor c instead of a scan of every pair of elements below c.
-Membership, the minimal generators and the counting function are read from
-the same Apery set: the semigroup is the disjoint union of the progressions
-w + m*Z>=0, so the counting head marks each progression with one slice
-assignment and sums the marks.
 All values are immutable and all operations are pure, so everything here is
 safe to share across threads.  MultSeq, NewtonPairs and Semigroup are plain
 classes on the package's frozen base (_frozen.Frozen), each with a
@@ -32,8 +32,8 @@ semigroup_from_generators does: a float raises TypeError instead of being
 truncated.  The literal parser reads its numbers with int once the grammar's
 digit rule has accepted them, and refuses one past int's digit limit in its
 spelling's own message.  Semigroup's constructor runs its checks through
-__post_init__, and the Apery set it keeps is not a field, so equality,
-hashing and the repr go by the gaps.
+__post_init__, and its one field is the Apery set, so equality, hashing and
+the repr go by it.
 """
 
 from __future__ import annotations
@@ -49,18 +49,17 @@ from ._frozen import Frozen
 from .seqcalc import CountingFn
 
 
-#: Sizes of the memo caches below.  A long-lived process that calls
+#: Size of the chain cache below.  A long-lived process that calls
 #: regroupings on many multisets meets a new key for every part it tries, so
-#: each cache is bounded, well above the at most 67 keys per cache that one
-#: pass of any benchmark workload meets.  is_admissible keeps a bool per tuple
-#: of multiplicities, _semigroup_from_entries (which it calls) a Semigroup.
-#: Both pay, in warm seed-7 passes on one CPU: without the two, `screen` took
-#: 390-392 ms against 349-352 and `highdeg` 145-148 against 108-109, and without
-#: _semigroup_from_entries's alone 382-383 and 137-141.  Without is_admissible's
-#: the passes hardly moved, but in-process `stability` on [6,3] [4,2] [3,2]
-#: [2_2] took 10.8-11.0 ms against 9.7-9.9: failed chains are kept nowhere else.
-_ADMISSIBLE_CACHE = 4096
-_ENTRIES_CACHE = 1024
+#: the cache is bounded, well above the at most 67 keys that one pass of any
+#: benchmark workload meets.  _semigroup_from_entries keeps, per tuple of
+#: multiplicities, the chain's Semigroup (m integers) or the failed step's
+#: message, which is_admissible reads.  Caching chains pays, in warm seed-7
+#: passes on one CPU: without any chain cache `screen` took 390-392 ms
+#: against 349-352 and `highdeg` 145-148 against 108-109, and without
+#: failed chains kept, in-process `stability` on [6,3] [4,2] [3,2] [2_2]
+#: took 10.8-11.0 ms against 9.7-9.9.
+_CHAIN_CACHE = 4096
 
 
 class SemigroupError(ValueError):
@@ -139,47 +138,51 @@ class NewtonPairs(Frozen):
 
 
 class Semigroup(Frozen):
-    """A numerical semigroup, stored by its finite sorted gap set.
+    """A numerical semigroup, stored by its Apery set of the multiplicity m.
 
-    The constructor checks that the complement of the gap set really is
-    closed under addition, so a Semigroup value is a semigroup by
-    construction.  It keeps the Apery set of the multiplicity m, indexed by
-    residue mod m, from which membership and the minimal generators are
-    read; the Apery set is not a field, so equality, hashing and the repr
-    go by the gaps alone.
+    apery[r] is the least element congruent to r mod m.  The constructor
+    takes a finite gap set and checks that its complement really is closed
+    under addition, so a Semigroup value is a semigroup by construction.
     """
 
-    __slots__ = ("gaps", "_apery")
-    _fields = ("gaps",)
+    __slots__ = _fields = ("apery",)
 
     def __init__(self, gaps: Iterable[int] = ()):
-        object.__setattr__(self, "gaps", gaps)
-        self.__post_init__()
+        self.__post_init__(gaps)
 
-    def __post_init__(self):
+    def __post_init__(self, gaps):
         # bench/tracer.py wraps this method; _semigroup's values skip it
-        gaps = tuple(map(index, self.gaps))
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "_apery", _checked_apery(gaps))
+        object.__setattr__(self, "apery", _checked_apery(tuple(map(index, gaps))))
 
     def __contains__(self, k: int) -> bool:
         if k < 0:
             return False
-        w = self._apery
+        w = self.apery
         return k >= w[k % len(w)]
 
     @property
+    def gaps(self) -> tuple[int, ...]:
+        """The sorted gaps: r, r + m, ..., apery[r] - m for each residue r."""
+        w = self.apery
+        m = len(w)
+        return tuple(sorted(chain.from_iterable(range(r, x, m) for r, x in enumerate(w))))
+
+    @property
     def delta(self) -> int:
-        return len(self.gaps)
+        """Gap count, by Selmer's sum of (apery[r] - r) / m."""
+        w = self.apery
+        m = len(w)
+        return sum((x - r) // m for r, x in enumerate(w))
 
     @property
     def conductor(self) -> int:
-        return self.gaps[-1] + 1 if self.gaps else 0
+        w = self.apery
+        return max(w) - len(w) + 1
 
     @property
     def multiplicity(self) -> int:
         """Smallest positive element (1 for the full semigroup)."""
-        return len(self._apery)
+        return len(self.apery)
 
     def min_generators(self) -> tuple[int, ...]:
         """The unique minimal generating set.
@@ -188,7 +191,7 @@ class Semigroup(Frozen):
         w' + s for a smaller generator w' and an element s; the Apery
         elements are tested in increasing order.
         """
-        w = self._apery
+        w = self.apery
         m = len(w)
         gens = [m]
         for x in sorted(w[1:]):
@@ -292,13 +295,10 @@ def _blowup(w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _semigroup(w: tuple[int, ...]) -> Semigroup:
-    # the one Semigroup a chain or the generator walk builds, from an Apery set
-    # known good, past the constructor's checks: residue r holds the gaps r, r + m, ..., w_r - m
-    m = len(w)
-    gaps = sorted(chain.from_iterable(range(r, x, m) for r, x in enumerate(w)))
+    # the one Semigroup a chain or the generator walk builds, from an Apery
+    # set known good, past the constructor's checks
     s = object.__new__(Semigroup)
-    object.__setattr__(s, "gaps", tuple(gaps))
-    object.__setattr__(s, "_apery", w)
+    object.__setattr__(s, "apery", w)
     return s
 
 
@@ -336,7 +336,7 @@ def apery_set(s: Semigroup, m: int) -> tuple[int, ...]:
     """Apery set of `s` for an element m of `s`: the least element per residue mod m, sorted."""
     if m < 1 or m not in s:
         raise SemigroupError(f"modulus {m} not in semigroup")
-    return tuple(sorted(_rebase(s._apery, m)))
+    return tuple(sorted(_rebase(s.apery, m)))
 
 
 def unblowup(s: Semigroup, m: int) -> Semigroup:
@@ -346,25 +346,25 @@ def unblowup(s: Semigroup, m: int) -> Semigroup:
     {a_j + j*m}.  Fails if m is not in `s` (so if m is below its
     multiplicity), or if the shifted layers are not closed under addition.
     """
-    return _semigroup(_unblowup(s._apery, m))
+    return _semigroup(_unblowup(s.apery, m))
 
 
 def blowup(s: Semigroup) -> Semigroup:
     """Blowup of a plane-branch semigroup: shift the j-th Apery element down by j*m."""
-    if not s.gaps:
+    if s.multiplicity == 1:
         raise SemigroupError("already smooth")
-    return _semigroup(_blowup(s._apery))
+    return _semigroup(_blowup(s.apery))
 
 
-@lru_cache(maxsize=_ENTRIES_CACHE)
-def _semigroup_from_entries(entries: tuple[int, ...]) -> Semigroup:
+@lru_cache(maxsize=_CHAIN_CACHE)
+def _semigroup_from_entries(entries: tuple[int, ...]) -> Semigroup | str:
+    # the un-blowup chain's Semigroup, or the message of the step that failed
     w = (0,)
     for m in reversed(entries):
         try:
             w = _unblowup(w, m)
         except SemigroupError as exc:
-            raise InadmissibleSequenceError(
-                f"inadmissible multiplicity sequence {list(entries)}: {exc}") from exc
+            return f"inadmissible multiplicity sequence {list(entries)}: {exc}"
     return _semigroup(w)
 
 
@@ -376,12 +376,15 @@ def semigroup_from_multseq(ms: MultSeq) -> Semigroup:
     """
     if not ms.entries:
         raise SemigroupError("smooth point: empty multiplicity sequence has no cusp semigroup")
-    return _semigroup_from_entries(ms.entries)
+    s = _semigroup_from_entries(ms.entries)
+    if isinstance(s, str):
+        raise InadmissibleSequenceError(s)
+    return s
 
 
 def multseq_from_semigroup(s: Semigroup) -> MultSeq:
     """Record multiplicities along the blowup chain down to the full semigroup."""
-    w = s._apery
+    w = s.apery
     entries = []
     while len(w) > 1:
         entries.append(len(w))
@@ -392,18 +395,13 @@ def multseq_from_semigroup(s: Semigroup) -> MultSeq:
     return MultSeq(tuple(entries))
 
 
-@lru_cache(maxsize=_ADMISSIBLE_CACHE)
 def is_admissible(entries: tuple[int, ...]) -> bool:
     """Whether a non-increasing entry tuple is a valid multiplicity sequence.
 
     Admissibility is operational: the un-blowup chain must succeed with all
     membership and closure checks.
     """
-    try:
-        _semigroup_from_entries(tuple(entries))
-    except SemigroupError:
-        return False
-    return True
+    return not isinstance(_semigroup_from_entries(tuple(entries)), str)
 
 
 def semigroup_from_newton_pairs(np_: NewtonPairs) -> Semigroup:
@@ -434,7 +432,7 @@ def counting_fn(s: Semigroup) -> CountingFn:
     """
     d = s.delta
     n = 2 * d
-    w = s._apery
+    w = s.apery
     m = len(w)
     member = bytearray(n)
     for x in w:

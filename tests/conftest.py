@@ -1,20 +1,22 @@
 """Shared test helpers: independent oracles and golden table data.
 
 The oracles here deliberately avoid the production code paths: semigroups
-are generated by repeated-addition closure instead of the sieve, counting
-values by direct enumeration or by bisecting the gap list, Alexander
-polynomials by a membership loop over the gaps instead of the Apery set,
-min-plus convolutions by scanning every split, F by sequence calculus
-instead of reversing q, regroupings by sorting the full set of multiset
-partitions, cubical Betti tables from per-cube tuples with dict-keyed
-elimination, and the cell filtration by sorting those tuples.  The
-semigroup closure check, the minimal generators, the counting heads, the
-Alexander polynomials and the min-plus window are also kept in their
-per-element or quadratic forms, which the Apery-set and blocked production
-kernels replaced, and the blowup and un-blowup chains in their gap-list
-form, which builds and validates a Semigroup at every step; the blowup
-step on Apery sets is also kept with Kunz at the layer modulus.  Golden rows
-are transcriptions of the published tables for the curves they describe.
+are generated by repeated-addition closure instead of the round-robin walk
+on the Apery set, counting values by direct enumeration or by bisecting the
+gap list, Alexander polynomials by a membership loop over the gaps instead
+of the Apery set, min-plus convolutions by scanning every split, F by
+sequence calculus instead of reversing q, regroupings by sorting the full
+set of multiset partitions, cubical Betti tables from per-cube tuples with
+dict-keyed elimination, and the cell filtration by sorting those
+tuples.  The semigroup closure check, the minimal generators, the counting
+heads, the Alexander polynomials and the min-plus window are also kept in
+their per-element or quadratic forms, which the Apery-set and blocked
+production kernels replaced, and the blowup and un-blowup chains in their
+gap-list form, which builds and validates a Semigroup at every step; the
+blowup step on Apery sets is also kept with Kunz at the layer modulus.  The
+0-dimensional barcode of a weighted path comes from a union-find by the
+elder rule.  Golden rows are transcriptions of the published tables for the
+curves they describe.
 """
 
 from __future__ import annotations
@@ -458,6 +460,38 @@ def reference_rank_profile(rect):
     pivot_weights = [ws[cols] for ws, cols in zip(cell_weights, pivot_cols)]
     pivot_weights.append(np.empty(0, dtype=np.int64))
     return cell_weights, pivot_weights
+
+
+def reference_path_barcode(c, a, n):
+    """The 0-dimensional barcode of the path [0, n] with vertex weight g(k) = H(k) + min(0, 1 + a - k).
+
+    The edge k -- k + 1 enters at the larger weight of its ends.  A
+    union-find takes the edges in filtration order and, by the elder rule,
+    ends the younger component's bar at the edge's weight; each root is the
+    oldest vertex of its component.  Returns min g, the birth of the one
+    infinite bar, and the finite bars (birth, death) of positive length.
+    """
+    g = [c.h(k) + min(0, 1 + a - k) for k in range(n + 1)]
+    parent = list(range(n + 1))
+    bars = []
+    for k in sorted(range(n), key=lambda k: max(g[k], g[k + 1])):
+        u, v = k, k + 1
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if g[u] > g[v]:
+            u, v = v, u
+        if max(g[k], g[k + 1]) > g[v]:
+            bars.append((g[v], max(g[k], g[k + 1])))
+        parent[v] = u
+    return min(g), bars
+
+
+def reference_path_eu_h0(c, a, n):
+    """eu_h0 of the path [0, n]: -min g plus the lengths of the finite bars."""
+    min_g, bars = reference_path_barcode(c, a, n)
+    return -min_g + sum(death - birth for birth, death in bars)
 
 
 def reference_apparent(rect):

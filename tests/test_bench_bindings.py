@@ -58,9 +58,9 @@ def test_semigroup_post_init_runs_on_construction(monkeypatch):
     post_init = vars(Semigroup)["__post_init__"]
     seen = []
 
-    def wrapped(self):
-        seen.append(self.gaps)
-        post_init(self)
+    def wrapped(self, gaps):
+        seen.append(gaps)
+        post_init(self, gaps)
 
     monkeypatch.setattr(Semigroup, "__post_init__", wrapped)
     s = Semigroup([1])

@@ -81,15 +81,15 @@ class TestCandidateFiles:
 
     @pytest.mark.parametrize("framing", ["text", "json"])
     def test_each_literal_parsed_once(self, tmp_path, capsys, monkeypatch, framing):
-        # a generator literal runs the semigroup sieve when it is parsed
+        # a generator literal runs the round-robin walk when it is parsed
         calls = []
-        sieve = semigroup.semigroup_from_generators
+        walk = semigroup.semigroup_from_generators
 
-        def counting_sieve(gens):
+        def counting_walk(gens):
             calls.append(gens)
-            return sieve(gens)
+            return walk(gens)
 
-        monkeypatch.setattr(semigroup, "semigroup_from_generators", counting_sieve)
+        monkeypatch.setattr(semigroup, "semigroup_from_generators", counting_walk)
         path = tmp_path / "cand.txt"
         path.write_text("<4,6,13>\n" if framing == "text" else json.dumps({"cusps": ["<4,6,13>"]}))
         code, doc, _ = run_machine(capsys, "invariants", str(path))
@@ -869,3 +869,24 @@ def test_light_commands_leave_numpy_unloaded(tmp_path):
     assert codes == [1, 0, 0, 0, 0, 0]  # the octic fails conj_original
     # after import cuspidal, after each light command, after the oracle
     assert loaded == [False] * 6 + [True]
+
+
+def test_no_command_lists_the_gaps(tmp_path, capsys, monkeypatch):
+    # every command computes from the Apery sets; listing the gaps costs
+    # delta integers a cusp, which <60,61> alone makes 1,770
+    def refuse(self):
+        raise AssertionError("a command listed the gaps")
+
+    monkeypatch.setattr(semigroup.Semigroup, "gaps", property(refuse))
+    semigroup._semigroup_from_entries.cache_clear()
+    inv = tmp_path / "inv.txt"
+    inv.write_text("<60,61> (20,21)(2,1) [6,3]\n")
+    quintic = tmp_path / "quintic.txt"
+    quintic.write_text("[3] [2_2] [2]\n")
+    stab = tmp_path / "stab.txt"
+    stab.write_text("[6,3] [4,2] [3,2] [2_2]\n")
+    for argv in (["invariants", str(inv)], ["check", str(quintic)],
+                 ["oracle", str(quintic), "--j", "1"], ["cohomology", str(quintic), "--d", "4"],
+                 ["stability", str(stab)], ["catalog", "--family", "C", "--d", "7", "--u", "2", "--check"]):
+        code, _, err = run_machine(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -12,10 +14,13 @@ from conftest import (
     reference_apparent,
     reference_betti_table,
     reference_filtration,
+    reference_path_barcode,
+    reference_path_eu_h0,
     reference_rank_profile,
 )
 from cuspidal import (
     CuspCollection,
+    catalog_entries,
     RectangleTooLarge,
     betti_table,
     build_rectangle,
@@ -38,6 +43,9 @@ from cuspidal.cubical import (
     _reduce_column,
     default_dims,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 QUARTIC = collection("[2]", "[2]", "[2]")
 SINGLE = collection("[2]")
@@ -454,3 +462,34 @@ def test_h0_pin_is_not_vacuous():
                 for lits in (("[3]", "[2]", "[2]"), ("[3]", "[2_2]")))
     assert one == (0, [[1, 1], [0, 0, 1]])
     assert two == (0, [[1, 1], []])
+
+
+def test_path_eu_h0_is_the_closed_form():
+    # the 1-D path [0, sum(2 delta_i + 1)] has no box cap: eu_h0 from its
+    # barcode is H(j+1) + delta - 1 - j at every index of the catalog up to
+    # d = 12 (3,231 indices)
+    checked = 0
+    for entry in catalog_entries(12):
+        c = entry.collection()
+        n = sum(2 * d + 1 for d in c.deltas)
+        for j in range(2 * c.delta - 1):
+            assert reference_path_eu_h0(c, j, n) == c.h(j + 1) + c.delta - 1 - j, (entry, j)
+            checked += 1
+    assert checked == 3231
+
+
+def test_path_barcode_counts_match_betti_table():
+    # at margin 0 the box sides sum to the path's length; the path's bars
+    # alive at each level are the rectangle's b~0 there (488 indices)
+    checked = 0
+    for combo in workloads.oracle_collections():
+        c = collection(*combo)
+        n = sum(default_dims(c))
+        for a in range(-1, 2 * c.delta + 1):
+            table = betti_table(build_rectangle(c, a))
+            min_g, bars = reference_path_barcode(c, a, n)
+            counts = [sum(b <= level < d for b, d in bars)
+                      for level in range(table.min_level, table.min_level + len(table.rows))]
+            assert (min_g, counts) == (table.min_level, [row[0] for row in table.rows]), (combo, a)
+            checked += 1
+    assert checked == 488

@@ -34,7 +34,7 @@ from cuspidal import (
     semigroup_from_generators,
 )
 
-CUSPS = "CuspCollection(cusps=(Semigroup(gaps=(1,)),), multseqs=(MultSeq(entries=(2,)),))"
+CUSPS = "CuspCollection(cusps=(Semigroup(apery=(0, 3)),), multseqs=(MultSeq(entries=(2,)),))"
 
 
 def _values():
@@ -46,7 +46,7 @@ def _values():
         (CountingFn((0, 0, 1), 1), "CountingFn(head=(0, 0, 1), offset=1)"),
         (MultSeq((3, 2)), "MultSeq(entries=(3, 2))"),
         (NewtonPairs(((2, 3), (2, 1))), "NewtonPairs(pairs=((2, 3), (2, 1)))"),
-        (semigroup_from_generators([2, 3]), "Semigroup(gaps=(1,))"),
+        (semigroup_from_generators([2, 3]), "Semigroup(apery=(0, 3))"),
         (IntPoly(IntSeq((1, -1, 1))), "IntPoly(coeffs=IntSeq(values=(1, -1, 1)))"),
         (c, CUSPS),
         (EuReport(d=4, a=1, eu_h0=2, eu_hstar=-1, terms=((1, 2, 3),)),
@@ -164,12 +164,12 @@ def test_unequal_when_one_field_differs():
     assert len({IntSeq((1,)), IntSeq((1, 0)), IntSeq((2,))}) == 2
 
 
-def test_semigroup_apery_set_is_not_a_field():
+def test_semigroup_apery_set_is_the_field():
     s = semigroup_from_generators([3, 5])
-    t = Semigroup(s.gaps)
-    assert s._apery == t._apery == (0, 10, 5)
-    object.__setattr__(t, "_apery", (0,))  # what no constructor would keep
-    assert s == t and hash(s) == hash(t) and repr(t) == "Semigroup(gaps=(1, 2, 4, 7))"
+    t = Semigroup((1, 2, 4, 7))
+    assert s.apery == (0, 10, 5) and s.gaps == (1, 2, 4, 7)
+    assert s.delta == 4 and s.conductor == 8
+    assert s == t and hash(s) == hash(t) and repr(s) == repr(t) == "Semigroup(apery=(0, 10, 5))"
 
 
 def test_cusp_collection_keeps_first_use_values():
