@@ -13,7 +13,6 @@ from .criteria import (
     CriterionReport,
     CriterionRow,
     Regroupings,
-    candidate_degree,
     catalog,
     catalog_entries,
     check_bezout,
@@ -42,6 +41,7 @@ from .invariants import (
     IntPoly,
     NotCandidateError,
     alexander,
+    candidate_degree,
     eu_canonical,
     f_sequence,
     geometric_genus,

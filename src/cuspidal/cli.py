@@ -42,14 +42,19 @@ _MAX_WINDOW = 1_000_000
 # criteria all grow with d whatever delta is (R has d - 2 terms)
 _MAX_DEGREE = 2_000
 
-
-class InputError(ValueError):
-    pass
+# the largest delta any command accepts, that of a candidate of degree
+# _MAX_DEGREE: the counting functions, H and q all grow with delta
+_MAX_DELTA = (_MAX_DEGREE - 1) * (_MAX_DEGREE - 2) // 2
 
 
 def _cap_degree(d: int | None) -> None:
     if d is not None and d > _MAX_DEGREE:
         raise CapExceeded(f"degree too large: {d} exceeds cap {_MAX_DEGREE}")
+
+
+def _cap_delta(delta: int) -> None:
+    if delta > _MAX_DELTA:
+        raise CapExceeded(f"delta too large: {delta} exceeds cap {_MAX_DELTA}")
 
 
 def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
@@ -59,20 +64,20 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also a number past int's digit limit; too deep a nesting
-            raise InputError(f"{path}: bad JSON: {exc}") from exc
+            raise ValueError(f"{path}: bad JSON: {exc}") from exc
         cusps = doc.get("cusps")
         if not isinstance(cusps, list) or not all(isinstance(c, str) for c in cusps):
-            raise InputError(f"{path}: field 'cusps' must be a list of literals")
+            raise ValueError(f"{path}: field 'cusps' must be a list of literals")
         degree = doc.get("degree")
         # bool is an int subclass; the text grammar takes digits only
         if degree is not None and (type(degree) is not int or degree < 0):
-            raise InputError(f"{path}: field 'degree' must be a nonnegative integer")
+            raise ValueError(f"{path}: field 'degree' must be a nonnegative integer")
         located = [(f"{path}: cusps[{i}]", lit) for i, lit in enumerate(cusps)]
     else:
         located = []
@@ -86,24 +91,26 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
                 try:
                     degree = int(m.group(1))
                 except ValueError:  # past int's digit limit
-                    raise InputError(f"{path}:{lineno}: bad degree line {line!r}") from None
+                    raise ValueError(f"{path}:{lineno}: bad degree line {line!r}") from None
                 continue
             located += [(f"{path}:{lineno}: token {col + 1}", token)
                         for col, token in enumerate(line.split())]
     if not located:
-        raise InputError(f"{path}: no cusp literals found")
+        raise ValueError(f"{path}: no cusp literals found")
     parsed = []
     for where, lit in located:
         try:
             parsed.append(parse_cusp(lit))
         except SemigroupError as exc:
-            raise InputError(f"{where}: {exc}") from exc
+            raise ValueError(f"{where}: {exc}") from exc
         if parsed[-1] == SMOOTH:  # a generator literal such as <1,5>
-            raise InputError(f"{where}: bad cusp {lit!r}: smooth point is not a cusp")
+            raise ValueError(f"{where}: bad cusp {lit!r}: smooth point is not a cusp")
     return [lit for _, lit in located], parsed, degree
 
 
 def build_collection(cusps: list[Cusp]) -> CuspCollection:
+    # delta of a multiplicity sequence is exact before its chain runs
+    _cap_delta(sum(cusp.delta for cusp in cusps if isinstance(cusp, MultSeq)))
     return CuspCollection(cusps)
 
 
@@ -119,16 +126,17 @@ def _load(args, parsed) -> tuple[list[str], CuspCollection, int | None]:
     """Build args.file, parsed by load_candidate_file, and resolve its degree.
 
     The degree is --d, else the file's, else the candidate degree; whichever
-    its source, it must lie in [0, _MAX_DEGREE].
+    its source, it must lie in [0, _MAX_DEGREE].  Then delta is capped.
     """
     literals, cusps, file_degree = parsed
     c = build_collection(cusps)
     d = args.d if args.d is not None else file_degree
     if d is None:
-        d = criteria.candidate_degree(c)
+        d = invariants.candidate_degree(c)
     if d is not None and d < 0:
-        raise InputError(f"degree must be nonnegative, got {d}")
+        raise ValueError(f"degree must be nonnegative, got {d}")
     _cap_degree(d)
+    _cap_delta(c.delta)
     return literals, c, d
 
 
@@ -152,7 +160,7 @@ def _stability_ok(doc: dict) -> bool:
 
 def cmd_invariants(args) -> tuple[dict, int]:
     if args.window is not None and args.window < 0:
-        raise InputError(f"--window must be nonnegative, got {args.window}")
+        raise ValueError(f"--window must be nonnegative, got {args.window}")
     literals, c, d = _load(args, load_candidate_file(args.file))
     window = args.window if args.window is not None else 2 * c.delta - 2
     cap = max(2 * c.delta - 2, _MAX_WINDOW)
@@ -170,7 +178,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
         "deltas": list(c.deltas),
         "delta": c.delta,
         "degree": d,
-        "candidate_degree": criteria.candidate_degree(c),
+        "candidate_degree": invariants.candidate_degree(c),
         "is_candidate": d is not None and invariants.is_candidate(c, d),
         "p_g": invariants.geometric_genus(d) if d is not None else None,
         "alexander": list(c.alexander_product.coeffs.window(2 * c.delta)),
@@ -187,7 +195,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
 def cmd_check(args) -> tuple[dict, int]:
     literals, c, d = _load(args, load_candidate_file(args.file))
     if d is None:
-        raise InputError(
+        raise ValueError(
             "no degree: 2*delta has no candidate solution; pass --d "
             "(with --force to compute for a non-candidate degree)")
     if not args.force:
@@ -210,9 +218,9 @@ def cmd_check(args) -> tuple[dict, int]:
 def cmd_cohomology(args) -> tuple[dict, int]:
     literals, c, d = _load(args, load_candidate_file(args.file))
     if d is None:
-        raise InputError("cohomology needs a degree: pass --d")
+        raise ValueError("cohomology needs a degree: pass --d")
     if d < 1:
-        raise InputError(f"degree must be positive, got {d}")
+        raise ValueError(f"degree must be positive, got {d}")
     rows = []
     for a in [args.a] if args.a is not None else range(d):
         rep = invariants.spinc_report(c, d, a)
@@ -238,10 +246,7 @@ def cmd_cohomology(args) -> tuple[dict, int]:
 
 def cmd_catalog(args) -> tuple[dict, int]:
     _cap_degree(criteria.catalog_degree(args.family, d=args.d, l=args.l))
-    try:
-        entry = criteria.catalog(args.family, d=args.d, u=args.u, l=args.l)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    entry = criteria.catalog(args.family, d=args.d, u=args.u, l=args.l)
     doc = {
         "family": entry.family,
         "label": entry.label,
@@ -274,20 +279,21 @@ def cmd_catalog(args) -> tuple[dict, int]:
 
 def cmd_oracle(args) -> tuple[dict, int]:
     if args.cap < 1:  # no box has fewer than one cell
-        raise InputError(f"--cap must be at least 1, got {args.cap}")
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     literals, cusps, _ = load_candidate_file(args.file)
     c = build_collection(cusps)
     try:
         dims = (tuple(int(tok) for tok in args.box.split(","))
                 if args.box is not None else None)
     except ValueError:
-        raise InputError(f"bad --box {args.box!r}") from None
+        raise ValueError(f"bad --box {args.box!r}") from None
     if args.j is None and not args.sweep:
-        raise InputError("oracle needs --j or --sweep")
+        raise ValueError("oracle needs --j or --sweep")
     if args.j is not None and args.j < -1:  # the min-W diagonal slice |x| = j+1 is negative
-        raise InputError(f"--j must be at least -1, got {args.j}")
+        raise ValueError(f"--j must be at least -1, got {args.j}")
+    _cap_delta(c.delta)
     window = 2 * c.delta - 2
-    js = list(range(window + 1)) if args.sweep else [args.j]
+    js = range(window + 1) if args.sweep else [args.j]
     box = cubical._box(c, args.box_margin, dims)
     if args.sweep:  # --cap bounds one box; a sweep builds one per j
         points = math.prod(m + 1 for m in box)
@@ -298,8 +304,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
     runs = []
     for j in js:
         # the cap is checked before the min-W scan, whose cost grows with the box
-        oracle = cubical.oracle_eu(c, j, box_margin=args.box_margin, dims=dims,
-                                   cap=args.cap)
+        oracle = cubical.oracle_eu(c, j, dims=box, cap=args.cap)
         in_window = 0 <= j <= window
         # H(j+1) + delta - 1 - j is both eu_h0 and the minimum of W over
         # |x| = j+1; the normalised F summand F(j) + delta - 1 - j is q_j
@@ -311,12 +316,11 @@ def cmd_oracle(args) -> tuple[dict, int]:
             "eu_hstar": oracle.eu_hstar,
             "expected_eu_h0": h0 if in_window else None,
             "expected_eu_hstar": c.q[j] if in_window else None,
-            "min_w_diagonal": cubical.min_w_over_diagonal(
-                c, j, box_margin=args.box_margin, dims=dims),
+            "min_w_diagonal": cubical.min_w_over_diagonal(c, j, dims=box),
             "expected_min_w_diagonal": h0,
             "betti_totals": [sum(row[q] for row in oracle.table.rows)
                              for q in range(c.nu + 1)],
-            "vanishing_ok": cubical.check_vanishing(oracle.table, c.nu),
+            "vanishing_ok": cubical.check_vanishing(oracle.table),
             "betti_rows": [[oracle.table.min_level + i, *row]
                            for i, row in enumerate(oracle.table.rows)],
         }
@@ -340,7 +344,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
 
 def cmd_stability(args) -> tuple[dict, int]:
     if args.max_parts is not None and args.max_parts < 1:  # no regrouping would be compared
-        raise InputError(f"--max-parts must be at least 1, got {args.max_parts}")
+        raise ValueError(f"--max-parts must be at least 1, got {args.max_parts}")
     # the entries that the multiplicity-sequence literals spell are counted
     # before any is found inadmissible; regroupings counts the rest once built
     literals, cusps, file_degree = load_candidate_file(args.file)
@@ -351,7 +355,7 @@ def cmd_stability(args) -> tuple[dict, int]:
     cap = max(1, criteria._STABILITY_CELLS // (2 * c.delta + 1))
     groups = criteria.regroupings(ms, max_parts=args.max_parts, cap=cap)
     if not groups.collections:  # each entry alone is admissible, so only --max-parts gets here
-        raise InputError(f"--max-parts {args.max_parts} leaves no admissible regrouping")
+        raise ValueError(f"--max-parts {args.max_parts} leaves no admissible regrouping")
     # every regrouping has the delta of the multiset, so candidacy is shared
     candidate = d is not None and invariants.is_candidate(c, d)
     # each distinct part is rendered once; regroupings shares the MultSeq of a part

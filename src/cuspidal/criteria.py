@@ -1,4 +1,4 @@
-"""Candidate degrees, existence criteria and the known-curve catalog.
+"""Existence criteria and the known-curve catalog.
 
 A collection of cusp types is a *candidate* of degree d when twice its total
 gap count equals (d-1)(d-2).  The four decision procedures, each a function
@@ -49,15 +49,6 @@ class CriterionReport(Frozen):
     """Per-j comparison rows plus the aggregate verdict for one criterion."""
 
     __slots__ = _fields = ("criterion", "rows", "passed", "difference")
-
-
-def candidate_degree(c: CuspCollection) -> int | None:
-    """The unique d >= 3 with 2*delta = (d-1)(d-2), if it exists."""
-    target = 2 * c.delta
-    d = 3
-    while (d - 1) * (d - 2) < target:
-        d += 1
-    return d if (d - 1) * (d - 2) == target else None
 
 
 def _h_row(c: CuspCollection, d: int) -> list[int]:

@@ -70,11 +70,6 @@ from .invariants import CapExceeded, CuspCollection
 class RectangleTooLarge(CapExceeded):
     """Predicted rectangle size exceeds the configured cap."""
 
-    def __init__(self, size: int, cap: int, what: str = "lattice points"):
-        super().__init__(f"rectangle too large: {size} {what} exceed cap {cap}")
-        self.size = size
-        self.cap = cap
-
 
 DEFAULT_CAP = 2_000_000
 
@@ -91,10 +86,6 @@ class WeightedRectangle(Frozen):
     @property
     def nu(self) -> int:
         return len(self.dims)
-
-    @property
-    def min_weight(self) -> int:
-        return min(self.weights)
 
     def strides(self) -> tuple[int, ...]:
         out = [1] * self.nu
@@ -119,15 +110,14 @@ class EuOracle(Frozen):
     __slots__ = _fields = ("eu_h0", "eu_hstar", "min_weight", "table")
 
 
-def default_dims(c: CuspCollection, box_margin: int = 0) -> tuple[int, ...]:
-    """m_i = 2*delta_i + 1 + margin, the smallest box with m_i > 2*delta_i."""
-    return tuple(2 * d + 1 + box_margin for d in c.deltas)
-
-
 def _box(c: CuspCollection, box_margin: int, dims: tuple[int, ...] | None) -> tuple[int, ...]:
-    """The box sizes: `dims` checked against the collection, else default_dims."""
+    """The box sizes: `dims` checked against the collection, else the default box.
+
+    The default m_i = 2*delta_i + 1 + margin is the smallest box with
+    m_i > 2*delta_i, widened by the margin.
+    """
     if dims is None:
-        return default_dims(c, box_margin)
+        return tuple(2 * d + 1 + box_margin for d in c.deltas)
     if len(dims) != c.nu:
         raise ValueError(f"need {c.nu} box sizes, got {len(dims)}")
     if any(m < 0 for m in dims):
@@ -165,12 +155,12 @@ def build_rectangle(
     dims = _box(c, box_margin, dims)
     points = prod(m + 1 for m in dims)
     if points > cap:
-        raise RectangleTooLarge(points, cap)
+        raise RectangleTooLarge(f"rectangle too large: {points} lattice points exceed cap {cap}")
     # the cells, prod(2m_i + 1), are fewer than 2**nu times the points, so
     # only a box of three cusps or more can pass the one cap and not this one
     cells = prod(2 * m + 1 for m in dims)
     if cells > 4 * cap:
-        raise RectangleTooLarge(cells, 4 * cap, "cells")
+        raise RectangleTooLarge(f"rectangle too large: {cells} cells exceed cap {4 * cap}")
     if j < _MIN_INDEX:
         raise ValueError(f"index {j} below {_MIN_INDEX}")
     import numpy as np
@@ -452,6 +442,6 @@ def min_w_over_diagonal(
     return c.delta - j - 1 + int(hsum[size == j + 1].min())
 
 
-def check_vanishing(table: BettiTable, nu: int) -> bool:
-    """Whether btilde_q(S_n) = 0 for all q >= nu at every level of the table."""
-    return all(all(b == 0 for b in row[nu:]) for row in table.rows)
+def check_vanishing(table: BettiTable) -> bool:
+    """Whether btilde_nu(S_n) = 0 at every level; a row holds q = 0..nu."""
+    return all(row[-1] == 0 for row in table.rows)

@@ -37,6 +37,7 @@ import operator
 from collections.abc import Iterable
 from functools import cached_property
 from itertools import accumulate
+from math import isqrt
 
 from ._frozen import Frozen
 from .semigroup import (
@@ -162,9 +163,18 @@ class EuReport(Frozen):
     __slots__ = _fields = ("d", "a", "eu_h0", "eu_hstar", "terms")
 
 
+def candidate_degree(c: CuspCollection) -> int | None:
+    """The unique d >= 3 with 2*delta = (d-1)(d-2), if it exists.
+
+    On a candidate 8*delta + 1 = (2d - 3)^2, and delta >= 1 gives d >= 3.
+    """
+    d = (3 + isqrt(8 * c.delta + 1)) // 2
+    return d if (d - 1) * (d - 2) == 2 * c.delta else None
+
+
 def is_candidate(c: CuspCollection, d: int) -> bool:
     """Whether d >= 3 and 2*delta = (d-1)(d-2), i.e. c is a candidate of degree d."""
-    return d >= 3 and 2 * c.delta == (d - 1) * (d - 2)
+    return d == candidate_degree(c)
 
 
 def _triangular(j: int) -> int:

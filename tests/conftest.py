@@ -488,6 +488,37 @@ def reference_path_barcode(c, a, n):
     return min(g), bars
 
 
+def reference_h0_barcode(rect):
+    """The 0-dimensional barcode of the sublevel filtration of a weighted box.
+
+    The edge x -- x + e_i enters at the larger weight of its ends.  A
+    union-find takes the edges in filtration order and, by the elder rule,
+    ends the younger component's bar at the edge's weight; each root is the
+    oldest vertex of its component.  Returns the minimum weight, the birth
+    of the one infinite bar, and the sorted finite bars (birth, death) of
+    positive length, as `reference_path_barcode` does for a path.
+    """
+    w = rect.weights
+    edges = [(max(w[p], w[p + s]), p, p + s)
+             for p in range(len(w))
+             for m, s in zip(rect.dims, rect.strides()) if p // s % (m + 1) < m]
+    parent = list(range(len(w)))
+    bars = []
+    for weight, u, v in sorted(edges):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            continue
+        if w[u] > w[v]:
+            u, v = v, u
+        if weight > w[v]:
+            bars.append((w[v], weight))
+        parent[v] = u
+    return min(w), sorted(bars)
+
+
 def reference_path_eu_h0(c, a, n):
     """eu_h0 of the path [0, n]: -min g plus the lengths of the finite bars."""
     min_g, bars = reference_path_barcode(c, a, n)

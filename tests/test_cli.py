@@ -444,10 +444,64 @@ class TestDegreeRule:
         assert "degree too large: 100000 exceeds cap 2000" in err
 
     def test_candidate_degree_above_cap_refused(self, quartic_file, capsys, monkeypatch):
-        monkeypatch.setattr(criteria, "candidate_degree", lambda c: 100000)
+        monkeypatch.setattr(invariants, "candidate_degree", lambda c: 100000)
         code, out, err = run_cli(capsys, "invariants", quartic_file)
         assert code == 3 and not out
         assert "degree too large: 100000 exceeds cap 2000" in err
+
+
+class TestDeltaCap:
+    # delta of <100000,100001> and of [100000] is 4,999,950,000: the oracle,
+    # `cohomology --d 4` and `check --d 5 --force` ended in a MemoryError
+    # traceback in counting_fn, and [100000] ran its chain for minutes
+    DELTA_MESSAGE = "delta too large: 4999950000 exceeds cap 1997001"
+
+    @pytest.fixture
+    def generators_file(self, tmp_path, monkeypatch):
+        def refuse(s):
+            raise AssertionError("counting_fn ran past the delta cap")
+
+        monkeypatch.setattr(semigroup, "counting_fn", refuse)
+        monkeypatch.setattr(invariants, "counting_fn", refuse)
+        path = tmp_path / "big.txt"
+        path.write_text("<100000,100001>\n")
+        return str(path)
+
+    def test_cap_is_the_delta_of_the_largest_degree(self):
+        assert cli._MAX_DELTA == 1997001 == 1999 * 1998 // 2
+        cli._cap_delta(cli._MAX_DELTA)
+        with pytest.raises(invariants.CapExceeded, match="delta too large: 1997002 exceeds"):
+            cli._cap_delta(cli._MAX_DELTA + 1)
+
+    @pytest.mark.parametrize("argv", [("oracle", "--j", "0"), ("oracle", "--sweep"),
+                                      ("cohomology", "--d", "4"),
+                                      ("check", "--d", "5", "--force")])
+    def test_generator_literal_refused(self, generators_file, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], generators_file, *argv[1:])
+        assert code == 3 and not out
+        assert err == f"error: {self.DELTA_MESSAGE}\n"
+
+    @pytest.mark.parametrize("command", ["invariants", "check", "stability"])
+    def test_degree_is_checked_first(self, generators_file, capsys, command):
+        # the candidate degree 100001 is refused before delta
+        code, out, err = run_cli(capsys, command, generators_file)
+        assert code == 3 and not out
+        assert err == "error: degree too large: 100001 exceeds cap 2000\n"
+
+    @pytest.mark.parametrize("argv", [("invariants",), ("oracle", "--j", "0")])
+    def test_multiplicity_sequence_refused_before_its_chain(self, tmp_path, capsys,
+                                                             monkeypatch, argv):
+        def refuse(w, m):
+            raise AssertionError("un-blowup ran past the delta cap")
+
+        monkeypatch.setattr(semigroup, "_unblowup", refuse)
+        path = tmp_path / "big.txt"
+        path.write_text("[100000]\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert code == 3 and not out
+        assert err == f"error: {self.DELTA_MESSAGE}\n"
 
 
 class TestCatalog:

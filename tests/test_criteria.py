@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import C_SERIES_ROWS, census, collection, random_admissible, reference_regroupings
 from cuspidal import (
     ALL_CRITERIA,
+    CapExceeded,
     CatalogEntry,
     CriterionRow,
     CuspCollection,
@@ -292,6 +293,40 @@ class TestRegroupings:
         assert entries(groups) == reference_regroupings([2] * 30)[:100]
         assert groups.truncated
 
+    def test_default_cap_keeps_ten_thousand_rows(self):
+        # 33,745 admissible regroupings; the first 10,001 take fewer than
+        # _MAX_PARTS_TRIED parts
+        groups = regroupings([3] * 10 + [2] * 14)
+        assert len(groups.collections) == 10_000 and groups.truncated
+
+    def test_walk_stops_at_the_row_past_the_cap(self, monkeypatch):
+        # [2_8] has 22 regroupings: the walk tries 30 parts to find the
+        # sixth, which proves that five rows are truncated, and stops there
+        monkeypatch.setattr(criteria, "_MAX_PARTS_TRIED", 30)
+        groups = regroupings([2] * 8, cap=5)
+        assert len(groups.collections) == 5 and groups.truncated
+        monkeypatch.setattr(criteria, "_MAX_PARTS_TRIED", 29)
+        with pytest.raises(CapExceeded, match="^regroupings too costly: 30 parts tried exceed cap 29$"):
+            regroupings([2] * 8, cap=5)
+
+    @pytest.mark.parametrize("items", [[3], [2, 2]])
+    def test_no_parts_no_regrouping(self, items):
+        groups = regroupings(items, max_parts=0)
+        assert groups.collections == () and not groups.truncated
+
+    def test_last_part_checked_only_when_it_closes(self, monkeypatch):
+        # with one part left, a part that leaves entries pooled can never
+        # close, so its admissibility is not asked
+        asked = []
+
+        def recording(entries):
+            asked.append(entries)
+            return semigroup.is_admissible(entries)
+
+        monkeypatch.setattr(criteria, "is_admissible", recording)
+        assert entries(regroupings([2, 2, 2], max_parts=1)) == [((2, 2, 2),)]
+        assert asked == [(2, 2, 2)]
+
 
 class TestCatalog:
     def test_entries(self):
@@ -311,19 +346,36 @@ class TestCatalog:
     def test_newton_forms_match_multseqs(self):
         from cuspidal import multseq_from_semigroup, semigroup_from_newton_pairs
         for entry in catalog_entries(10):
+            assert len(entry.newton) == len(entry.cusps), entry.label
             for ms, np_ in zip(entry.cusps, entry.newton):
                 s = semigroup_from_newton_pairs(np_)
                 assert multseq_from_semigroup(s) == ms, (entry.label, ms, np_)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            catalog("C", d=4, u=2)  # u must be <= d-3
-        with pytest.raises(ValueError):
-            catalog("C", d=3, u=1)
-        with pytest.raises(ValueError):
-            catalog("D", l=0)
+        # refused by the series ranges, not later by a MultSeq or NewtonPairs
+        # that the out-of-range parameter would build
+        for u, d in ((2, 4), (1, 3), (0, 5)):  # 1 <= u <= d-3
+            with pytest.raises(ValueError, match="^family C needs d >= 4 and 1 <= u <= d-3"):
+                catalog("C", d=d, u=u)
+        for family in ("D", "E"):
+            with pytest.raises(ValueError, match=f"^family {family} needs l >= 1$"):
+                catalog(family, l=0)
         with pytest.raises(ValueError):
             catalog("Z")
+
+    def test_entries_up_to_a_degree(self):
+        # every C(d,u) with 1 <= u <= d-3, D(l) and E(l) of degree 2l+3 and
+        # 3l+4, and the two sporadic quintics from degree 5 on
+        def labels(max_d):
+            return [entry.label for entry in catalog_entries(max_d)]
+
+        assert labels(3) == []
+        assert labels(4) == ["C(4,1)"]
+        assert labels(5) == ["C(4,1)", "C(5,1)", "C(5,2)", "D(1)", "sporadic3", "sporadic4"]
+        assert labels(7) == ["C(4,1)", "C(5,1)", "C(5,2)", "C(6,1)", "C(6,2)", "C(6,3)",
+                             "C(7,1)", "C(7,2)", "C(7,3)", "C(7,4)", "D(1)", "D(2)", "E(1)",
+                             "sporadic3", "sporadic4"]
+        assert len(labels(12)) == 53
 
     def test_symmetric_parameterizations_agree(self):
         # C(d,u) and C(d,d-2-u) carry the same cusps up to order
@@ -356,7 +408,10 @@ class TestExpectedEuDifference:
             assert e0 - es == diff == expected_eu_difference(entry), label
 
     def test_closed_forms_on_series(self):
-        for entry in catalog_entries(12):
+        # D(l) up to l = 7 and E(l) up to l = 8 reach every residue class of
+        # their closed forms with p >= 1
+        longer = [catalog("D", l=l) for l in range(5, 8)] + [catalog("E", l=l) for l in range(3, 9)]
+        for entry in chain(catalog_entries(12), longer):
             if entry.family not in ("C", "D", "E"):
                 continue
             c = entry.collection()

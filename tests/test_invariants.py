@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -456,6 +458,21 @@ class TestEu:
         assert not any(invariants.is_candidate(c, d) for d in range(3))
         with pytest.raises(NotCandidateError, match=r"^degree 0 < 3$"):
             eu_canonical(c, 0)
+
+    def test_candidate_degree_solves_the_candidate_relation(self):
+        # the solver reads only delta, so a stand-in carries it: building
+        # [2_r] would run r chain steps
+        table = {(d - 1) * (d - 2) // 2: d for d in range(3, 203)}
+        for delta in range(1, 20_001):
+            assert invariants.candidate_degree(SimpleNamespace(delta=delta)) == table.get(delta)
+        for d in range(3, 2001):
+            assert invariants.candidate_degree(SimpleNamespace(delta=(d - 1) * (d - 2) // 2)) == d
+
+    def test_is_candidate_is_the_candidate_relation(self):
+        for delta in range(1, 2001):
+            c = SimpleNamespace(delta=delta)
+            for d in range(-2, 203):
+                assert invariants.is_candidate(c, d) == (d >= 3 and 2 * delta == (d - 1) * (d - 2))
 
     def test_r_at_one_is_eu_difference(self):
         for entry in catalog_entries(8):
