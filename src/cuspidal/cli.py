@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands: invariants, check, cohomology, catalog, oracle, stability.
-``cmd_<name>`` computes a report and reads the exit code from it; ``run`` adds
-``schema_version`` (1) and ``command``.  ``--format machine`` prints the
-document as one JSON object (integers only): the bytes of
-``json.dumps(doc, sort_keys=True, indent=2)``, written by ``_dumps`` through
-json's C encoder.  ``--format text`` renders it as tables with
-``text_<name>``, which reads only the document (and, for the oracle,
-``--sweep``).  Exit codes: 0 all checks pass, 1 a criterion failed, 2 input
-or validation error, 3 resource cap exceeded.
+``run`` parses argv with a parser that lists every subcommand but adds
+arguments only to the one that argv[0] names; any other argv (``-h``, none,
+an unknown command) gets every subcommand's arguments, so help and refusals
+read the same either way.  ``cmd_<name>`` computes a report and reads the
+exit code from it; ``run`` adds ``schema_version`` (1) and ``command``.
+``--format machine`` prints the document as one JSON object (integers
+only): the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, written
+by ``_dumps`` through json's C encoder.  ``--format text`` renders it as
+tables with ``text_<name>``, which reads only the document (and, for the
+oracle, ``--sweep``).  Exit codes: 0 all checks pass, 1 a criterion failed,
+2 input or validation error, 3 resource cap exceeded.
 
 Candidate files are UTF-8 text, either one or more whitespace-separated cusp
 literals per line with optional ``degree: N`` line and ``#`` comments, or a
@@ -547,36 +550,44 @@ def text_stability(doc: dict, args) -> list[str]:
     return lines
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cuspidal",
-        description="Exact invariants and existence criteria for collections "
-                    "of plane-curve cusp types.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+_COMMANDS = {
+    "invariants": (cmd_invariants, text_invariants),
+    "check": (cmd_check, text_check),
+    "cohomology": (cmd_cohomology, text_cohomology),
+    "catalog": (cmd_catalog, text_catalog),
+    "oracle": (cmd_oracle, text_oracle),
+    "stability": (cmd_stability, text_stability),
+}
 
-    def file_and_degree(name, help_text):  # the degree rule is _load's
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file")
-        p.add_argument("--d", type=int, default=None, help="override the degree")
-        return p
 
-    p = file_and_degree("invariants", "delta, Alexander, q, R and the H/F table")
+def _file_and_degree(p) -> None:  # the degree rule is _load's
+    p.add_argument("file")
+    p.add_argument("--d", type=int, default=None, help="override the degree")
+
+
+def _invariants_arguments(p) -> None:
+    _file_and_degree(p)
     p.add_argument("--window", type=int, default=None,
                    help="extend the H/F table window beyond 2*delta-2")
 
-    p = file_and_degree("check", "run the existence criteria")
+
+def _check_arguments(p) -> None:
+    _file_and_degree(p)
     p.add_argument("--only", default=None,
                    help="comma-separated subset of " + ",".join(criteria.ALL_CRITERIA))
     p.add_argument("--force", action="store_true",
                    help="compute even when the candidate equation fails")
 
-    p = file_and_degree("cohomology", "eu per Spin^c index")
+
+def _cohomology_arguments(p) -> None:
+    _file_and_degree(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--a", type=int, default=None)
     group.add_argument("--all-spinc", action="store_true",
                        help="tabulate every index a in [0, d); the default without --a")
 
-    p = sub.add_parser("catalog", help="known-curve catalog entries")
+
+def _catalog_arguments(p) -> None:
     p.add_argument("--family", required=True, choices=criteria.FAMILIES)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--u", type=int, default=None)
@@ -584,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="run all criteria and the closed-form difference")
 
-    p = sub.add_parser("oracle", help="cubical homology oracle for the eu formulas")
+
+def _oracle_arguments(p) -> None:
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--j", type=int, default=None)
@@ -594,11 +606,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default=None, help="explicit box sizes m1,m2,...")
     p.add_argument("--cap", type=int, default=cubical.DEFAULT_CAP)
 
-    p = file_and_degree("stability", "H across regroupings of the multiset")
+
+def _stability_arguments(p) -> None:
+    _file_and_degree(p)
     p.add_argument("--max-parts", type=int, default=None)
 
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "machine"), default="text")
+
+# each subcommand's help line and the function that adds its arguments
+_SUBPARSERS = {
+    "invariants": ("delta, Alexander, q, R and the H/F table", _invariants_arguments),
+    "check": ("run the existence criteria", _check_arguments),
+    "cohomology": ("eu per Spin^c index", _cohomology_arguments),
+    "catalog": ("known-curve catalog entries", _catalog_arguments),
+    "oracle": ("cubical homology oracle for the eu formulas", _oracle_arguments),
+    "stability": ("H across regroupings of the multiset", _stability_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names one.
+
+    Every subcommand is added with its help line, so the usage line, ``-h``
+    and argparse's refusals list all six.  Arguments (``-h`` and ``--format``
+    included) go to every subcommand, or, when ``command`` is one of them,
+    to that one only: a run parses its argv against the subcommand that
+    argv[0] names and never reads the others' arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cuspidal",
+        description="Exact invariants and existence criteria for collections "
+                    "of plane-curve cusp types.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    every = command not in _SUBPARSERS
+    for name, (help_text, add_arguments) in _SUBPARSERS.items():
+        if every or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.add_argument("--format", choices=("text", "machine"), default="text")
+        else:
+            sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
@@ -642,19 +688,10 @@ def _dumps(value, indent: str = "\n") -> str:
     return "[" + inner + body + indent + "]"
 
 
-_COMMANDS = {
-    "invariants": (cmd_invariants, text_invariants),
-    "check": (cmd_check, text_check),
-    "cohomology": (cmd_cohomology, text_cohomology),
-    "catalog": (cmd_catalog, text_catalog),
-    "oracle": (cmd_oracle, text_oracle),
-    "stability": (cmd_stability, text_stability),
-}
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     compute, render = _COMMANDS[args.subcommand]
     try:
         fields, code = compute(args)

@@ -285,7 +285,7 @@ def catalog(family: str, d: int | None = None, u: int | None = None,
     if family == "C":
         if d is None or u is None:
             raise ValueError("family C needs d and u")
-        if d < 4 or not 1 <= u <= d - 3:
+        if not 1 <= u <= d - 3:  # no u for d <= 3
             raise ValueError(f"family C needs d >= 4 and 1 <= u <= d-3; got d={d}, u={u}")
         # the series is symmetric in u <-> d-2-u; emit the longer double-point
         # chain first, the order the published tables use

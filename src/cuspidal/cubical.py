@@ -117,8 +117,8 @@ def _box(c: CuspCollection, box_margin: int, dims: tuple[int, ...] | None) -> tu
     m_i > 2*delta_i, widened by the margin.
     """
     if dims is None:
-        return tuple(2 * d + 1 + box_margin for d in c.deltas)
-    if len(dims) != c.nu:
+        dims = tuple(2 * d + 1 + box_margin for d in c.deltas)
+    elif len(dims) != c.nu:
         raise ValueError(f"need {c.nu} box sizes, got {len(dims)}")
     if any(m < 0 for m in dims):
         raise ValueError(f"box sizes must be nonnegative, got {tuple(dims)}")

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from math import prod
 from pathlib import Path
@@ -103,6 +104,16 @@ class TestBuildRectangle:
         assert rect.dims == (4, 5, 6)
         with pytest.raises(ValueError):
             build_rectangle(QUARTIC, 0, dims=(4, 5))
+
+    def test_negative_default_box_refused(self):
+        # the quartic's default box is 3 + margin per cusp
+        calls = ((min_w_over_diagonal, -10), (min_w_over_diagonal, -4),
+                 (build_rectangle, -10), (oracle_eu, -4))
+        for call, margin in calls:
+            message = f"box sizes must be nonnegative, got {(3 + margin,) * 3}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(QUARTIC, 0, box_margin=margin)
+        assert build_rectangle(QUARTIC, 0, box_margin=-3).dims == (0, 0, 0)
 
 
 def face_rows(rect):
