@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: invariants, check, cohomology, catalog, oracle, stability.
-``run`` parses argv with a parser that lists every subcommand but adds
-arguments only to the one that argv[0] names; any other argv (``-h``, none,
-an unknown command) gets every subcommand's arguments, so help and refusals
-read the same either way.  ``cmd_<name>`` computes a report and reads the
-exit code from it; ``run`` adds ``schema_version`` (1) and ``command``.
+When argv[0] names one, ``run`` builds that subcommand's parser alone;
+any other argv (``-h``, none, an unknown command), or one with arguments
+left over, goes to ``build_parser()``, which has every subcommand, so help
+and refusals read the same either way.  ``cmd_<name>`` computes a report and
+reads the exit code from it; ``run`` adds ``schema_version`` (1) and ``command``.
 ``--format machine`` prints the document as one JSON object (integers
 only): the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, written
 by ``_dumps`` through json's C encoder.  ``--format text`` renders it as
@@ -550,16 +550,6 @@ def text_stability(doc: dict, args) -> list[str]:
     return lines
 
 
-_COMMANDS = {
-    "invariants": (cmd_invariants, text_invariants),
-    "check": (cmd_check, text_check),
-    "cohomology": (cmd_cohomology, text_cohomology),
-    "catalog": (cmd_catalog, text_catalog),
-    "oracle": (cmd_oracle, text_oracle),
-    "stability": (cmd_stability, text_stability),
-}
-
-
 def _file_and_degree(p) -> None:  # the degree rule is _load's
     p.add_argument("file")
     p.add_argument("--d", type=int, default=None, help="override the degree")
@@ -612,39 +602,39 @@ def _stability_arguments(p) -> None:
     p.add_argument("--max-parts", type=int, default=None)
 
 
-# each subcommand's help line and the function that adds its arguments
-_SUBPARSERS = {
-    "invariants": ("delta, Alexander, q, R and the H/F table", _invariants_arguments),
-    "check": ("run the existence criteria", _check_arguments),
-    "cohomology": ("eu per Spin^c index", _cohomology_arguments),
-    "catalog": ("known-curve catalog entries", _catalog_arguments),
-    "oracle": ("cubical homology oracle for the eu formulas", _oracle_arguments),
-    "stability": ("H across regroupings of the multiset", _stability_arguments),
+# one row per subcommand: help line, arguments, cmd_<name> and text_<name>
+_COMMANDS = {
+    "invariants": ("delta, Alexander, q, R and the H/F table", _invariants_arguments,
+                   cmd_invariants, text_invariants),
+    "check": ("run the existence criteria", _check_arguments, cmd_check, text_check),
+    "cohomology": ("eu per Spin^c index", _cohomology_arguments, cmd_cohomology, text_cohomology),
+    "catalog": ("known-curve catalog entries", _catalog_arguments, cmd_catalog, text_catalog),
+    "oracle": ("cubical homology oracle for the eu formulas", _oracle_arguments,
+               cmd_oracle, text_oracle),
+    "stability": ("H across regroupings of the multiset", _stability_arguments,
+                  cmd_stability, text_stability),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone when it names one.
+def _add_arguments(p, name: str):
+    """``p``, given subcommand ``name``'s arguments and ``--format``."""
+    _COMMANDS[name][1](p)
+    p.add_argument("--format", choices=("text", "machine"), default="text")
+    return p
 
-    Every subcommand is added with its help line, so the usage line, ``-h``
-    and argparse's refusals list all six.  Arguments (``-h`` and ``--format``
-    included) go to every subcommand, or, when ``command`` is one of them,
-    to that one only: a run parses its argv against the subcommand that
-    argv[0] names and never reads the others' arguments.
+
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand with its help line and arguments, so that the usage
+    line, ``-h`` and refusals list all six.  ``run`` builds it for argv that
+    names no subcommand, or to refuse what the named one's parser leaves over.
     """
     parser = argparse.ArgumentParser(
         prog="cuspidal",
         description="Exact invariants and existence criteria for collections "
                     "of plane-curve cusp types.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    every = command not in _SUBPARSERS
-    for name, (help_text, add_arguments) in _SUBPARSERS.items():
-        if every or name == command:
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.add_argument("--format", choices=("text", "machine"), default="text")
-        else:
-            sub.add_parser(name, help=help_text, add_help=False)
+    for name, (help_text, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -691,14 +681,22 @@ def _dumps(value, indent: str = "\n") -> str:
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
-    compute, render = _COMMANDS[args.subcommand]
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        # build_parser's subparser alone: the same prog and arguments, so
+        # the same help and refusals; leftovers are refused in full below
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"cuspidal {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:])
+    if name not in _COMMANDS or extra:
+        args = build_parser().parse_args(argv)
+        name = args.subcommand
+    *_, compute, render = _COMMANDS[name]
     try:
         fields, code = compute(args)
     except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CapExceeded) else 2
-    doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **fields}
+    doc = {"schema_version": SCHEMA_VERSION, "command": name, **fields}
     try:
         if args.format == "machine":
             print(_dumps(doc))

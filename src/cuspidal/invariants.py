@@ -45,7 +45,6 @@ from .semigroup import (
     MultSeq,
     Semigroup,
     SemigroupError,
-    apery_set,
     counting_fn,
     multseq_from_semigroup,
     resolve_semigroup,
@@ -223,7 +222,7 @@ def _alexander_series(cusps) -> IntSeq:
     n = 2 * sum(s.delta for s in cusps) + 2
     out = IntSeq((1,))
     for s in sorted(cusps, key=operator.attrgetter("delta")):
-        w = apery_set(s, s.multiplicity)
+        w = sorted(s.apery)
         a = [0] * (w[-1] + 1)
         for x in w:
             a[x] = 1

@@ -398,10 +398,12 @@ def multseq_from_semigroup(s: Semigroup) -> MultSeq:
 def is_admissible(entries: tuple[int, ...]) -> bool:
     """Whether a non-increasing entry tuple is a valid multiplicity sequence.
 
-    Admissibility is operational: the un-blowup chain must succeed with all
-    membership and closure checks.
+    Admissibility is operational: every entry is at least 2, as in
+    ``MultSeq``, and the un-blowup chain must succeed with all membership
+    and closure checks (un-blowing up by 1 would leave any semigroup as it is).
     """
-    return not isinstance(_semigroup_from_entries(tuple(entries)), str)
+    entries = tuple(entries)
+    return min(entries, default=2) >= 2 and not isinstance(_semigroup_from_entries(entries), str)
 
 
 def semigroup_from_newton_pairs(np_: NewtonPairs) -> Semigroup:

@@ -6,7 +6,7 @@ stderr, with the candidate file's path written as FILE.  argparse's wording
 and line wrapping are the standard library's and change between Python
 versions, so the bytes are compared on the version that recorded them; on
 every version the exit code must match, and ``run`` must print what the
-parser that ``build_parser()`` builds in full prints for the same argv.
+parser of ``build_parser()``, which has every subcommand, prints for the same argv.
 """
 
 import argparse
@@ -78,28 +78,57 @@ def subparsers(parser):
 
 
 def shape(parser):
-    return [(a.option_strings, a.dest) for a in parser._actions]
+    """Everything argparse reads off a parser's actions and exclusive groups."""
+    actions = [(a.option_strings, a.dest, a.nargs, a.const, a.default, a.type,
+                a.choices, a.required, a.help, a.metavar) for a in parser._actions]
+    groups = [[a.dest for a in g._group_actions] for g in parser._mutually_exclusive_groups]
+    return parser.prog, actions, groups
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    """The ArgumentParsers constructed, and the build_parser calls made, by run."""
+    made, calls = [], []
+    init, build = argparse.ArgumentParser.__init__, cli.build_parser
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def spy():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    return made, calls
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_run_adds_arguments_to_the_named_subparser_only(command, capsys, monkeypatch):
-    build, built = cli.build_parser, []
-
-    def spy(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_parser", spy)
+def test_run_adds_arguments_to_the_named_subparser_only(command, parsers, capsys):
+    # a named run builds one parser, build_parser()'s subparser standing alone
+    made, calls = parsers
     with pytest.raises(SystemExit):
         cli.run([command, "-h"])
     assert capsys.readouterr().out.startswith(f"usage: cuspidal {command} [-h]")
-    full = subparsers(build())
-    assert list(full) == list(subparsers(built[0])) == list(COMMANDS)
-    for name, p in subparsers(built[0]).items():
-        if name == command:
-            assert shape(p) == shape(full[name])
-        else:
-            assert shape(p) == shape(argparse.ArgumentParser(add_help=False)) == []
+    assert len(made) == 1 and calls == []
+    full = subparsers(cli.build_parser())
+    assert list(full) == list(COMMANDS)
+    assert shape(made[0]) == shape(full[command])
     # in full, every subcommand has its own -h and --format
-    assert all({("-h", "--help"), ("--format",)} <= {tuple(o) for o, _ in shape(p)}
+    assert all({("-h", "--help"), ("--format",)} <= {tuple(a[0]) for a in shape(p)[1]}
                for p in full.values())
+
+
+def test_parsed_run_builds_one_parser(parsers):
+    made, calls = parsers
+    assert cli.run(["check", str(QUARTIC), "--format", "machine"]) == 0
+    assert len(made) == 1 and calls == []
+
+
+def test_leftover_arguments_go_to_the_full_parser(parsers, capsys):
+    _, calls = parsers
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["check", str(QUARTIC), "extra"])
+    assert exc.value.code == 2 and len(calls) == 1
+    assert capsys.readouterr().err.startswith("usage: cuspidal [-h]")

@@ -62,5 +62,5 @@ def test_text_matches_snapshot_and_document(case, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert machine_code == text_code
     args = cli.build_parser().parse_args(argv)
-    _, render = cli._COMMANDS[args.subcommand]
+    *_, render = cli._COMMANDS[args.subcommand]
     assert "\n".join(render(doc, args)) + "\n" == text

@@ -180,18 +180,22 @@ class TestAlexanderSeries:
         perm.shuffle(fns)
         assert min_convolve_all(fns) == c.h
 
-    def test_series_past_the_degree_bound_refused(self, monkeypatch):
-        # a wrong Apery set {0, 5} mod 2 gives (1 + t^5)/(1 + t), of degree 4 > 2*delta
-        monkeypatch.setattr(invariants, "apery_set", lambda s, m: (0, 5))
-        with pytest.raises(ArithmeticError):
-            alexander(semigroup_from_generators([2, 3]))
+    @staticmethod
+    def forged(generators, apery):
+        """The semigroup's delta and multiplicity with a wrong Apery set."""
+        s = semigroup_from_generators(generators)
+        return SimpleNamespace(apery=apery, multiplicity=s.multiplicity, delta=s.delta)
 
-    def test_series_one_degree_too_high_refused(self, monkeypatch):
+    def test_series_past_the_degree_bound_refused(self):
+        # a wrong Apery set {0, 5} mod 2 gives (1 + t^5)/(1 + t), of degree 4 > 2*delta
+        with pytest.raises(ArithmeticError):
+            alexander(self.forged([2, 3], (0, 5)))
+
+    def test_series_one_degree_too_high_refused(self):
         # a wrong Apery set {0, 2, 7} mod 3 gives (1 + t^2 + t^7)/(1 + t + t^2),
         # of degree 5 = 2*delta + 1 for <3,4,5>: the first degree refused
-        monkeypatch.setattr(invariants, "apery_set", lambda s, m: (0, 2, 7))
         with pytest.raises(ArithmeticError, match="degree above 2[*]delta"):
-            alexander(semigroup_from_generators([3, 4, 5]))
+            alexander(self.forged([3, 4, 5], (0, 2, 7)))
 
 
 class TestAlexanderProduct:

@@ -64,7 +64,7 @@ def test_writer_equals_json_dumps(doc):
 def test_writer_on_snapshot_documents(case):
     argv = argv_of(case) + ["--format", "machine"]
     args = cli.build_parser().parse_args(argv)
-    compute, _ = cli._COMMANDS[args.subcommand]
+    *_, compute, _ = cli._COMMANDS[args.subcommand]
     fields, _ = compute(args)
     doc = {"schema_version": cli.SCHEMA_VERSION, "command": args.subcommand, **fields}
     out = io.StringIO()

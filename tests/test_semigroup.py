@@ -566,3 +566,9 @@ def test_is_admissible():
     assert is_admissible((2, 2, 2))
     assert not is_admissible((6, 2))
     assert not is_admissible((3, 2, 2))  # 3 not in <2,5>
+    assert is_admissible(())  # MultSeq(()), the smooth point
+    # un-blowing up by 1 leaves any semigroup as it is; MultSeq refuses a 1
+    for entries in [(2, 1), (1,), (1, 1), (3, 2, 1), (0,)]:
+        assert not is_admissible(entries)
+        with pytest.raises(SemigroupError, match=r"multiplicity \d < 2"):
+            MultSeq(entries)

@@ -164,6 +164,14 @@ def test_unequal_when_one_field_differs():
     assert len({IntSeq((1,)), IntSeq((1, 0)), IntSeq((2,))}) == 2
 
 
+def test_len_and_str():
+    assert len(IntSeq((1, -1, 2, 0))) == 3 and len(IntSeq()) == 0
+    cusps = {MultSeq((3, 2, 2)): "[3,2_2]", NewtonPairs(((2, 3), (2, 1))): "(2,3)(2,1)",
+             semigroup_from_generators([4, 6, 13]): "<4,6,13>"}
+    for cusp, literal in cusps.items():
+        assert str(cusp) == cusp.literal() == literal
+
+
 def test_semigroup_apery_set_is_the_field():
     s = semigroup_from_generators([3, 5])
     t = Semigroup((1, 2, 4, 7))
