@@ -6,6 +6,8 @@ any other argv (``-h``, none, an unknown command), or one with arguments
 left over, goes to ``build_parser()``, which has every subcommand, so help
 and refusals read the same either way.  ``cmd_<name>`` computes a report and
 reads the exit code from it; ``run`` adds ``schema_version`` (1) and ``command``.
+``--format`` is a subcommand's option and goes after its name:
+``cuspidal --format machine check FILE`` is refused as an invalid choice.
 ``--format machine`` prints the document as one JSON object (integers
 only): the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, written
 by ``_dumps`` through json's C encoder.  ``--format text`` renders it as
@@ -15,7 +17,9 @@ oracle, ``--sweep``).  Exit codes: 0 all checks pass, 1 a criterion failed,
 
 Candidate files are UTF-8 text, either one or more whitespace-separated cusp
 literals per line with optional ``degree: N`` line and ``#`` comments, or a
-JSON document with fields ``degree`` and ``cusps``.
+JSON document with fields ``degree`` and ``cusps``.  Every spelling of a
+cusp reads its delta in closed form, so ``build_collection`` caps their sum
+before any chain runs; it is the one delta check.
 """
 
 from __future__ import annotations
@@ -112,8 +116,8 @@ def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
 
 
 def build_collection(cusps: list[Cusp]) -> CuspCollection:
-    # delta of a multiplicity sequence is exact before its chain runs
-    _cap_delta(sum(cusp.delta for cusp in cusps if isinstance(cusp, MultSeq)))
+    # a collection's delta is the sum of its cusps', each read in closed form
+    _cap_delta(sum(cusp.delta for cusp in cusps))
     return CuspCollection(cusps)
 
 
@@ -128,8 +132,9 @@ _HF_COLUMNS = ("k", "H(k+1)", "F(k)", "H(k+1)-F(k)")
 def _load(args, parsed) -> tuple[list[str], CuspCollection, int | None]:
     """Build args.file, parsed by load_candidate_file, and resolve its degree.
 
+    delta is capped first, by build_collection, from the literals alone.
     The degree is --d, else the file's, else the candidate degree; whichever
-    its source, it must lie in [0, _MAX_DEGREE].  Then delta is capped.
+    its source, it must lie in [0, _MAX_DEGREE].
     """
     literals, cusps, file_degree = parsed
     c = build_collection(cusps)
@@ -139,7 +144,6 @@ def _load(args, parsed) -> tuple[list[str], CuspCollection, int | None]:
     if d is not None and d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     _cap_degree(d)
-    _cap_delta(c.delta)
     return literals, c, d
 
 
@@ -294,7 +298,6 @@ def cmd_oracle(args) -> tuple[dict, int]:
         raise ValueError("oracle needs --j or --sweep")
     if args.j is not None and args.j < -1:  # the min-W diagonal slice |x| = j+1 is negative
         raise ValueError(f"--j must be at least -1, got {args.j}")
-    _cap_delta(c.delta)
     window = 2 * c.delta - 2
     js = range(window + 1) if args.sweep else [args.j]
     box = cubical._box(c, args.box_margin, dims)
@@ -706,7 +709,9 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed the pipe early; send the rest, and the flush at
         # exit, to devnull so that the exit stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

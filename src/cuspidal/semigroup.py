@@ -11,7 +11,14 @@ inequalities in O(m^2) for multiplicity m, and a chain builds one Semigroup,
 at its end, from that Apery set without checking it again: no step lists
 the gaps, which cost delta a step.  Generators get their Apery set directly,
 by the round-robin walk in O(m*k) for k generators, and build their
-Semigroup the same way.
+Semigroup the same way.  No function turns a semigroup back into Newton pairs.
+
+Each description reads its delta without a chain or a walk: a MultSeq sums
+n(n-1)/2 over its entries, a Semigroup takes Selmer's sum over its Apery
+set, and NewtonPairs halves Zariski's conductor sum (p_k - 1) b_k - b_0 + 1
+over the generators b_k that semigroup_from_newton_pairs walks from (Zariski,
+*Le probleme des modules pour les branches planes*, 1973).  So a delta cap
+can be checked on the literals before any semigroup is built.
 
 A semigroup is stored by its Apery set of the multiplicity m, indexed by
 residue mod m (Rosales and Garcia-Sanchez, *Numerical Semigroups*, 2009,
@@ -39,7 +46,7 @@ the repr go by it.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate, chain, groupby
 from math import gcd, inf, prod
@@ -129,6 +136,13 @@ class NewtonPairs(Frozen):
         if q1 <= p1:
             raise SemigroupError(f"first Newton pair ({p1},{q1}) needs q > p")
         object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def delta(self) -> int:
+        """Gap count: half of Zariski's conductor sum (p_k - 1) b_k - b_0 + 1 over the generators b_k."""
+        b = _newton_generators(self.pairs)
+        b0 = next(b)
+        return (sum((p - 1) * bk for (p, _), bk in zip(self.pairs, b)) - b0 + 1) // 2
 
     def literal(self) -> str:
         return "".join(f"({p},{q})" for p, q in self.pairs)
@@ -406,21 +420,29 @@ def is_admissible(entries: tuple[int, ...]) -> bool:
     return min(entries, default=2) >= 2 and not isinstance(_semigroup_from_entries(entries), str)
 
 
-def semigroup_from_newton_pairs(np_: NewtonPairs) -> Semigroup:
-    """Semigroup of the branch with the given Newton pairs.
+def _newton_generators(pairs: tuple[tuple[int, int], ...]) -> Iterator[int]:
+    """The generators b_0, ..., b_r of the semigroup of the branch with Newton pairs `pairs`.
 
-    Uses the generator recursion b0 = p_1...p_r, b1 = q_1 p_2...p_r,
-    b_{k+1} = p_k b_k + q_{k+1} p_{k+2}...p_r.  The conversion is cross
-    checked in the test suite by round-tripping through multiplicity
-    sequences and the gap-count formula.
+    b_0 = p_1...p_r and b_k = p_{k-1} b_{k-1} + q_k p_{k+1}...p_r, with
+    p_0 b_0 read as 0; each is yielded as it is made, so that a caller that
+    sums them holds O(r) digits, not O(r^2).
     """
-    pairs = np_.pairs
-    ps = [p for p, _ in pairs]
-    # prod(ps[k:]) is p_{k+1} * ... * p_r with 1-based indices
-    beta = [prod(ps), pairs[0][1] * prod(ps[1:])]
-    for k in range(1, len(pairs)):
-        beta.append(ps[k - 1] * beta[k] + pairs[k][1] * prod(ps[k + 1:]))
-    return semigroup_from_generators(beta)
+    e, b = prod(p for p, _ in pairs), 0
+    yield e
+    for p, q in pairs:
+        e //= p  # p_{k+1} * ... * p_r
+        b += q * e  # b held p_{k-1} b_{k-1}
+        yield b
+        b *= p
+
+
+def semigroup_from_newton_pairs(np_: NewtonPairs) -> Semigroup:
+    """Semigroup of the branch with the given Newton pairs, generated by _newton_generators.
+
+    The conversion is cross checked in the test suite by round-tripping
+    through multiplicity sequences and the gap-count formula.
+    """
+    return semigroup_from_generators(_newton_generators(np_.pairs))
 
 
 def counting_fn(s: Semigroup) -> CountingFn:

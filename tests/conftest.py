@@ -43,6 +43,7 @@ from cuspidal import (
     InadmissibleSequenceError,
     IntSeq,
     MultSeq,
+    NewtonPairs,
     NotPlaneBranchError,
     SMOOTH,
     Semigroup,
@@ -661,6 +662,22 @@ semigroups = (admissible_semigroups
               | st.lists(st.integers(2, 9), min_size=2, max_size=3)
               .filter(lambda gens: gcd(*gens) == 1).map(semigroup_from_generators)
               | st.sampled_from((SMOOTH, semigroup_from_generators((3, 4, 5)))))
+
+
+@st.composite
+def newton_pairs(draw):
+    """Newton pairs: 1 to 3 coprime (p, q), p <= 5, q <= 15, q_1 > p_1."""
+    pairs = []
+    for k in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(2, 5))
+        lo = p + 1 if k == 0 else 1
+        pairs.append((p, draw(st.integers(lo, 15).filter(lambda q: gcd(p, q) == 1))))
+    return NewtonPairs(pairs)
+
+
+# a cusp in any of its three spellings
+cusp_spellings = (st.randoms(use_true_random=False).map(lambda r: random_admissible(r, 3, 6))
+                  | admissible_semigroups | newton_pairs())
 
 
 def collection(*literals: str) -> CuspCollection:

@@ -17,6 +17,7 @@ from conftest import (
     SPORADIC_H,
     admissible_semigroups,
     collection,
+    cusp_spellings,
     cyclotomic_quotient,
     random_admissible,
     reference_alexander,
@@ -103,6 +104,12 @@ class TestCuspCollection:
             self.assert_same([CuspCollection(entry.cusps), CuspCollection(sgs),
                               CuspCollection(entry.newton), CuspCollection(mixed),
                               entry.collection()])
+
+    @given(cusps=st.lists(cusp_spellings, min_size=1, max_size=3))
+    def test_delta_is_the_sum_of_the_cusps(self, cusps):
+        # each spelling reads its delta in closed form, and the collection's
+        # is their sum, so the CLI caps delta before any chain runs
+        assert CuspCollection(cusps).delta == sum(cusp.delta for cusp in cusps)
 
     def test_bad_cusp_named_by_its_literal(self):
         with pytest.raises(InadmissibleSequenceError) as info:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_count,
     naive_gaps,
+    newton_pairs,
     random_admissible,
     reference_apery_set,
     reference_blowup,
@@ -467,6 +468,21 @@ class TestNewtonPairs:
         # [3_l] <-> (3, 3l+1)
         s = semigroup_from_newton_pairs(NewtonPairs(((3, 3 * l + 1),)))
         assert multseq_from_semigroup(s).entries == (3,) * l
+
+    @given(np_=newton_pairs())
+    @example(np_=NewtonPairs(((2, 3),)))
+    @example(np_=NewtonPairs(((2, 3), (2, 1))))
+    def test_delta_is_zariskis_closed_form(self, np_):
+        # half the conductor sum (p_k - 1) b_k - b_0 + 1 over the generators
+        assert np_.delta == semigroup_from_newton_pairs(np_).delta
+
+    def test_delta_needs_no_semigroup(self, monkeypatch):
+        # (2, q) is the sequence [2_delta] with delta = (q - 1) / 2; read off
+        # the pairs, not off a walk over the generators
+        monkeypatch.setattr(semigroup, "semigroup_from_generators", None)
+        assert NewtonPairs(((2, 400000001),)).delta == 200000000
+        assert NewtonPairs(((100000, 100001),)).delta == 4999950000
+        assert NewtonPairs(((2, 3), (2, 1))).delta == 8
 
     def test_delta_cross_check(self, rng):
         # gap count of the conversion equals the multiplicity-sequence formula
