@@ -1,19 +1,21 @@
 """Command-line front end.
 
 Subcommands: invariants, check, cohomology, catalog, oracle, stability.
-When argv[0] names one, ``run`` builds that subcommand's parser alone;
-any other argv (``-h``, none, an unknown command), or one with arguments
-left over, goes to ``build_parser()``, which has every subcommand, so help
-and refusals read the same either way.  ``cmd_<name>`` computes a report and
-reads the exit code from it; ``run`` adds ``schema_version`` (1) and ``command``.
+When argv[0] names one, ``run`` parses with that subcommand's parser alone,
+built once per process and kept for later runs; any other argv (``-h``,
+none, an unknown command), or one with arguments left over, goes to
+``build_parser()``, which has every subcommand, so help and refusals read
+the same either way.  ``cmd_<name>`` computes a report and reads the exit
+code from it; ``run`` adds ``schema_version`` (1) and ``command``.
 ``--format`` is a subcommand's option and goes after its name:
 ``cuspidal --format machine check FILE`` is refused as an invalid choice.
 ``--format machine`` prints the document as one JSON object (integers
 only): the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, written
-by ``_dumps`` through json's C encoder.  ``--format text`` renders it as
-tables with ``text_<name>``, which reads only the document (and, for the
-oracle, ``--sweep``).  Exit codes: 0 all checks pass, 1 a criterion failed,
-2 input or validation error, 3 resource cap exceeded.
+by ``_dumps`` through json's C encoder, built once at import.
+``--format text`` renders it as tables with ``text_<name>``, which reads
+only the document (and, for the oracle, ``--sweep``).  Exit codes: 0 all
+checks pass, 1 a criterion failed, 2 input or validation error, 3 resource
+cap exceeded.
 
 Candidate files are UTF-8 text, either one or more whitespace-separated cusp
 literals per line with optional ``degree: N`` line and ``#`` comments, or a
@@ -25,6 +27,7 @@ before any chain runs; it is the one delta check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -32,6 +35,7 @@ import os
 import re
 import sys
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import criteria, cubical, invariants
 from .invariants import CapExceeded, CuspCollection
@@ -54,14 +58,23 @@ _MAX_DEGREE = 2_000
 _MAX_DELTA = (_MAX_DEGREE - 1) * (_MAX_DEGREE - 2) // 2
 
 
+def _figure(n: int) -> str:
+    """``str(n)``, or n's digit count where int's string digit limit refuses it."""
+    try:
+        return str(n)
+    except ValueError:
+        k = int(math.log10(n))  # the float may round a run of nines up by one
+        return f"a {k + (n >= 10 ** k)}-digit number"
+
+
 def _cap_degree(d: int | None) -> None:
     if d is not None and d > _MAX_DEGREE:
-        raise CapExceeded(f"degree too large: {d} exceeds cap {_MAX_DEGREE}")
+        raise CapExceeded(f"degree too large: {_figure(d)} exceeds cap {_MAX_DEGREE}")
 
 
 def _cap_delta(delta: int) -> None:
     if delta > _MAX_DELTA:
-        raise CapExceeded(f"delta too large: {delta} exceeds cap {_MAX_DELTA}")
+        raise CapExceeded(f"delta too large: {_figure(delta)} exceeds cap {_MAX_DELTA}")
 
 
 def load_candidate_file(path: str) -> tuple[list[str], list[Cusp], int | None]:
@@ -626,10 +639,22 @@ def _add_arguments(p, name: str):
     return p
 
 
+@functools.cache
+def _parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser standing alone, built once per process.
+
+    It has build_parser()'s subparser's prog and arguments, so the same help
+    and refusals.  argparse reads the terminal width when it formats, not
+    when it is built, so a kept parser wraps help as a fresh one would.
+    """
+    return _add_arguments(argparse.ArgumentParser(prog=f"cuspidal {name}"), name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Every subcommand with its help line and arguments, so that the usage
-    line, ``-h`` and refusals list all six.  ``run`` builds it for argv that
-    names no subcommand, or to refuse what the named one's parser leaves over.
+    line, ``-h`` and refusals list all six.  ``run`` builds it, afresh each
+    time, for argv that names no subcommand, or to refuse what the named
+    one's parser leaves over.
     """
     parser = argparse.ArgumentParser(
         prog="cuspidal",
@@ -641,9 +666,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# json.dumps falls back to its pure-Python encoder when given an indent;
-# the compact encoder stays in C
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps falls back to its pure-Python encoder when given an indent, and
+# JSONEncoder.encode builds a new C encoder on every call: this compact one,
+# json.dumps's C encoder with separators (",", ":") and no circular check, is
+# built once; JSONEncoder.default raises json.dumps's TypeError
+_c_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                           None, ":", ",", True, False, True)
+
+
+def _compact(value) -> str:
+    return "".join(_c_encode(value, 0))
+
+
+# the scalars, by exact type (an int subclass such as IntEnum goes to the
+# C encoder, which writes it through int.__repr__ as json.dumps does)
+_WRITE_SCALAR = {
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    str: encode_basestring_ascii,
+}
 _SCALARS = frozenset((int, bool, type(None)))
 _ARRAYS = frozenset((list, tuple))
 
@@ -652,19 +694,23 @@ def _dumps(value, indent: str = "\n") -> str:
     """What json.dumps writes with sort_keys and a 2-space indent, through the C encoder.
 
     Dicts (str keys) and lists holding anything but ints, bools, None and
-    non-empty lists of those are walked here; every other list, and every
-    scalar, is one call to the C encoder, which writes a str through
-    encode_basestring_ascii.  A compact list of ints, bools and None has no
-    comma, bracket or brace but its separators, and a list of such lists
-    only adds the brackets of its items, so splicing the indents in at the
-    commas and brackets gives the indented form.
+    non-empty lists of those are walked here.  An int, bool, None or str is
+    written by its exact type, a str and a key through encode_basestring_ascii;
+    every other value is one call to ``_c_encode``, the C encoder built once
+    at import.  A compact list of ints, bools and None has no comma, bracket
+    or brace but its separators, and a list of such lists only adds the
+    brackets of its items, so splicing the indents in at the commas and
+    brackets gives the indented form.
     """
+    write = _WRITE_SCALAR.get(type(value))
+    if write is not None:
+        return write(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
         return _compact(value)
     inner = indent + "  "
     sep = "," + inner
     if isinstance(value, dict):
-        body = sep.join(f"{_compact(key)}: {_dumps(value[key], inner)}"
+        body = sep.join(f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
                         for key in sorted(value))
         return "{" + inner + body + indent + "}"
     types = set(map(type, value))
@@ -686,10 +732,8 @@ def run(argv=None) -> int:
         argv = sys.argv[1:]
     name = argv[0] if argv else None
     if name in _COMMANDS:
-        # build_parser's subparser alone: the same prog and arguments, so
-        # the same help and refusals; leftovers are refused in full below
-        parser = _add_arguments(argparse.ArgumentParser(prog=f"cuspidal {name}"), name)
-        args, extra = parser.parse_known_args(argv[1:])
+        # leftovers are refused in full below
+        args, extra = _parser(name).parse_known_args(argv[1:])
     if name not in _COMMANDS or extra:
         args = build_parser().parse_args(argv)
         name = args.subcommand

@@ -512,6 +512,26 @@ class TestDeltaCap:
         assert code == 3 and not out
         assert err.startswith("error: delta too large: ") and err.endswith(" exceeds cap 1997001\n")
 
+    @pytest.mark.parametrize("literal, digits", [("[" + "9" * 2200 + "]", 4400),
+                                                 ("(2,3)" + "(2,1)" * 7200, 4336)],
+                             ids=["multiplicity", "newton"])
+    def test_delta_past_the_int_digit_limit_refused(self, tmp_path, capsys, literal, digits):
+        # str() refuses an int of more than 4,300 digits: the refusal was
+        # int's ValueError, exit 2
+        path = tmp_path / "huge.txt"
+        path.write_text(literal + "\n")
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert (code, out, err) == (
+            3, "", f"error: delta too large: a {digits}-digit number exceeds cap 1997001\n")
+
+    @pytest.mark.parametrize("delta, digits", [(10**4400 - 1, 4400), (10**4400, 4401)],
+                             ids=["nines", "power"])
+    def test_digit_count_at_a_power_of_ten(self, delta, digits):
+        # log10 of a run of nines rounds up to the next power's exponent
+        with pytest.raises(invariants.CapExceeded,
+                           match=f"^delta too large: a {digits}-digit number exceeds"):
+            cli._cap_delta(delta)
+
     @pytest.mark.parametrize("argv", [("invariants",), ("oracle", "--j", "0")])
     def test_multiplicity_sequence_refused_before_its_chain(self, tmp_path, capsys,
                                                              monkeypatch, argv):
@@ -566,6 +586,7 @@ class TestCatalog:
         (("--family", "C", "--d", "2001", "--u", "1", "--check"), 2001),
         (("--family", "D", "--l", "999"), 2001),
         (("--family", "E", "--l", "666", "--check"), 2002),
+        (("--family", "E", "--l", "9" * 4300), "a 4301-digit number"),
     ])
     def test_degree_above_cap_refused(self, capsys, monkeypatch, argv, degree):
         # the degree of a FILE command was capped, the series parameter was

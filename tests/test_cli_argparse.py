@@ -87,7 +87,9 @@ def shape(parser):
 
 @pytest.fixture
 def parsers(monkeypatch):
-    """The ArgumentParsers constructed, and the build_parser calls made, by run."""
+    """The ArgumentParsers constructed, and the build_parser calls made, by run,
+    starting from no kept subcommand parser."""
+    cli._parser.cache_clear()
     made, calls = [], []
     init, build = argparse.ArgumentParser.__init__, cli.build_parser
 
@@ -106,12 +108,14 @@ def parsers(monkeypatch):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_run_adds_arguments_to_the_named_subparser_only(command, parsers, capsys):
-    # a named run builds one parser, build_parser()'s subparser standing alone
+    # the first named run builds one parser, build_parser()'s subparser
+    # standing alone, and a second run of the command builds none
     made, calls = parsers
-    with pytest.raises(SystemExit):
-        cli.run([command, "-h"])
-    assert capsys.readouterr().out.startswith(f"usage: cuspidal {command} [-h]")
-    assert len(made) == 1 and calls == []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            cli.run([command, "-h"])
+        assert capsys.readouterr().out.startswith(f"usage: cuspidal {command} [-h]")
+        assert len(made) == 1 and calls == []
     full = subparsers(cli.build_parser())
     assert list(full) == list(COMMANDS)
     assert shape(made[0]) == shape(full[command])
@@ -122,8 +126,26 @@ def test_run_adds_arguments_to_the_named_subparser_only(command, parsers, capsys
 
 def test_parsed_run_builds_one_parser(parsers):
     made, calls = parsers
-    assert cli.run(["check", str(QUARTIC), "--format", "machine"]) == 0
-    assert len(made) == 1 and calls == []
+    for _ in range(2):
+        assert cli.run(["check", str(QUARTIC), "--format", "machine"]) == 0
+        assert len(made) == 1 and calls == []
+
+
+@pytest.mark.parametrize("argv", [["check", "-h"], ["catalog", "--family", "Z"]])
+def test_kept_parser_prints_what_a_fresh_one_prints(argv, capsys, monkeypatch):
+    # the parser kept from a run at one terminal width wraps help and
+    # refusals at the width of the run that uses it
+    def printed(columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        return exc.value.code, capsys.readouterr()
+
+    cli._parser.cache_clear()
+    wide = printed("80")
+    kept = printed("40")
+    cli._parser.cache_clear()
+    assert kept == printed("40") != wide
 
 
 def test_leftover_arguments_go_to_the_full_parser(parsers, capsys):

@@ -8,8 +8,10 @@ the document of every text-snapshot case.
 """
 
 import contextlib
+import enum
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given
@@ -57,6 +59,25 @@ documents = st.recursive(scalars | tables, containers, max_leaves=20)
 @example([[[1]], [2]])
 @example({"é,\"[{": ["ü", 10**40, -1, False]})
 def test_writer_equals_json_dumps(doc):
+    assert cli._dumps(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [{"a": object()}, [1, {2}]])
+def test_unencodable_value_refused_as_json_dumps_refuses_it(doc):
+    with pytest.raises(TypeError) as expected:
+        oracle(doc)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        cli._dumps(doc)
+
+
+class Level(enum.IntEnum):
+    LOW = -2
+    HIGH = 10**20
+
+
+@pytest.mark.parametrize("doc", [Level.HIGH, [Level.LOW, Level.HIGH], [1, Level.LOW, None],
+                                 {"level": Level.LOW, "rows": [[Level.HIGH, 2]]}])
+def test_int_enum_written_as_json_dumps_writes_it(doc):
     assert cli._dumps(doc) == oracle(doc)
 
 
