@@ -11,7 +11,9 @@ code from it; ``run`` adds ``schema_version`` (1) and ``command``.
 ``cuspidal --format machine check FILE`` is refused as an invalid choice.
 ``--format machine`` prints the document as one JSON object (integers
 only): the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, written
-by ``_dumps`` through json's C encoder, built once at import.
+by ``_dumps`` through json's C encoder, built once per item separator: each
+row of ints, bools and None, and each list of such rows, is one encoder
+call, whose text is checked before it is used.
 ``--format text`` renders it as tables with ``text_<name>``, which reads
 only the document (and, for the oracle, ``--sweep``).  Exit codes: 0 all
 checks pass, 1 a criterion failed, 2 input or validation error, 3 resource
@@ -667,15 +669,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # json.dumps falls back to its pure-Python encoder when given an indent, and
-# JSONEncoder.encode builds a new C encoder on every call: this compact one,
-# json.dumps's C encoder with separators (",", ":") and no circular check, is
-# built once; JSONEncoder.default raises json.dumps's TypeError
-_c_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
-                           None, ":", ",", True, False, True)
+# JSONEncoder.encode builds a new C encoder on every call.  These are
+# json.dumps's C encoder with key separator ":" and no circular check, built
+# once per item separator: "," for the compact form, and "," plus a newline
+# and one nesting depth's indent for the rows of _dumps, a handful in all.
+# JSONEncoder.default raises json.dumps's TypeError
+@functools.cache
+def _encoder(item_separator: str):
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                          None, ":", item_separator, True, False, True)
 
 
-def _compact(value) -> str:
-    return "".join(_c_encode(value, 0))
+def _encode(value, item_separator: str = ",") -> str:
+    # the encoder returns a list of chunks up to Python 3.11, a tuple from 3.12
+    return "".join(_encoder(item_separator)(value, 0))
 
 
 # the scalars, by exact type (an int subclass such as IntEnum goes to the
@@ -693,38 +700,53 @@ _ARRAYS = frozenset((list, tuple))
 def _dumps(value, indent: str = "\n") -> str:
     """What json.dumps writes with sort_keys and a 2-space indent, through the C encoder.
 
-    Dicts (str keys) and lists holding anything but ints, bools, None and
-    non-empty lists of those are walked here.  An int, bool, None or str is
-    written by its exact type, a str and a key through encode_basestring_ascii;
-    every other value is one call to ``_c_encode``, the C encoder built once
-    at import.  A compact list of ints, bools and None has no comma, bracket
-    or brace but its separators, and a list of such lists only adds the
-    brackets of its items, so splicing the indents in at the commas and
-    brackets gives the indented form.
+    An int, bool, None or str is written by its exact type, a str and a key
+    through encode_basestring_ascii; dicts (str keys) are walked here.  A
+    list is guessed from its first item, and the guess is read back from
+    the encoder's text before it is used:
+
+    * a row, whose first item is an int, bool or None, is one call to the
+      encoder of its items' separator (a comma, a newline and the indent
+      one level in).  With no quote and no bracket but its own, it holds
+      no list and no dict but {}, and the encoder writes its scalars, and
+      {}, as json.dumps does, so only its brackets move;
+    * a list of rows, whose first item is a list or tuple, is one call to
+      the encoder of the rows' items' separator, one level further in.
+      With no quote and no empty row, len(value) + 1 brackets and a
+      "],<separator>[" between each two items, every item is a non-empty
+      row with no list in it (a scalar item, or a list in a row, would
+      leave fewer of those), and no string holds a bracket, so the splices
+      at the brackets and between the rows give the indented form.
+
+    A non-empty dict always holds a quoted key.  Any other list, or a guess
+    that fails, is walked item by item; any other value is one compact
+    call to the encoder.
     """
     write = _WRITE_SCALAR.get(type(value))
     if write is not None:
         return write(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return _compact(value)
+        return _encode(value)
     inner = indent + "  "
     sep = "," + inner
     if isinstance(value, dict):
         body = sep.join(f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
                         for key in sorted(value))
         return "{" + inner + body + indent + "}"
-    types = set(map(type, value))
-    if types <= _SCALARS:
-        body = _compact(value)[1:-1].replace(",", sep)
-    elif (types <= _ARRAYS and all(value)
-          and set(map(type, chain.from_iterable(value))) <= _SCALARS):
+    first = type(value[0])
+    if first in _SCALARS:
+        text = _encode(value, sep)
+        if '"' not in text and text.find("[", 1) < 0:
+            return "[" + inner + text[1:-1] + indent + "]"
+    elif first in _ARRAYS:
         deep = inner + "  "
-        body = (_compact(value)[1:-1].replace(",", "," + deep)
-                .replace("]," + deep + "[", "]" + sep + "[")
-                .replace("[", "[" + deep).replace("]", inner + "]"))
-    else:
-        body = sep.join(_dumps(item, inner) for item in value)
-    return "[" + inner + body + indent + "]"
+        text = _encode(value, "," + deep)
+        if ('"' not in text and "[]" not in text and text.count("[") == len(value) + 1
+                and text.count("]," + deep + "[") == len(value) - 1):
+            body = (text[1:-1].replace("]," + deep + "[", "]" + sep + "[")
+                    .replace("[", "[" + deep).replace("]", inner + "]"))
+            return "[" + inner + body + indent + "]"
+    return "[" + inner + sep.join(_dumps(item, inner) for item in value) + indent + "]"
 
 
 def run(argv=None) -> int:

@@ -28,7 +28,9 @@ already holds H (the regroupings of a multiset share the H of their common
 parts) hands it over with seed_h.  The Alexander polynomial of one cusp and
 the product come from one route, the cusps' Apery sets (see
 _alexander_series), and q, F, R and the Spin^c sums are read from them by
-slicing and running sums, with no Python step per coefficient.
+slicing and running sums, with no Python step per coefficient.  Each of
+these results is stored through seqcalc's unchecked stores (_intseq and
+_counting_fn); the checking constructors are for values from outside.
 """
 
 from __future__ import annotations
@@ -49,7 +51,14 @@ from .semigroup import (
     multseq_from_semigroup,
     resolve_semigroup,
 )
-from .seqcalc import CountingFn, IntSeq, convolve, min_convolve_all, partial_sums
+from .seqcalc import (
+    CountingFn,
+    IntSeq,
+    _intseq,
+    convolve,
+    min_convolve_all,
+    partial_sums,
+)
 
 
 class CapExceeded(RuntimeError):
@@ -141,7 +150,7 @@ class CuspCollection(Frozen):
         co = list(self.alexander_product.coeffs.window(2 * d))
         co[0] -= 1 - d
         co[1] -= d
-        return IntSeq(tuple(_divide_by_t_minus_1(_divide_by_t_minus_1(co))))
+        return _intseq(tuple(_divide_by_t_minus_1(_divide_by_t_minus_1(co))))
 
     def f(self, j: int) -> int:
         """F(j) = q_j + j + 1 - delta for j >= 0, and 0 below.
@@ -220,13 +229,13 @@ def _alexander_series(cusps) -> IntSeq:
     2*delta + 1 must come out 0; a nonzero one raises ArithmeticError.
     """
     n = 2 * sum(s.delta for s in cusps) + 2
-    out = IntSeq((1,))
+    out = _intseq((1,))
     for s in sorted(cusps, key=operator.attrgetter("delta")):
         w = sorted(s.apery)
         a = [0] * (w[-1] + 1)
         for x in w:
             a[x] = 1
-        out = convolve(out, IntSeq(a))
+        out = convolve(out, _intseq(tuple(a)))
     co = list(out.window(n - 1))
     for _ in cusps:
         co[1:] = map(operator.sub, co[1:], co)
@@ -236,7 +245,7 @@ def _alexander_series(cusps) -> IntSeq:
             co[r::m] = accumulate(co[r::m])
     if co[-1]:
         raise ArithmeticError("Alexander product of degree above 2*delta")
-    return IntSeq(co[:-1])
+    return _intseq(tuple(co[:-1]))
 
 
 def _divide_by_t_minus_1(co: list[int]) -> list[int]:
@@ -261,7 +270,7 @@ def f_sequence(c: CuspCollection, window: int | None = None) -> IntSeq:
     a range.
     """
     n = 2 * c.delta - 2 if window is None else window
-    return IntSeq(map(operator.add, c.q.window(n), range(1 - c.delta, n + 2 - c.delta)))
+    return _intseq(tuple(map(operator.add, c.q.window(n), range(1 - c.delta, n + 2 - c.delta))))
 
 
 def h_function(c: CuspCollection) -> CountingFn:
@@ -279,7 +288,7 @@ def r_poly(c: CuspCollection, d: int) -> IntPoly:
     co = [0] * (d * (d - 3) + 1)
     for e, v in terms:
         co[e] = v
-    return IntPoly(IntSeq(co))
+    return IntPoly(_intseq(tuple(co)))
 
 
 def _r_terms(c: CuspCollection, d: int) -> list[tuple[int, int]]:
@@ -312,7 +321,7 @@ def r_poly_series(c: CuspCollection, d: int) -> IntPoly:
             co[k] = value
         elif value != 0:
             raise ArithmeticError(f"series tail does not cancel at degree {k}")
-    return IntPoly(IntSeq(tuple(co)))
+    return IntPoly(_intseq(tuple(co)))
 
 
 def spinc_report(c: CuspCollection, d: int, a: int) -> EuReport:

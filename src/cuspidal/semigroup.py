@@ -53,7 +53,7 @@ from math import gcd, inf, prod
 from operator import ge, index
 
 from ._frozen import Frozen
-from .seqcalc import CountingFn
+from .seqcalc import CountingFn, _counting_fn
 
 
 #: Size of the chain cache below.  A long-lived process that calls
@@ -461,7 +461,7 @@ def counting_fn(s: Semigroup) -> CountingFn:
     member = bytearray(n)
     for x in w:
         member[x::m] = b"\x01" * len(range(x, n, m))
-    return CountingFn((0, *accumulate(member)), d)
+    return _counting_fn((0, *accumulate(member)), d)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,20 @@ use.  int64 is exact here: every f(j - k) + g(k) is at most cut + cutoff(g).
 Rows are read by slicing: IntSeq.window and CountingFn.values return slices
 of the stored values, zero padding and a range for a linear tail, with no
 Python call per element; both min-plus evaluators read f through
-CountingFn.values.  The constructors keep every check and message on
-kernel results and public input alike; they run them through map and set,
-so that the checks, too, cost no Python call per element.  IntSeq and
-CountingFn are plain classes on the package's frozen base (_frozen.Frozen),
-each with a written-out constructor that takes its integers through
-operator.index: a float raises TypeError instead of being truncated, and
-numpy integers are accepted and stored as Python ints.
+CountingFn.values.
+
+One validation boundary: the public constructors check, the kernels trust.
+IntSeq and CountingFn are plain classes on the package's frozen base
+(_frozen.Frozen), each with a written-out constructor for values from
+outside.  It takes its integers through operator.index, so a float raises
+TypeError instead of being truncated and numpy integers are stored as
+Python ints, and CountingFn's also checks the start, the steps and the
+tail; the checks run through map and set, with no Python call per element.
+A kernel's result is a tuple of Python ints that the kernel has just
+computed, so every kernel in the package (here, in semigroup and in
+invariants) stores it through _intseq or _counting_fn instead, which check
+nothing; _intseq still trims trailing zeros, since partial sums can end in
+them.  Semigroup makes the same split (semigroup._semigroup).
 """
 
 from __future__ import annotations
@@ -65,11 +72,7 @@ class IntSeq(Frozen):
     __slots__ = _fields = ("values",)
 
     def __init__(self, values: Iterable[int] = ()):
-        vals = tuple(map(operator.index, values))
-        n = len(vals)
-        while n and vals[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "values", vals[:n])
+        object.__setattr__(self, "values", _trimmed(tuple(map(operator.index, values))))
 
     def __getitem__(self, j: int) -> int:
         if 0 <= j < len(self.values):
@@ -90,6 +93,21 @@ class IntSeq(Frozen):
         return self.values[:size] + (0,) * (size - len(self.values))
 
 
+def _trimmed(values: tuple[int, ...]) -> tuple[int, ...]:
+    """values without its trailing zeros, for both IntSeq stores."""
+    n = len(values)
+    while n and values[n - 1] == 0:
+        n -= 1
+    return values[:n]
+
+
+def _intseq(values: tuple[int, ...]) -> IntSeq:
+    """The IntSeq of a kernel's tuple of Python ints, stored unchecked but trimmed."""
+    seq = object.__new__(IntSeq)
+    object.__setattr__(seq, "values", _trimmed(values))
+    return seq
+
+
 def diff(a: IntSeq, window: int | None = None) -> IntSeq:
     """Difference sequence (a_j - a_{j-1}) with a_{-1} = 0.
 
@@ -97,13 +115,13 @@ def diff(a: IntSeq, window: int | None = None) -> IntSeq:
     e.g. diff of (1, 1, 2, 3, 4) is (1, 0, 1, 1, 1).
     """
     n = a.degree if window is None else window
-    return IntSeq(tuple(a[j] - a[j - 1] for j in range(n + 1)))
+    return _intseq(tuple(a[j] - a[j - 1] for j in range(n + 1)))
 
 
 def partial_sums(a: IntSeq, window: int | None = None) -> IntSeq:
     """Partial-sum sequence (a_0 + ... + a_j) evaluated on [0, window]."""
     n = a.degree if window is None else window
-    return IntSeq(tuple(accumulate(a.window(n))))
+    return _intseq(tuple(accumulate(a.window(n))))
 
 
 def convolve(a: IntSeq, b: IntSeq) -> IntSeq:
@@ -113,14 +131,14 @@ def convolve(a: IntSeq, b: IntSeq) -> IntSeq:
     polynomial has m nonzeros spread over a long support.
     """
     if not a.values or not b.values:
-        return IntSeq()
+        return _intseq(())
     out = [0] * (len(a.values) + len(b.values) - 1)
     bnz = [(j, y) for j, y in enumerate(b.values) if y]
     for i, x in enumerate(a.values):
         if x:
             for j, y in bnz:
                 out[i + j] += x * y
-    return IntSeq(tuple(out))
+    return _intseq(tuple(out))
 
 
 class CountingFn(Frozen):
@@ -172,6 +190,14 @@ class CountingFn(Frozen):
                 *range(max(lo, self.cutoff + 1) - self.offset, hi + 1 - self.offset)]
 
 
+def _counting_fn(head: tuple[int, ...], offset: int) -> CountingFn:
+    """The CountingFn of a kernel's head (a tuple of Python ints) and offset, stored unchecked."""
+    fn = object.__new__(CountingFn)
+    object.__setattr__(fn, "head", head)
+    object.__setattr__(fn, "offset", offset)
+    return fn
+
+
 def _run_starts(g: CountingFn) -> list[int]:
     """The run starts of g, in ascending order.
 
@@ -204,7 +230,7 @@ def _min_convolve_lists(f: CountingFn, g: CountingFn, starts: list[int]) -> Coun
     for k in starts:
         c = g.head[k]
         head[k:] = [x if x <= y + c else y + c for x, y in zip(head[k:], fv)]
-    return CountingFn(tuple(head), offset)
+    return _counting_fn(tuple(head), offset)
 
 
 def _min_convolve_numpy(f: CountingFn, g: CountingFn, starts: list[int]) -> CountingFn:
@@ -219,7 +245,7 @@ def _min_convolve_numpy(f: CountingFn, g: CountingFn, starts: list[int]) -> Coun
     for k in starts:
         tail = head[k:]
         np.minimum(tail, fv[:tail.size] + g.head[k], out=tail)
-    return CountingFn(tuple(head.tolist()), offset)
+    return _counting_fn(tuple(head.tolist()), offset)
 
 
 def min_convolve(f: CountingFn, g: CountingFn) -> CountingFn:

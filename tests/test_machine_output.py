@@ -3,8 +3,9 @@
 ``cli._dumps`` must write the bytes of ``json.dumps(doc, sort_keys=True,
 indent=2)``, which stays here as the oracle only: on recursive documents of
 None, bools, big ints and text (with the characters that delimit JSON, and
-non-ASCII ones) and of lists of rows (empty and mixed rows included), and on
-the document of every text-snapshot case.
+non-ASCII ones) and of lists of rows (empty and mixed rows included), on
+lists whose first item misleads the writer's guess of a row, and on the
+document of every text-snapshot case.
 """
 
 import contextlib
@@ -58,8 +59,45 @@ documents = st.recursive(scalars | tables, containers, max_leaves=20)
 @example([[1, "x,]"], [2]])
 @example([[[1]], [2]])
 @example({"é,\"[{": ["ü", 10**40, -1, False]})
+# lists whose first item misleads the writer's guess of a row or a list of rows
+@example([1, [2]])
+@example([1, "a[b"])
+@example([None, {"a": 1}])
+@example([[1], None])
+@example([[[0], None]])
+@example([[1], None, [[2]]])
+@example([[1, 2], [3, [4]]])
+@example([[1], []])
+@example([(True, 2), [None]])
+@example([[1], "x"])
+@example({"a": {"b": {"c": [[1, 2], (3, None)]}}})
+@example([1, {}])
+@example([[1, {}], [2]])
 def test_writer_equals_json_dumps(doc):
     assert cli._dumps(doc) == oracle(doc)
+
+
+def test_one_encoder_call_per_row_and_per_list_of_rows(monkeypatch):
+    # a row of ints, bools and None, and a list of such rows, is written by
+    # one call to the C encoder and walked no further; a scalar needs none
+    encoded, walked = [], []
+    encode, dumps = cli._encode, cli._dumps
+
+    def counted_encode(value, *separator):
+        encoded.append(value)
+        return encode(value, *separator)
+
+    def counted_dumps(value, *indent):
+        walked.append(value)
+        return dumps(value, *indent)
+
+    monkeypatch.setattr(cli, "_encode", counted_encode)
+    monkeypatch.setattr(cli, "_dumps", counted_dumps)
+    doc = {"row": list(range(-50, 50)), "flags": [True, None, 3],
+           "terms": [[0, 1, 2], (3, False, None)], "n": 7, "s": "x"}
+    assert cli._dumps(doc) == oracle(doc)
+    assert encoded == [doc["flags"], doc["row"], doc["terms"]]
+    assert walked == [doc, *(doc[key] for key in sorted(doc))]
 
 
 @pytest.mark.parametrize("doc", [{"a": object()}, [1, {2}]])

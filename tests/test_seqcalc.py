@@ -15,6 +15,7 @@ from cuspidal import (
     CountingFn,
     IntSeq,
     MultSeq,
+    cli,
     convolve,
     counting_fn,
     criteria,
@@ -124,6 +125,47 @@ def test_counting_fn_validation():
         CountingFn((0, 1), 3)  # tail disagrees at cutoff
     f = CountingFn((0, 1, 2), 0)
     assert f(-3) == 0 and f(2) == 2 and f(10) == 10
+
+
+_NOT_AN_INT = "'float' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: IntSeq((1, 2.0)), TypeError, _NOT_AN_INT),
+    (lambda: CountingFn((0, 0.0, 1), 1), TypeError, _NOT_AN_INT),
+    (lambda: CountingFn((0, 0, 1), 1.0), TypeError, _NOT_AN_INT),
+    (lambda: CountingFn((0, 2), 0), ValueError, "counting function steps must be 0 or 1"),
+    (lambda: CountingFn((1, 2), 0), ValueError, "counting function must start at value 0"),
+    (lambda: CountingFn((0, 1), 3), ValueError, "head and linear tail disagree at the cutoff"),
+])
+def test_public_constructors_keep_their_checks(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("literals, d", [("[6,3] [4,2] [3,2] [2_2]", "8"), ("[60] [60]", "60")])
+def test_only_values_from_outside_are_checked(tmp_path, monkeypatch, capsys, literals, d):
+    # every kernel stores its result through _intseq or _counting_fn; the
+    # checking constructors ran operator.index and the step checks again on
+    # every value a kernel had just computed
+    checked = []
+    for cls in (IntSeq, CountingFn):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            checked.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    path = tmp_path / "cand.txt"
+    path.write_text(literals + "\n")
+    for argv in (["invariants", str(path)], ["check", str(path), "--d", d, "--force"],
+                 ["cohomology", str(path), "--d", d, "--all-spinc"],
+                 ["stability", str(path), "--d", d]):
+        assert cli.run(argv + ["--format", "machine"]) in (0, 1)
+    capsys.readouterr()
+    assert not checked
+    IntSeq((1,))
+    CountingFn((0,), 0)
+    assert checked == ["IntSeq", "CountingFn"]
 
 
 def test_min_convolve_triple_simple_cusp():

@@ -119,9 +119,12 @@ def main(argv=None) -> int:
     parser.add_argument("--tests", nargs="+", required=True,
                         help="pytest arguments, relative to the repository root")
     parser.add_argument("--workdir", default=None,
-                        help="where the copy goes (default: a new temporary directory)")
+                        help="where the copy goes, made if missing "
+                             "(default: a new temporary directory)")
     args = parser.parse_args(argv)
 
+    if args.workdir is not None:
+        os.makedirs(args.workdir, exist_ok=True)
     base = tempfile.mkdtemp(prefix="mutate-", dir=args.workdir)
     work = os.path.join(base, "repo")
     shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
