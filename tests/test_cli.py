@@ -1,8 +1,12 @@
 import hashlib
+import importlib
+import itertools
 import json
+import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,10 +47,11 @@ def run_machine(capsys, *argv):
 class TestCandidateFiles:
     def test_json_document(self, tmp_path, capsys):
         path = tmp_path / "cand.json"
-        path.write_text(json.dumps({"degree": 5, "cusps": ["[3]", "[2_2]", "[2]"]}))
-        code, doc, _ = run_machine(capsys, "invariants", str(path))
-        assert code == 0
-        assert doc["degree"] == 5 and doc["delta"] == 6
+        for degree in (5, 0):
+            path.write_text(json.dumps({"degree": degree, "cusps": ["[3]", "[2_2]", "[2]"]}))
+            code, doc, _ = run_machine(capsys, "invariants", str(path))
+            assert code == 0
+            assert doc["degree"] == degree and doc["delta"] == 6
 
     def test_parse_error_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -70,7 +75,7 @@ class TestCandidateFiles:
         assert code == 2 and not out
         assert err.startswith(f"error: {path}: bad JSON: ")
 
-    @pytest.mark.parametrize("degree", [True, -5])
+    @pytest.mark.parametrize("degree", [True, -5, -1])
     def test_json_degree_must_be_nonnegative_integer(self, tmp_path, capsys, degree):
         # true was read as degree 1, and -5 gave p_g = -35
         path = tmp_path / "cand.json"
@@ -199,7 +204,7 @@ class TestInvariants:
         assert doc["table"]["H(k+1)-F(k)"] == [0, 2, -1, 2, 0]
         assert doc["q"] == [3, 0, 3, -1, 1]
         assert doc["alexander"] == [1, -3, 6, -7, 6, -3, 1]
-        assert doc["degree"] == 4 and doc["p_g"] == 4
+        assert doc["degree"] == 4 and doc["p_g"] == 4 and doc["is_candidate"] is True
 
     def test_single_cusp_rows_equal(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
@@ -223,16 +228,24 @@ class TestInvariants:
         for label in ("k ", "H(k+1)", "F(k)", "H(k+1)-F(k)"):
             assert any(line.startswith(label) for line in lines), label
 
-    def test_window_flag(self, quartic_file, capsys):
-        code, doc, _ = run_machine(capsys, "invariants", quartic_file, "--window", "8")
-        assert doc["table"]["k"] == list(range(9))
+    def test_window_flag(self, quartic_file, capsys, monkeypatch):
+        # a window of 0 is one row, and a window equal to the cap is tabulated,
+        # whether the cap is _MAX_WINDOW or the default window 2*delta - 2 = 4
+        for window, cap in ((8, cli._MAX_WINDOW), (0, cli._MAX_WINDOW), (8, 8), (4, 0)):
+            monkeypatch.setattr(cli, "_MAX_WINDOW", cap)
+            code, doc, _ = run_machine(capsys, "invariants", quartic_file,
+                                       "--window", str(window))
+            assert code == 0 and doc["table"]["k"] == list(range(window + 1)), (window, cap)
 
     def test_window_above_cap_refused(self, quartic_file, capsys, monkeypatch):
-        # a window of 2e8 ended in a MemoryError traceback; nothing is tabulated
+        # a window of 2e8 ended in a MemoryError traceback; nothing is tabulated.
+        # The cap is the larger of _MAX_WINDOW and the default window, 4 here
         monkeypatch.setattr(invariants, "f_sequence", None)
-        code, out, err = run_cli(capsys, "invariants", quartic_file, "--window", "1000001")
-        assert code == 3 and not out
-        assert "window too large: 1000001 exceeds cap 1000000" in err
+        for max_window, window, cap in ((cli._MAX_WINDOW, 1000001, 1000000), (0, 5, 4)):
+            monkeypatch.setattr(cli, "_MAX_WINDOW", max_window)
+            code, out, err = run_cli(capsys, "invariants", quartic_file, "--window", str(window))
+            assert code == 3 and not out
+            assert f"window too large: {window} exceeds cap {cap}" in err
 
     def test_negative_window_refused(self, quartic_file, capsys):
         # it used to print an empty table
@@ -276,6 +289,9 @@ class TestInvariants:
         assert len(terms) == 1998
         assert terms[0] == [0, 1997 * 2000, -1]
         assert terms[-1] == [1997, 0, 1 - 1998 * 1999 // 2]
+        # d = 3 is the least degree with R: one term, e = 0 and q_0 - 1
+        code, doc, _ = run_machine(capsys, "invariants", str(path), "--d", "3")
+        assert code == 0 and doc["r"] == {"d": 3, "terms": [[0, 0, 0]]}
 
     def test_determinism(self, octic_file, capsys):
         _, out1, _ = run_cli(capsys, "invariants", octic_file, "--format", "machine")
@@ -304,11 +320,12 @@ class TestCheck:
         assert by_name["bl"]["passed"]
         assert not by_name["conj_index"]["passed"]
 
-    def test_non_candidate_refused(self, tmp_path, capsys):
+    def test_non_candidate_refused(self, tmp_path, quartic_file, capsys):
         path = tmp_path / "one.txt"
         path.write_text("[2]\n")
-        code, _, err = run_cli(capsys, "check", str(path), "--d", "4")
-        assert code == 2 and "not a candidate" in err
+        for file, d in ((str(path), "4"), (quartic_file, "5")):
+            code, _, err = run_cli(capsys, "check", file, "--d", d)
+            assert code == 2 and "not a candidate" in err, file
 
     def test_no_candidate_degree_refused(self, tmp_path, capsys):
         path = tmp_path / "two.txt"
@@ -322,13 +339,14 @@ class TestCheck:
         assert code == 2 and not out
         assert err == "error: unknown criterion 'nosuch'\n"
 
-    def test_force(self, tmp_path, capsys):
+    def test_force(self, tmp_path, quartic_file, capsys):
         path = tmp_path / "one.txt"
         path.write_text("[2]\n")
-        code, doc, _ = run_machine(capsys, "check", str(path), "--d", "4", "--force")
-        assert code == 1
-        by_name = {c["criterion"]: c for c in doc["criteria"]}
-        assert not by_name["bl"]["passed"]
+        for file, d in ((str(path), "4"), (quartic_file, "5")):
+            code, doc, _ = run_machine(capsys, "check", file, "--d", d, "--force")
+            assert code == 1, file
+            by_name = {c["criterion"]: c for c in doc["criteria"]}
+            assert not by_name["bl"]["passed"], file
 
     def test_only_subset(self, octic_file, capsys):
         code, doc, _ = run_machine(capsys, "check", octic_file, "--only", "bezout,bl")
@@ -405,9 +423,9 @@ def test_degree_below_three_is_no_candidate(tmp_path, capsys, d):
     assert code == 0 and doc["is_candidate"] is False
     code, out, err = run_cli(capsys, "invariants", str(path), "--d", str(d))
     assert code == 0 and f"degree: {d}  (candidate: no)" in out
-    code, out, err = run_cli(capsys, "check", str(path), "--d", str(d))
-    assert code == 2 and not out
-    assert f"degree {d} < 3" in err and "2*delta" not in err
+    for force in ((), ("--force",)):
+        code, out, err = run_cli(capsys, "check", str(path), "--d", str(d), *force)
+        assert (code, out, err) == (2, "", f"error: degree {d} < 3\n"), force
 
 
 class TestDegreeRule:
@@ -422,9 +440,10 @@ class TestDegreeRule:
     @pytest.mark.parametrize("argv", _DEGREE_COMMANDS)
     def test_negative_degree_refused(self, quartic_file, capsys, argv):
         # `invariants --d -5` printed p_g: -35 and exited 0
-        code, out, err = run_cli(capsys, argv[0], quartic_file, *argv[1:], "--d", "-5")
-        assert code == 2 and not out
-        assert "degree must be nonnegative, got -5" in err
+        for d in ("-5", "-1"):
+            code, out, err = run_cli(capsys, argv[0], quartic_file, *argv[1:], "--d", d)
+            assert code == 2 and not out, d
+            assert f"degree must be nonnegative, got {d}" in err
 
     @pytest.mark.parametrize("argv", _DEGREE_COMMANDS)
     def test_degree_above_cap_refused(self, quartic_file, capsys, argv):
@@ -503,6 +522,19 @@ class TestDeltaCap:
             code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
             assert (code, out, err) == (3, "", f"error: {self.DELTA_MESSAGE}\n"), literal
 
+    def test_generator_literal_refused_under_a_memory_limit(self, tmp_path):
+        # unstubbed, in a child with 2 GiB of address space: counting_fn
+        # would ask for a 10 GB array
+        limit = 2 * 1024 ** 3
+        path = tmp_path / "big.txt"
+        path.write_text("<100000,100001>\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspidal.cli", "oracle", str(path), "--j", "0"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", f"error: {self.DELTA_MESSAGE}\n")
+
     def test_newton_pairs_past_an_index_refused(self, tmp_path, capsys):
         # b_0 = 2**70 is past any list index: the generator walk ended in an
         # OverflowError traceback before the post-build delta check
@@ -535,17 +567,22 @@ class TestDeltaCap:
     @pytest.mark.parametrize("argv", [("invariants",), ("oracle", "--j", "0")])
     def test_multiplicity_sequence_refused_before_its_chain(self, tmp_path, capsys,
                                                              monkeypatch, argv):
-        def refuse(w, m):
-            raise AssertionError("un-blowup ran past the delta cap")
+        # the chain between a literal's sequence and its semigroup never
+        # runs: the blowup chains of the last two took over 20 s and 6.8 s
+        def refuse(*args):
+            raise AssertionError("a chain ran past the delta cap")
 
         monkeypatch.setattr(semigroup, "_unblowup", refuse)
+        monkeypatch.setattr(semigroup, "_blowup", refuse)
         path = tmp_path / "big.txt"
-        path.write_text("[100000]\n")
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
-        assert time.perf_counter() - start < 1
-        assert code == 3 and not out
-        assert err == f"error: {self.DELTA_MESSAGE}\n"
+        for literal, delta in (("[100000]", 4999950000), ("(2,400000001)", 200000000),
+                               ("<2,4000001>", 2000000)):
+            path.write_text(literal + "\n")
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert time.perf_counter() - start < 1, literal
+            assert (code, out, err) == (
+                3, "", f"error: delta too large: {delta} exceeds cap 1997001\n"), literal
 
 
 class TestCatalog:
@@ -605,6 +642,9 @@ class TestOracle:
         assert code == 0
         assert doc["all_agree"]
         assert [run["j"] for run in doc["runs"]] == list(range(5))
+        # every j of the window [0, 4], ends included, is compared with the formulas
+        assert all((run["expected_eu_h0"], run["expected_eu_hstar"])
+                   == (run["eu_h0"], run["eu_hstar"]) for run in doc["runs"])
 
     def test_needs_j_or_sweep(self, quartic_file, capsys):
         code, out, err = run_cli(capsys, "oracle", quartic_file)
@@ -618,7 +658,9 @@ class TestOracle:
         assert code == 0
         run = doc["runs"][0]
         assert run["eu_h0"] == 1 and run["eu_hstar"] == 1 and run["agree"]
-        assert run["betti_rows"]  # table dumped
+        # one row per level, [level, b_0, b_1], and the columns' totals
+        assert run["betti_rows"] == [[0, 1, 0], [1, 0, 0]]
+        assert run["betti_totals"] == [1, 0]
 
     def test_two_cusp_positivity_report(self, tmp_path, capsys):
         path = tmp_path / "two.txt"
@@ -630,9 +672,11 @@ class TestOracle:
             assert run["eu_h0"] - run["eu_hstar"] == run["betti_totals"][1]
 
     def test_cap_exit_code(self, quartic_file, capsys):
-        code, _, err = run_cli(capsys, "oracle", quartic_file, "--j", "0",
-                               "--cap", "10")
-        assert code == 3 and "cap" in err
+        # 1 is the least cap accepted; the quartic's box has 64 points
+        for cap in ("10", "1"):
+            code, _, err = run_cli(capsys, "oracle", quartic_file, "--j", "0",
+                                   "--cap", cap)
+            assert code == 3 and "cap" in err, cap
 
     def test_cell_cap_fires_before_allocation(self, tmp_path, capsys, monkeypatch):
         # nine [2]: 262,144 points fit the default cap, 40,353,607 cells do
@@ -743,6 +787,8 @@ class TestStability:
         assert len(doc["regroupings"]) == 5
         assert doc["h_equal"]
         assert doc["bl_constant"]
+        assert all(row["difference"] == row["eu_h0"] - row["eu_hstar"]
+                   for row in doc["regroupings"])
 
     def test_single_cusp(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
@@ -822,11 +868,13 @@ class TestStability:
 
     def test_smooth_point_refused(self, tmp_path, capsys):
         path = tmp_path / "smooth.txt"
-        path.write_text("<1,5> [2]\n")
-        for command in REFUSING_COMMANDS:
-            code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
-            assert code == 2 and not out
-            assert err == f"error: {path}:1: token 1: bad cusp '<1,5>': smooth point is not a cusp\n"
+        for text, token in (("<1,5> [2]", 1), ("[2] <1,5>", 2)):
+            path.write_text(text + "\n")
+            for command in REFUSING_COMMANDS:
+                code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+                assert code == 2 and not out
+                assert err == (f"error: {path}:1: token {token}: bad cusp '<1,5>': "
+                               "smooth point is not a cusp\n")
 
     def test_non_plane_branch_refused(self, tmp_path, capsys):
         path = tmp_path / "apery.txt"
@@ -852,7 +900,7 @@ class TestStability:
         assert f"multiset too large: {entries} entries exceed cap 256" in err
         assert "bad cusp" not in err
 
-    def test_rows_capped_by_window(self, tmp_path, capsys):
+    def test_rows_capped_by_window(self, tmp_path, capsys, monkeypatch):
         # the multiset of C(60,1), delta = 1,711: each row computes H, bl and
         # eu at that delta, and the 10,000-row walk cap alone ran for minutes
         path = tmp_path / "c601.txt"
@@ -862,6 +910,13 @@ class TestStability:
         assert time.perf_counter() - start < 10
         assert code == 0 and doc["truncated"] and doc["h_equal"]
         assert len(doc["regroupings"]) == criteria._STABILITY_CELLS // (2 * 1711 + 1)
+        # a row per 2*delta + 1 = 13 cells of [3] [2_3], and at least one: budgets
+        # of 24, 26 and 5 cells allow 1, 2 and 1 of its five rows
+        path.write_text("[3] [2_3]\n")
+        for cells, rows in ((24, 1), (26, 2), (5, 1)):
+            monkeypatch.setattr(criteria, "_STABILITY_CELLS", cells)
+            code, doc, _ = run_machine(capsys, "stability", str(path))
+            assert code == 0 and doc["truncated"] and len(doc["regroupings"]) == rows, cells
 
     def test_walk_bounded_by_parts_tried(self, tmp_path, capsys):
         # under --max-parts the walk tries every sub-multiset that holds the
@@ -876,7 +931,7 @@ class TestStability:
         cap = criteria._MAX_PARTS_TRIED
         assert f"{cap + 1} parts tried exceed cap {cap}" in err
 
-    def test_text_names_a_varying_eu_h0(self):
+    def test_text_names_a_varying_eu_h0(self, tmp_path, capsys, monkeypatch):
         # no input known today gives two eu_h0 values (the paper's theorem),
         # so the renderer, which reads only the document, gets a built one
         doc = {
@@ -896,6 +951,13 @@ class TestStability:
             "eu_hstar values: 6",
             "overall: FAIL",
         ]
+        # and the command, given a varying eu_h0 by a stub, exits 1
+        values = itertools.count()
+        monkeypatch.setattr(invariants, "eu_canonical", lambda c, d: (next(values), 0))
+        path = tmp_path / "deg5.txt"
+        path.write_text("[3] [2_3]\n")
+        code, out, _ = run_cli(capsys, "stability", str(path))
+        assert code == 1 and out.endswith("overall: FAIL\n")
 
     def test_sporadic_multiset_eu_variation(self, tmp_path, capsys):
         path = tmp_path / "sp4.txt"
@@ -916,6 +978,24 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "overall: PASS" in proc.stdout
+
+
+def test_console_script_is_main(quartic_file, monkeypatch):
+    # pip installs `cuspidal` as a script that calls this target and exits
+    # with its return value; tomllib is 3.11+, so the line is read as text
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    name, target = (part.strip().strip('"') for part in scripts.strip().split("="))
+    module, func = target.split(":")
+    assert name == "cuspidal"
+    main = getattr(importlib.import_module(module), func)
+    assert main is cli.main
+    for argv, code in ((["check", quartic_file], 0), (["check", quartic_file, "--d", "5"], 2),
+                       (["check", quartic_file, "--d", "5", "--force"], 1)):
+        monkeypatch.setattr(sys, "argv", ["cuspidal", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code, argv
 
 
 def test_reader_closing_pipe_early(tmp_path):
